@@ -97,9 +97,6 @@ class ScalarField:
             object.__setattr__(self, "_spectrum", np.fft.fft2(self.values))
         return self._spectrum
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

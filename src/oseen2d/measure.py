@@ -101,7 +101,7 @@ def decompose(mu: FiniteMeasure, epsilon: float) -> AtomicDecomposition:
     masses = [abs(m) for _, m in mu.atoms]
     remaining = sum(masses)
     k = 0
-    while remaining > epsilon:
+    while remaining > epsilon and k < len(masses):
         remaining -= masses[k]
         k += 1
     retained = tuple((m, pos) for pos, m in mu.atoms[:k])

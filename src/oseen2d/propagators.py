@@ -1,15 +1,25 @@
-"""Linear evolution operators realized by integrating-factor RK4 stepping.
+"""One integrating-factor RK4 core and the flows it advances.
 
-Covered flows:
+Every flow in the package has the form
+
+    dw/dt = Lap(w) - div F(w, t)    (+ div(xi w / 2) in self-similar variables),
+
+with the Laplacian handled exactly in spectral space (Lawson's
+integrating-factor RK4) and the flux F evaluated in physical space by a
+stage function of the flow.  ``lawson_step`` takes one step of any such
+flow and ``march`` is the one loop that steps through a list of stop
+times.  This module supplies the stage functions and step-size rules of
 
 * advection-diffusion with a prescribed divergence-free velocity
-  (one step at a time, diffusion exact in spectral space),
-* the frozen multi-vortex background propagator in physical time,
+  (one step at a time),
+* the frozen multi-vortex background propagator SN in physical time,
 * the one-vortex self-similar flow  dw/dtau + alpha v . grad w = L w,
 * the linearization at the Gaussian steady profile
   dw/dtau + alpha (v . grad w + v_w . grad G) = L w,
 
-plus least-squares decay-rate measurement on the resulting trajectories.
+plus least-squares decay-rate measurement on the resulting trajectories;
+``solver`` supplies those of the nonlinear Cauchy solver and its rescaled
+perturbation flow.
 
 All advection terms are stepped in divergence form, so the zero mode of
 the state is bit-exactly conserved.
@@ -29,7 +39,7 @@ from .field import (Grid, ScalarField, VectorField, _dealias_mask,
                     _deriv_wavenumbers, _ksq, lp_norm, weighted_norm,
                     write_field)
 from .oseen import (OseenVortex, gaussian_profile, oseen_max_speed,
-                    oseen_velocity, velocity_profile)
+                    oseen_velocity, oseen_vorticity, velocity_profile)
 
 CFL_DEFAULT = 0.5
 
@@ -123,28 +133,112 @@ class DecayFit:
 
 
 # ---------------------------------------------------------------------
-# integrating-factor RK4 core
+# the integrating-factor RK4 core: one step and one stop-time loop
 # ---------------------------------------------------------------------
 
-def _lawson_rk4(w_hat: np.ndarray, t: float, dt: float, lin: np.ndarray,
-                nonlinear: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
-    """One Lawson (integrating-factor) RK4 step of dw/dt = lin*w + N(w, t).
+# A stage function maps (state samples, stage time) to the physical-space
+# flux F = (F1, F2) of dw/dt = Lap(w) - div F, summed over every advective
+# term (None when the flow has none), and the speed of the velocity it
+# solved for.
+Stage = Callable[[np.ndarray, float], tuple]
 
-    ``lin`` is the diagonal spectral symbol of the stiff linear part,
-    handled exactly; ``nonlinear`` maps (w_hat, stage_time) to the spectrum
-    of the remaining terms.
+# Relative distance below which a time counts as having reached a stop.
+STOP_RTOL = 1e-12
+
+
+def _drift_hat(grid: Grid, xx, yy, w: np.ndarray) -> np.ndarray:
+    """Spectrum of div(xi w / 2) = (xi/2) . grad w + w, the rest of L.
+
+    The divergence form leaves the zero mode untouched, so the rescaled
+    flows conserve the integral of the state bit-exactly.
     """
-    eh = np.exp(0.5 * dt * lin)
-    ef = eh * eh
-    n1 = nonlinear(w_hat, t)
-    y2 = eh * (w_hat + 0.5 * dt * n1)
-    n2 = nonlinear(y2, t + 0.5 * dt)
-    y3 = eh * w_hat + 0.5 * dt * n2
-    n3 = nonlinear(y3, t + 0.5 * dt)
-    y4 = ef * w_hat + dt * eh * n3
-    n4 = nonlinear(y4, t + dt)
-    return ef * w_hat + (dt / 6.0) * (ef * n1 + 2.0 * eh * (n2 + n3) + n4)
+    kd = _deriv_wavenumbers(grid)
+    f1 = np.fft.fft2(0.5 * xx * w)
+    f2 = np.fft.fft2(0.5 * yy * w)
+    return 1j * kd[:, None] * f1 + 1j * kd[None, :] * f2
 
+
+def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
+                pick_dt: Callable[[float, float], float], dealias: bool = True,
+                drift: bool = False) -> tuple[ScalarField, float]:
+    """One Lawson (integrating-factor) RK4 step of dw/dt = Lap(w) - div F(w, t).
+
+    The Laplacian is handled exactly in spectral space.  Stage 1 is
+    evaluated first, so ``pick_dt(speed, room)`` sizes the step from the
+    velocity that stage already solved for; it returns a step no longer
+    than ``room = t_stop - t`` and raises StabilityError when that step
+    breaks the flow's bound.  Each stage sends its flux through one
+    transform pair, dealiased by the 2/3 rule when ``dealias``; ``drift``
+    adds the self-similar drift div(xi w / 2), never dealiased.
+
+    Returns the new state and its time.
+    """
+    grid = w.grid
+    kd = _deriv_wavenumbers(grid)
+    mask = _dealias_mask(grid) if dealias else None
+    xx, yy = grid.meshes() if drift else (None, None)
+
+    def tendency(values, flux):
+        out = 0.0
+        if flux is not None:
+            out = -(1j * kd[:, None] * np.fft.fft2(flux[0])
+                    + 1j * kd[None, :] * np.fft.fft2(flux[1]))
+            if mask is not None:
+                out = out * mask
+        if drift:
+            out = out + _drift_hat(grid, xx, yy, values)
+        return out
+
+    def nonlinear(w_hat, stage_t):
+        values = np.fft.ifft2(w_hat).real
+        return tendency(values, stage(values, stage_t)[0])
+
+    flux, speed = stage(w.values, t)
+    dt = pick_dt(speed, t_stop - t)
+    eh = np.exp(-0.5 * dt * _ksq(grid))
+    ef = eh * eh
+    w_hat = w.spectrum
+    n1 = tendency(w.values, flux)
+    n2 = nonlinear(eh * (w_hat + 0.5 * dt * n1), t + 0.5 * dt)
+    n3 = nonlinear(eh * w_hat + 0.5 * dt * n2, t + 0.5 * dt)
+    n4 = nonlinear(ef * w_hat + dt * eh * n3, t + dt)
+    out = ef * w_hat + (dt / 6.0) * (ef * n1 + 2.0 * eh * (n2 + n3) + n4)
+    return ScalarField(grid, np.fft.ifft2(out).real), t + dt
+
+
+def march(w: ScalarField, t: float, stops: Sequence[float], advance,
+          on_stop: Callable[[float, ScalarField], None] | None = None
+          ) -> tuple[ScalarField, float]:
+    """The one time-advancing loop: step through each stop time in turn.
+
+    ``advance(w, t, t_stop)`` takes one step ending no later than t_stop
+    and returns the new (w, t); ``on_stop(t, w)`` sees the start and every
+    stop, with t set to the stop once it is within round-off of it.  A
+    step that does not move time forward (dt = 0 from an infinite speed,
+    or NaN) and a state that is not finite at a stop raise StabilityError
+    naming the time and the step.
+    """
+    step = 0
+    for stop in (t, *stops):
+        while t < stop - STOP_RTOL * abs(stop):
+            w, t_next = advance(w, t, stop)
+            step += 1
+            if not t_next > t:
+                raise StabilityError(
+                    f"step {step} at t={t:.17g} does not advance (dt={t_next - t:.3g})")
+            t = t_next
+        t = max(t, stop)
+        if not np.all(np.isfinite(w.values)):
+            raise StabilityError(f"state is not finite at t={t:.17g} (step {step})")
+        if on_stop is not None:
+            on_stop(t, w)
+    return w, t
+
+
+# ---------------------------------------------------------------------
+# advection-diffusion by a prescribed velocity, and the frozen
+# multi-vortex background propagator SN (physical time)
+# ---------------------------------------------------------------------
 
 def _require_divergence_free(u: VectorField, tol: float = 1e-2):
     """Interior local-stencil check that the velocity is solenoidal.
@@ -171,16 +265,26 @@ def _require_divergence_free(u: VectorField, tol: float = 1e-2):
             f"vs gradient scale {grad_scale:.3e}")
 
 
-def _advection_divergence_hat(grid: Grid, u1: np.ndarray, u2: np.ndarray,
-                              w: np.ndarray, dealias_products: bool) -> np.ndarray:
-    """Spectrum of -div(u w) from physical-space factors."""
-    kd = _deriv_wavenumbers(grid)
-    f1 = np.fft.fft2(u1 * w)
-    f2 = np.fft.fft2(u2 * w)
-    out = -(1j * kd[:, None] * f1 + 1j * kd[None, :] * f2)
-    if dealias_products:
-        out = out * _dealias_mask(grid)
-    return out
+def _prescribed_stage(velocity_fn: Callable[[float], VectorField],
+                      cache: dict | None = None) -> Stage:
+    """Stage function of advection by U(t), evaluated once per stage time."""
+    cache = {} if cache is None else cache
+
+    def stage(w, t):
+        u = cache.get(t)
+        if u is None:
+            u = cache[t] = velocity_fn(t)
+        return (u.x.values * w, u.y.values * w), u.max_norm()
+    return stage
+
+
+def _advection_checked(dt: float, speed: float, grid: Grid) -> float:
+    """dt, after checking it against the advection bound h/(2 max|U|)."""
+    if speed > 0 and dt > grid.h / (2.0 * speed):
+        raise StabilityError(
+            f"dt={dt:.3e} exceeds the advection bound h/(2 max|U|)="
+            f"{grid.h / (2 * speed):.3e}")
+    return dt
 
 
 def advect_diffuse_step(omega: ScalarField, velocity_fn: Callable[[float], VectorField],
@@ -191,44 +295,34 @@ def advect_diffuse_step(omega: ScalarField, velocity_fn: Callable[[float], Vecto
     pseudo-spectrally with the 2/3 rule.  The prescribed velocity must be
     divergence-free and dt must satisfy dt <= h / (2 max|U|).
     """
-    grid = omega.grid
     u_now = velocity_fn(t)
-    umax = u_now.max_norm()
-    if umax > 0 and dt > grid.h / (2.0 * umax):
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the advection bound h/(2 max|U|)="
-            f"{grid.h / (2 * umax):.3e}")
     _require_divergence_free(u_now)
-    cache: dict[float, VectorField] = {t: u_now}
-
-    def nonlinear(w_hat, stage_t):
-        u = cache.get(stage_t)
-        if u is None:
-            u = velocity_fn(stage_t)
-            cache[stage_t] = u
-        w = np.fft.ifft2(w_hat).real
-        return _advection_divergence_hat(grid, u.x.values, u.y.values, w,
-                                         dealias_products)
-
-    lin = -_ksq(grid)
-    out_hat = _lawson_rk4(omega.spectrum, t, dt, lin, nonlinear)
-    return ScalarField(grid, np.fft.ifft2(out_hat).real)
+    stage = _prescribed_stage(velocity_fn, {t: u_now})
+    out, _ = lawson_step(omega, t, np.inf, stage,
+                         lambda speed, room: _advection_checked(dt, speed, omega.grid),
+                         dealias_products)
+    return out
 
 
-# ---------------------------------------------------------------------
-# frozen multi-vortex background propagator (physical time)
-# ---------------------------------------------------------------------
+def background_sum(vortices: Sequence[OseenVortex], t: float, grid: Grid,
+                   velocity: bool = False, start=0.0) -> np.ndarray:
+    """The one sum of the analytic vortex backgrounds sampled at time t.
+
+    Returns ``start`` plus the vorticity of every vortex, or with
+    ``velocity`` the velocity components stacked as a (2, n, n) array.
+    """
+    xx, yy = grid.meshes()
+    field = oseen_velocity if velocity else oseen_vorticity
+    total = np.zeros((2, grid.n, grid.n) if velocity else (grid.n, grid.n)) + start
+    for v in vortices:
+        total += field(v, t, xx, yy)
+    return total
+
 
 def background_velocity(vortices: Sequence[OseenVortex], t: float,
                         grid: Grid) -> VectorField:
     """Sampled sum of the analytic vortex velocities at time t."""
-    xx, yy = grid.meshes()
-    u1 = np.zeros_like(xx)
-    u2 = np.zeros_like(xx)
-    for v in vortices:
-        a1, a2 = oseen_velocity(v, t, xx, yy)
-        u1 += a1
-        u2 += a2
+    u1, u2 = background_sum(vortices, t, grid, velocity=True)
     return VectorField(ScalarField(grid, u1), ScalarField(grid, u2))
 
 
@@ -257,45 +351,28 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
     if not (0 < s < t):
         raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
     grid = f.grid
-    now = s
-    state = f
-    while now < t - 1e-14 * t:
-        if cfg.dt is not None:
-            dt = cfg.dt
+    _require_divergence_free(background_velocity(vortices, s, grid))
+
+    def advance(w, now, stop):
+        def pick_dt(speed, room):
+            fixed = cfg.dt is not None
+            dt = min(cfg.dt if fixed else background_dt(vortices, now, grid, cfg.cfl),
+                     room)
             limit = background_cfl_bound(vortices, now, grid, CFL_DEFAULT)
-            if dt > limit:
+            if fixed and dt > limit:
                 raise StabilityError(
                     f"fixed dt={dt:.3e} exceeds the background bound {limit:.3e}")
-        else:
-            dt = background_dt(vortices, now, grid, cfg.cfl)
-        dt = min(dt, t - now)
-        state = advect_diffuse_step(
-            state, lambda stage_t: background_velocity(vortices, stage_t, grid),
-            now, dt, cfg.dealias)
-        now += dt
-    return state
+            return _advection_checked(dt, speed, grid)
+
+        stage = _prescribed_stage(lambda u_t: background_velocity(vortices, u_t, grid))
+        return lawson_step(w, now, stop, stage, pick_dt, cfg.dealias)
+
+    return march(f, s, [t], advance)[0]
 
 
 # ---------------------------------------------------------------------
 # self-similar propagators
 # ---------------------------------------------------------------------
-
-def _selfsim_lin(grid: Grid) -> np.ndarray:
-    """Spectral symbol of the stiff diagonal part of L (the Laplacian)."""
-    return -_ksq(grid)
-
-
-def _drift_hat(grid: Grid, xx, yy, w: np.ndarray) -> np.ndarray:
-    """Spectrum of div(xi w / 2) = (xi/2) . grad w + w, the rest of L.
-
-    The divergence form leaves the zero mode untouched, so the rescaled
-    flows conserve the integral of the state bit-exactly.
-    """
-    kd = _deriv_wavenumbers(grid)
-    f1 = np.fft.fft2(0.5 * xx * w)
-    f2 = np.fft.fft2(0.5 * yy * w)
-    return 1j * kd[:, None] * f1 + 1j * kd[None, :] * f2
-
 
 def selfsim_dt_bound(grid: Grid, advection_max: float, cfl: float) -> float:
     """Explicit-drift bound 4h/L combined with the advection CFL."""
@@ -305,58 +382,53 @@ def selfsim_dt_bound(grid: Grid, advection_max: float, cfl: float) -> float:
     return min(drift_bound, cfl * grid.h / advection_max)
 
 
-def _evolve_selfsim(w0: ScalarField, tau_end: float, cfg: StepperConfig,
-                    coupling, advection_max: float,
-                    sample_every: float = 0.05) -> Trajectory:
-    """Common driver for the rescaled flows d w/d tau = L w + coupling(w)."""
+def vortex_advection(grid: Grid, alpha: float):
+    """alpha v on the grid, and its largest speed."""
+    v1, v2 = velocity_profile(*grid.meshes())
+    return alpha * v1, alpha * v2, abs(alpha) * float(np.max(np.hypot(v1, v2)))
+
+
+def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
+                    stage: Stage, advection_max: float,
+                    sample_every: float) -> Trajectory:
+    """March a rescaled flow d w/d tau = L w - div F(w), sampled at the stop
+    times k * sample_every and at tau_end.
+
+    Every step obeys selfsim_dt_bound for ``advection_max`` plus the speed
+    the stage solved for.
+    """
+    if not sample_every > 0:
+        raise DomainError(f"sample_every must be positive, got {sample_every}")
     grid = w0.grid
-    xx, yy = grid.meshes()
-    lin = _selfsim_lin(grid)
-    bound = selfsim_dt_bound(grid, advection_max, cfg.cfl or CFL_DEFAULT)
-    if cfg.dt is not None:
-        if cfg.dt > bound:
+    cfl = cfg.cfl or CFL_DEFAULT
+
+    def pick_dt(speed, room):
+        bound = selfsim_dt_bound(grid, advection_max + speed, cfl)
+        dt = min(bound if cfg.dt is None else cfg.dt, room)
+        if dt > bound:
             raise StabilityError(
-                f"dt={cfg.dt:.3e} exceeds the rescaled-flow bound {bound:.3e}")
-        dt = cfg.dt
-    else:
-        dt = bound
+                f"dt={dt:.3e} exceeds the rescaled-flow bound {bound:.3e}")
+        return dt
 
-    def nonlinear(w_hat, stage_tau):
-        w = np.fft.ifft2(w_hat).real
-        out = _drift_hat(grid, xx, yy, w)
-        if coupling is not None:
-            out = out + coupling(w, w_hat, stage_tau)
-        return out
+    def advance(w, tau, stop):
+        return lawson_step(w, tau, stop, stage, pick_dt, cfg.dealias, drift=True)
 
+    stops = [k * sample_every for k in range(1, int(tau_end / sample_every) + 1)]
+    stops = [s for s in stops if s < tau_end * (1 - STOP_RTOL)] + [tau_end]
     traj = Trajectory(time_label="tau")
-    traj.record(0.0, w0)
-    w_hat = w0.spectrum.copy()
-    tau = 0.0
-    next_sample = sample_every
-    while tau < tau_end - 1e-12:
-        step = min(dt, tau_end - tau)
-        w_hat = _lawson_rk4(w_hat, tau, step, lin, nonlinear)
-        tau += step
-        if tau >= next_sample - 1e-12 or tau >= tau_end - 1e-12:
-            traj.record(tau, ScalarField(grid, np.fft.ifft2(w_hat).real))
-            next_sample = tau + sample_every
+    march(w0, 0.0, stops, advance, traj.record)
     return traj
 
 
 def evolve_S1(alpha: float, w0: ScalarField, tau_end: float, cfg: StepperConfig,
               sample_every: float = 0.05) -> Trajectory:
     """One-vortex self-similar flow d w/d tau + alpha v . grad w = L w."""
-    grid = w0.grid
-    xx, yy = grid.meshes()
-    v1, v2 = velocity_profile(xx, yy)
+    a1, a2, advection_max = vortex_advection(w0.grid, alpha)
 
-    def coupling(w, w_hat, stage_tau):
-        return _advection_divergence_hat(grid, alpha * v1, alpha * v2, w,
-                                         cfg.dealias)
+    def stage(w, tau):
+        return ((a1 * w, a2 * w) if alpha != 0 else None), 0.0
 
-    advection_max = abs(alpha) * float(np.max(np.hypot(v1, v2)))
-    return _evolve_selfsim(w0, tau_end, cfg, coupling if alpha != 0 else None,
-                           advection_max, sample_every)
+    return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 
 
 def evolve_T_alpha(alpha: float, w0: ScalarField, tau_end: float,
@@ -366,24 +438,21 @@ def evolve_T_alpha(alpha: float, w0: ScalarField, tau_end: float,
 
     The coupling velocity v_w is the plane Biot-Savart field of the state,
     computed by the free-space method (accurate enough that the derivative
-    modes of the Gaussian stay numerically exact eigenfunctions).
+    modes of the Gaussian stay numerically exact eigenfunctions).  It
+    advects only G, so the step bound sees alpha v alone.
     """
     grid = w0.grid
-    xx, yy = grid.meshes()
-    v1, v2 = velocity_profile(xx, yy)
-    g = gaussian_profile(xx, yy)
+    a1, a2, advection_max = vortex_advection(grid, alpha)
+    g = gaussian_profile(*grid.meshes())
 
-    def coupling(w, w_hat, stage_tau):
-        out = _advection_divergence_hat(grid, alpha * v1, alpha * v2, w,
-                                        cfg.dealias)
+    def stage(w, tau):
+        if alpha == 0:
+            return None, 0.0
         vw = velocity_free_space(ScalarField(grid, w))
-        out = out + _advection_divergence_hat(
-            grid, alpha * vw.x.values, alpha * vw.y.values, g, cfg.dealias)
-        return out
+        return (a1 * w + alpha * vw.x.values * g,
+                a2 * w + alpha * vw.y.values * g), 0.0
 
-    advection_max = abs(alpha) * float(np.max(np.hypot(v1, v2)))
-    return _evolve_selfsim(w0, tau_end, cfg, coupling if alpha != 0 else None,
-                           advection_max, sample_every)
+    return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 
 
 # ---------------------------------------------------------------------

@@ -1,22 +1,21 @@
 """Nonlinear Cauchy solver for the 2D vorticity equation with measure data.
 
-Two modes:
+The large atoms are carried as analytic vortex backgrounds (which solve
+the equation exactly on their own) and only the gridded remainder is
+evolved.  Subtracting the exact background equations leaves
 
-* ``direct``: march the full vorticity field pseudo-spectrally.
-* ``decomposed``: carry the large atoms as analytic vortex backgrounds
-  (which solve the equation exactly on their own) and evolve only the
-  gridded remainder.  Subtracting the exact background equations leaves
+    d w~/dt = Lap(w~) - div(u w~) - sum_i div((u - u_i) w_i),
 
-      d w~/dt = Lap(w~) - div(u w~) - sum_i div((u - u_i) w_i),
+where u = u~ + sum_j u_j, each u_j and w_i analytic.  The self-advection
+of each background drops out identically (perpendicular velocity and
+gradient), so a single exact vortex has a remainder that stays at
+round-off level.  With no backgrounds the remainder is the full
+vorticity, so the same stepper marches the plain ("direct") equation.
 
-  where u = u~ + sum_j u_j, each u_j and grad(w_i) analytic.  The
-  self-advection of each background drops out identically (perpendicular
-  velocity and gradient), so a single exact vortex has a remainder that
-  stays at round-off level.
-
-For long-horizon single-vortex asymptotics the same decomposition is
-evolved in self-similar variables, where the box does not have to chase
-the sqrt(t) spreading.
+Both this flow and the rescaled perturbation flow about alpha G (for
+long-horizon single-vortex asymptotics, where the box does not have to
+chase the sqrt(t) spreading) are advanced by the one Lawson RK4 core of
+``propagators``.
 """
 
 from __future__ import annotations
@@ -28,18 +27,17 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .biot_savart import (circulation_is_negligible, velocity,
-                          velocity_free_space, velocity_periodic)
+from .biot_savart import (circulation_is_negligible, velocity_free_space,
+                          velocity_periodic)
 from .errors import DomainError, MarginError, Oseen2dError, StabilityError
-from .field import Grid, ScalarField, VectorField, _ksq, lp_norm
+from .field import Grid, ScalarField, VectorField, lp_norm, require_boundary_decay
 from .measure import (AtomicDecomposition, FiniteMeasure, decompose,
                       heat_smooth, measure_hash, total_variation)
-from .oseen import (OseenVortex, gaussian_profile, oseen_velocity,
-                    oseen_vorticity, velocity_profile)
+from .oseen import OseenVortex, gaussian_profile, oseen_velocity, oseen_vorticity
 from .propagators import (CFL_DEFAULT, StepperConfig, Trajectory,
-                          _advection_divergence_hat, _drift_hat, _lawson_rk4,
-                          _selfsim_lin, background_cfl_bound, background_dt,
-                          selfsim_dt_bound)
+                          background_cfl_bound, background_dt, background_sum,
+                          evolve_rescaled, lawson_step, march,
+                          vortex_advection)
 
 L1_BOUND_REL_TOL = 1e-6
 
@@ -62,26 +60,17 @@ class VortexSystem:
 
     def total_vorticity(self) -> ScalarField:
         grid = self.remainder.grid
-        xx, yy = grid.meshes()
-        vals = self.remainder.values.copy()
-        for v in self.backgrounds:
-            vals += oseen_vorticity(v, self.t, xx, yy)
-        return ScalarField(grid, vals)
+        return ScalarField(grid, background_sum(self.backgrounds, self.t, grid,
+                                                start=self.remainder.values))
 
     def total_velocity(self) -> VectorField:
         grid = self.remainder.grid
-        xx, yy = grid.meshes()
-        u1 = np.zeros_like(xx)
-        u2 = np.zeros_like(xx)
-        for v in self.backgrounds:
-            a1, a2 = oseen_velocity(v, self.t, xx, yy)
-            u1 += a1
-            u2 += a2
+        u1, u2 = background_sum(self.backgrounds, self.t, grid, velocity=True)
         if np.any(self.remainder.values):
             ut = velocity_free_space(self.remainder,
                                      boundary_tol=SOLVER_BOUNDARY_TOL)
-            u1 += ut.x.values
-            u2 += ut.y.values
+            u1 = u1 + ut.x.values
+            u2 = u2 + ut.y.values
         return VectorField(ScalarField(grid, u1), ScalarField(grid, u2))
 
 
@@ -122,130 +111,102 @@ def _remainder_velocity(wf: ScalarField, method: str):
         return velocity_periodic(wf)
     if method == "free_space":
         return velocity_free_space(wf, boundary_tol=SOLVER_BOUNDARY_TOL)
-    # auto: the same circulation routing as the direct solver
+    # auto: periodic inversion for mean-zero remainders, free-space otherwise
     if circulation_is_negligible(wf):
         return velocity_periodic(wf)
     return velocity_free_space(wf, boundary_tol=SOLVER_BOUNDARY_TOL)
 
 
-def _decomposed_nonlinear_hat(sys_backgrounds, grid: Grid, xx, yy,
-                              w_hat: np.ndarray, t: float,
-                              dealias_products: bool,
-                              stage_cache: dict,
-                              velocity_method: str = "auto") -> np.ndarray:
-    """Spectrum of -div(u w~) - sum_i div((u - u_i) w_i) at time t.
+def _decomposed_stage(backgrounds, grid: Grid, velocity_method: str):
+    """Stage function of the remainder equation: the flux
+    u w~ + sum_i (u - u_i) w_i and the speed of the remainder velocity.
 
     The background self-advection terms u_i . grad(w_i) are dropped
     analytically (they vanish pointwise by radial symmetry), which keeps a
-    pure vortex background exact to round-off.
+    pure vortex background exact to round-off.  The background fields are
+    evaluated once per stage time.
     """
-    w = np.fft.ifft2(w_hat).real
-    wf = ScalarField(grid, w)
-    if np.any(w):
-        ut = _remainder_velocity(wf, velocity_method)
-        ut1, ut2 = ut.x.values, ut.y.values
+    xx, yy = grid.meshes()
+    cache: dict = {}
+
+    def stage(w, t):
+        fields = cache.get(t)
+        if fields is None:
+            fields = cache[t] = [
+                (oseen_velocity(v, t, xx, yy), oseen_vorticity(v, t, xx, yy))
+                for v in backgrounds]
+        if np.any(w):
+            ut = _remainder_velocity(ScalarField(grid, w), velocity_method)
+            ut1, ut2, speed = ut.x.values, ut.y.values, ut.max_norm()
+        else:
+            ut1 = ut2 = np.zeros_like(w)
+            speed = 0.0
+        u1 = ut1 + sum(a for (a, _), _ in fields)
+        u2 = ut2 + sum(b for (_, b), _ in fields)
+        f1, f2 = u1 * w, u2 * w
+        for (b1, b2), wi in fields:
+            f1 = f1 + (u1 - b1) * wi
+            f2 = f2 + (u2 - b2) * wi
+        return (f1, f2), speed
+    return stage
+
+
+def decomposed_dt(sys: VortexSystem, cfg: StepperConfig, remainder_speed: float,
+                  room: float = np.inf) -> float:
+    """The step step_decomposed takes from sys, at most ``room``.
+
+    Either the fixed cfg.dt or the automatic rule: background CFL, the
+    t/50 sharpening rule, and the CFL of the remainder speed that stage 1
+    solved for.  Raises StabilityError when the step exceeds the
+    CFL_DEFAULT bound of the backgrounds and the remainder.
+    """
+    grid = sys.remainder.grid
+
+    def remainder_bound(cfl):
+        return np.inf if remainder_speed == 0 else cfl * grid.h / remainder_speed
+
+    if cfg.dt is not None:
+        dt = cfg.dt
     else:
-        ut1 = np.zeros_like(w)
-        ut2 = np.zeros_like(w)
-    fields = stage_cache.get(t)
-    if fields is None:
-        fields = [(oseen_velocity(v, t, xx, yy), oseen_vorticity(v, t, xx, yy))
-                  for v in sys_backgrounds]
-        stage_cache[t] = fields
-    u1 = ut1 + sum(a for (a, _), _ in fields)
-    u2 = ut2 + sum(b for (_, b), _ in fields)
-    out = _advection_divergence_hat(grid, u1, u2, w, dealias_products)
-    for (b1, b2), wi in fields:
-        out = out + _advection_divergence_hat(grid, u1 - b1, u2 - b2, wi,
-                                              dealias_products)
-    return out
+        dt = min(background_dt(sys.backgrounds, sys.t, grid, cfg.cfl),
+                 remainder_bound(cfg.cfl))
+    dt = min(dt, room)
+    limit = min(background_cfl_bound(sys.backgrounds, sys.t, grid, CFL_DEFAULT),
+                remainder_bound(CFL_DEFAULT))
+    if dt > limit * (1 + 1e-9):
+        raise StabilityError(f"dt={dt:.3e} exceeds the bound {limit:.3e}")
+    return dt
 
 
-def decomposed_dt(sys: VortexSystem, cfl: float) -> float:
-    """Automatic step control: background CFL, the t/50 sharpening rule,
-    and the remainder-velocity CFL."""
-    grid = sys.remainder.grid
-    dt = background_dt(sys.backgrounds, sys.t, grid, cfl)
-    return min(dt, _remainder_cfl_bound(sys, cfl))
-
-
-def _remainder_cfl_bound(sys: VortexSystem, cfl: float) -> float:
-    grid = sys.remainder.grid
-    if np.any(sys.remainder.values):
-        umax = _remainder_velocity(sys.remainder, "auto").max_norm()
-        if umax > 0:
-            return cfl * grid.h / umax
-    return np.inf
-
-
-def step_decomposed(sys: VortexSystem, dt: float, cfg: StepperConfig,
-                     velocity_method: str = "auto") -> VortexSystem:
-    """Advance the remainder by one integrating-factor RK4 step.
+def step_decomposed(sys: VortexSystem, cfg: StepperConfig, t_stop: float = np.inf,
+                    velocity_method: str = "auto") -> VortexSystem:
+    """Advance the remainder by one integrating-factor RK4 step, ending no
+    later than t_stop, with the step size from decomposed_dt.
 
     Backgrounds advance only through t -> t + dt inside their formulas.
     The remainder velocity routes by circulation (periodic inversion for
-    mean-zero remainders, free-space otherwise), exactly like the direct
-    solver; "periodic" or "free_space" force one method.
+    mean-zero remainders, free-space otherwise); "periodic" or
+    "free_space" force one method.
     """
     grid = sys.remainder.grid
-    limit = min(background_cfl_bound(sys.backgrounds, sys.t, grid, CFL_DEFAULT),
-                _remainder_cfl_bound(sys, CFL_DEFAULT))
-    if dt > limit * (1 + 1e-9):
-        raise StabilityError(f"dt={dt:.3e} exceeds the bound {limit:.3e}")
-    xx, yy = grid.meshes()
-    stage_cache: dict = {}
-
-    def nonlinear(w_hat, stage_t):
-        return _decomposed_nonlinear_hat(sys.backgrounds, grid, xx, yy, w_hat,
-                                         stage_t, cfg.dealias, stage_cache,
-                                         velocity_method)
-
-    out_hat = _lawson_rk4(sys.remainder.spectrum, sys.t, dt, -_ksq(grid),
-                          nonlinear)
-    return VortexSystem(backgrounds=sys.backgrounds,
-                        remainder=ScalarField(grid, np.fft.ifft2(out_hat).real),
-                        t=sys.t + dt)
+    stage = _decomposed_stage(sys.backgrounds, grid, velocity_method)
+    remainder, t = lawson_step(
+        sys.remainder, sys.t, t_stop, stage,
+        lambda speed, room: decomposed_dt(sys, cfg, speed, room), cfg.dealias)
+    return VortexSystem(backgrounds=sys.backgrounds, remainder=remainder, t=t)
 
 
-def step_direct(omega: ScalarField, dt: float, cfg: StepperConfig) -> ScalarField:
-    """One step of the full vorticity equation with Biot-Savart velocity.
+def evolve_system(sys: VortexSystem, stops, cfg: StepperConfig,
+                  velocity_method: str = "auto", on_stop=None) -> VortexSystem:
+    """March sys through each stop time in turn, one step_decomposed call
+    per step; ``on_stop(t, remainder)`` sees the start and every stop."""
+    def advance(w, t, stop):
+        nxt = step_decomposed(VortexSystem(sys.backgrounds, w, t), cfg, stop,
+                              velocity_method)
+        return nxt.remainder, nxt.t
 
-    The advection is in divergence form with the zero mode untouched, so
-    circulation is conserved bit-exactly.
-    """
-    grid = omega.grid
-    u0 = velocity(omega)
-    umax = u0.max_norm()
-    if umax > 0 and dt > CFL_DEFAULT * grid.h / umax:
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the bound {CFL_DEFAULT * grid.h / umax:.3e}")
-
-    def nonlinear(w_hat, stage_t):
-        w = np.fft.ifft2(w_hat).real
-        u = u0 if stage_t == 0.0 else velocity(ScalarField(grid, w))
-        return _advection_divergence_hat(grid, u.x.values, u.y.values, w,
-                                         cfg.dealias)
-
-    out_hat = _lawson_rk4(omega.spectrum, 0.0, dt, -_ksq(grid), nonlinear)
-    return ScalarField(grid, np.fft.ifft2(out_hat).real)
-
-
-def evolve_direct(omega: ScalarField, t0: float, t_end: float,
-                  cfg: StepperConfig) -> ScalarField:
-    """March the direct solver from t0 to t_end."""
-    state = omega
-    now = t0
-    while now < t_end - 1e-14 * t_end:
-        if cfg.dt is not None:
-            dt = cfg.dt
-        else:
-            umax = velocity(state).max_norm()
-            dt = np.inf if umax == 0 else cfg.cfl * state.grid.h / umax
-            dt = min(dt, now / 50.0)
-        dt = min(dt, t_end - now)
-        state = step_direct(state, dt, cfg)
-        now += dt
-    return state
+    remainder, t = march(sys.remainder, sys.t, stops, advance, on_stop)
+    return VortexSystem(backgrounds=sys.backgrounds, remainder=remainder, t=t)
 
 
 # ---------------------------------------------------------------------
@@ -264,22 +225,12 @@ class SolverRun:
     t0: float
     t_end: float
     backgrounds: tuple[OseenVortex, ...]
-    trajectory: Trajectory                 # remainder (or full field in direct mode)
+    trajectory: Trajectory                 # remainder (the full field without backgrounds)
     series: list[dict] = dc_field(default_factory=list)
 
-    def snapshot_times(self) -> np.ndarray:
-        return np.asarray(self.trajectory.times)
-
     def total_vorticity(self, index: int) -> ScalarField:
-        t = self.trajectory.times[index]
-        w = self.trajectory.fields[index]
-        if not self.backgrounds:
-            return w
-        xx, yy = w.grid.meshes()
-        vals = w.values.copy()
-        for v in self.backgrounds:
-            vals += oseen_vorticity(v, t, xx, yy)
-        return ScalarField(w.grid, vals)
+        return VortexSystem(self.backgrounds, self.trajectory.fields[index],
+                            self.trajectory.times[index]).total_vorticity()
 
     def write_manifest(self, directory) -> None:
         os.makedirs(directory, exist_ok=True)
@@ -332,30 +283,23 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
                     decomposition=dec, epsilon=epsilon, t0=t0, t_end=t_end,
                     backgrounds=sys.backgrounds, trajectory=traj)
 
-    def record(state: VortexSystem):
-        traj.record(state.t, state.remainder)
-        total = state.total_vorticity()
-        l1 = lp_norm(total, 1)
+    def record(t: float, remainder: ScalarField):
+        traj.record(t, remainder)
+        state = VortexSystem(sys.backgrounds, remainder, t)
+        l1 = lp_norm(state.total_vorticity(), 1)
         if tv > 0 and l1 > tv * (1.0 + l1_check_tol):
             raise Oseen2dError(
-                f"L1 bound violated at t={state.t}: |omega|_1 = {l1} > {tv}")
-        u = state.total_velocity()
+                f"L1 bound violated at t={t}: |omega|_1 = {l1} > {tv}")
         run.series.append({
-            "t": state.t,
+            "t": t,
             "total_l1": l1,
             "l1_bound_ratio": l1 / tv if tv > 0 else 0.0,
             "circulation": state.total_circulation(),
-            "remainder_l1": lp_norm(state.remainder, 1),
-            "sqrt_t_umax": np.sqrt(state.t) * u.max_norm(),
+            "remainder_l1": lp_norm(remainder, 1),
+            "sqrt_t_umax": np.sqrt(t) * state.total_velocity().max_norm(),
         })
 
-    record(sys)
-    for target in schedule:
-        while sys.t < target - 1e-14 * target:
-            dt = cfg.dt if cfg.dt is not None else decomposed_dt(sys, cfg.cfl)
-            dt = min(dt, target - sys.t)
-            sys = step_decomposed(sys, dt, cfg, remainder_velocity)
-        record(sys)
+    evolve_system(sys, schedule, cfg, remainder_velocity, record)
     return run
 
 
@@ -377,41 +321,18 @@ def evolve_rescaled_perturbation(alpha: float, w0: ScalarField, tau_end: float,
     trajectory samples w~(tau) starting from w~(0) = w0.
     """
     grid = w0.grid
-    xx, yy = grid.meshes()
-    v1, v2 = velocity_profile(xx, yy)
-    g = gaussian_profile(xx, yy)
+    require_boundary_decay(w0, "evolve_rescaled_perturbation")
+    a1, a2, advection_max = vortex_advection(grid, alpha)
+    g = gaussian_profile(*grid.meshes())
 
-    def nonlinear(w_hat, stage_tau):
-        w = np.fft.ifft2(w_hat).real
-        out = _drift_hat(grid, xx, yy, w)
+    def stage(w, tau):
         vt = velocity_free_space(ScalarField(grid, w),
                                  boundary_tol=SOLVER_BOUNDARY_TOL)
-        out = out + _advection_divergence_hat(
-            grid, alpha * v1 + vt.x.values, alpha * v2 + vt.y.values, w,
-            cfg.dealias)
-        out = out + _advection_divergence_hat(
-            grid, alpha * vt.x.values, alpha * vt.y.values, g, cfg.dealias)
-        return out
+        u1, u2 = vt.x.values, vt.y.values
+        return ((a1 + u1) * w + alpha * u1 * g,
+                (a2 + u2) * w + alpha * u2 * g), vt.max_norm()
 
-    advection_max = abs(alpha) * 0.0508 + velocity_free_space(w0).max_norm()
-    bound = selfsim_dt_bound(grid, advection_max, cfg.cfl or CFL_DEFAULT)
-    dt = cfg.dt if cfg.dt is not None else bound
-    if dt > bound:
-        raise StabilityError(f"dt={dt:.3e} exceeds the bound {bound:.3e}")
-
-    traj = Trajectory(time_label="tau")
-    traj.record(0.0, w0)
-    w_hat = w0.spectrum.copy()
-    tau = 0.0
-    next_sample = sample_every
-    while tau < tau_end - 1e-12:
-        step = min(dt, tau_end - tau)
-        w_hat = _lawson_rk4(w_hat, tau, step, _selfsim_lin(grid), nonlinear)
-        tau += step
-        if tau >= next_sample - 1e-12 or tau >= tau_end - 1e-12:
-            traj.record(tau, ScalarField(grid, np.fft.ifft2(w_hat).real))
-            next_sample = tau + sample_every
-    return traj
+    return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 
 
 def restrict(f: ScalarField, coarse: Grid) -> ScalarField:

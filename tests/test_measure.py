@@ -86,12 +86,16 @@ def test_decompose_requires_positive_epsilon():
 
 def test_decompose_matches_enumeration_oracle():
     rng = np.random.default_rng(123)
+    cases = []
     for _ in range(25):
         count = rng.integers(0, 9)
         atoms = tuple(((float(i), float(rng.integers(0, 3))),
                        float(rng.normal()) or 0.1) for i in range(count))
-        mu = FiniteMeasure(atoms=atoms)
-        eps = float(rng.uniform(0.05, 2.0))
+        cases.append((FiniteMeasure(atoms=atoms), float(rng.uniform(0.05, 2.0))))
+    # epsilon below the round-off residue 0.1 + 0.2 - 0.2 - 0.1 = 4e-17:
+    # every atom is retained
+    cases.append((FiniteMeasure.from_atoms(((0, 0), 0.1), ((1, 0), 0.2)), 1e-18))
+    for mu, eps in cases:
         dec = decompose(mu, eps)
         masses = [m for _, m in mu.atoms]
         assert len(dec.retained) == minimal_prefix(masses, eps)

@@ -9,7 +9,7 @@ from oseen2d.measure import FiniteMeasure, heat_smooth
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
 from oseen2d.propagators import (DecayFit, StepperConfig, Trajectory,
                                  advect_diffuse_step, background_velocity,
-                                 evolve_S1, evolve_T_alpha, fit_decay,
+                                 evolve_S1, evolve_T_alpha, fit_decay, march,
                                  propagate_SN)
 from oseen2d.rng import band_limited_field
 from oseen2d.selfsim import semigroup_apply
@@ -172,6 +172,25 @@ def test_mass_conservation_along_selfsim_flows(grid128, gauss128):
 def test_selfsim_stability_bound(grid128, gauss128):
     with pytest.raises(StabilityError):
         evolve_S1(0.0, gauss128, 0.1, StepperConfig.fixed(1.0))
+
+
+def test_evolve_s1_samples_at_stop_times(gauss128):
+    traj = evolve_S1(1.0, gauss128, 0.35, StepperConfig.fixed(2e-2),
+                     sample_every=0.1)
+    assert traj.times == [0.0, 0.1, 0.2, 0.1 * 3, 0.35]
+
+
+def test_march_zero_step_raises(gauss128):
+    # a step rule that returns dt = 0 (an infinite speed) must not spin
+    with pytest.raises(StabilityError, match="step 1 at t=1 "):
+        march(gauss128, 1.0, [2.0], lambda w, t, stop: (w, t + 0.0))
+
+
+def test_march_nonfinite_state_raises(gauss128):
+    def advance(w, t, stop):
+        return ScalarField(w.grid, np.full_like(w.values, np.nan)), stop
+    with pytest.raises(StabilityError, match=r"not finite at t=1.5 \(step 1\)"):
+        march(gauss128, 1.0, [1.5, 2.0], advance)
 
 
 def test_fit_decay_exact_exponential(grid128, dx_gauss128):

@@ -3,16 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from oseen2d import solver
 from oseen2d.errors import DomainError, MarginError, StabilityError
 from oseen2d.field import Grid, ScalarField, lp_norm
 from oseen2d.measure import FiniteMeasure, total_variation
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
 from oseen2d.propagators import StepperConfig
-from oseen2d.solver import (VortexSystem, evolve_direct,
-                            evolve_rescaled_perturbation,
-                            initialize_from_measure, restrict,
-                            snapshot_schedule, solve_cauchy, step_decomposed,
-                            step_direct)
+from oseen2d.solver import (VortexSystem, evolve_rescaled_perturbation,
+                            evolve_system, initialize_from_measure, restrict,
+                            snapshot_schedule, solve_cauchy, step_decomposed)
 
 
 def blob(grid, mass, center, width):
@@ -65,7 +64,7 @@ def test_single_background_remainder_stays_zero(grid128):
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
     sys, _ = initialize_from_measure(mu, 0.1, 1e-2, grid128)
     for _ in range(5):
-        sys = step_decomposed(sys, 2e-4, StepperConfig.courant())
+        sys = step_decomposed(sys, StepperConfig.fixed(2e-4))
     assert np.all(sys.remainder.values == 0.0)
 
 
@@ -76,7 +75,7 @@ def test_two_background_remainder_growth_is_first_order(grid256):
     sys0, _ = initialize_from_measure(mu, 0.1, 0.05, grid256)
     growth = {}
     for dt in (1e-3, 5e-4):
-        out = step_decomposed(sys0, dt, StepperConfig.courant())
+        out = step_decomposed(sys0, StepperConfig.fixed(dt))
         growth[dt] = lp_norm(out.remainder, 1)
         assert growth[dt] > 0.0
     ratio = growth[1e-3] / growth[5e-4]
@@ -87,40 +86,70 @@ def test_step_decomposed_stability(grid128):
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 10.0))
     sys, _ = initialize_from_measure(mu, 0.1, 1e-2, grid128)
     with pytest.raises(StabilityError):
-        step_decomposed(sys, 1.0, StepperConfig.courant())
+        step_decomposed(sys, StepperConfig.fixed(1.0))
 
 
-def test_empty_backgrounds_matches_direct(grid128):
-    # with no backgrounds the decomposed step is the direct step
-    f = blob(grid128, 0.0, (0.0, 0.0), 1.0) + blob(grid128, 1.0, (1.0, 0.0), 1.2) \
-        - blob(grid128, 1.0, (-1.0, 0.5), 1.0)
-    sys = VortexSystem(backgrounds=(), remainder=f, t=1.0)
-    dt = 5e-3
-    a = step_decomposed(sys, dt, StepperConfig.courant()).remainder
-    b = step_direct(f, dt, StepperConfig.courant())
-    assert np.max(np.abs(a.values - b.values)) < 1e-13
+def test_step_decomposed_solves_velocity_four_times(grid128, monkeypatch):
+    # stage 1 serves the dt rule and the CFL check, so one step takes
+    # exactly one velocity solve per Lawson stage
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("velocity_periodic", "velocity_free_space"):
+        monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
+    pert = blob(grid128, 0.2, (1.5, 0.5), 1.0)
+    for cfg in (StepperConfig.courant(), StepperConfig.fixed(1e-3)):
+        calls.clear()
+        sys = VortexSystem(backgrounds=(OseenVortex(1.0),), remainder=pert, t=0.1)
+        step_decomposed(sys, cfg)
+        assert len(calls) == 4
 
 
-def test_step_direct_zero(grid128):
-    out = step_direct(grid128.zeros(), 1e-3, StepperConfig.courant())
-    assert np.all(out.values == 0.0)
+def test_step_decomposed_lands_on_stop(grid128):
+    pert = blob(grid128, 0.2, (1.5, 0.5), 1.0)
+    sys = VortexSystem(backgrounds=(OseenVortex(1.0),), remainder=pert, t=0.1)
+    out = step_decomposed(sys, StepperConfig.fixed(1e-2), t_stop=0.1005)
+    assert abs(out.t - 0.1005) < 1e-15
+
+
+def test_solve_cauchy_nan_density_raises():
+    # a non-finite state stops the run with the time and the step, instead
+    # of finishing with total_l1 = nan and l1_bound_ratio = 0
+    grid = Grid(64, 40.0)
+    values = blob(grid, 0.5, (0.0, 0.0), 1.0).values.copy()
+    values[10, 10] = np.nan
+    mu = FiniteMeasure(density=ScalarField(grid, values))
+    with pytest.raises(StabilityError, match="not finite at t=0.01"):
+        solve_cauchy(mu, 0.1, 1e-2, 2e-2, grid)
+
+
+def test_direct_zero_field_stays_zero(grid128):
+    sys = VortexSystem(backgrounds=(), remainder=grid128.zeros(), t=1.0)
+    out = step_decomposed(sys, StepperConfig.fixed(1e-3))
+    assert np.all(out.remainder.values == 0.0)
 
 
 def test_direct_circulation_bit_conserved(grid128):
     xx, yy = grid128.meshes()
     f = ScalarField(grid128, gaussian_profile(xx, yy))
-    state = f
+    state = VortexSystem(backgrounds=(), remainder=f, t=1.0)
     for _ in range(50):
-        state = step_direct(state, 2e-3, StepperConfig.courant())
+        state = step_decomposed(state, StepperConfig.fixed(2e-3))
     # the advection leaves the zero mode untouched; only the per-step
     # transform round trip contributes (~1e-16 each)
-    assert abs(state.integral() - f.integral()) < 5e-14
+    assert abs(state.remainder.integral() - f.integral()) < 5e-14
 
 
 def test_direct_oseen_short(grid256):
     xx, yy = grid256.meshes()
     f = ScalarField(grid256, gaussian_profile(xx, yy))
-    state = evolve_direct(f, 1.0, 1.05, StepperConfig.fixed(1e-3))
+    state = evolve_system(VortexSystem((), f, 1.0), [1.05],
+                          StepperConfig.fixed(1e-3)).remainder
     want, _ = oseen_fields(OseenVortex(1.0), 1.05, grid256)
     assert lp_norm(state - want, 1) / lp_norm(want, 1) < 1e-8
 
@@ -165,19 +194,15 @@ def test_solve_cauchy_sign_preservation(grid128):
 def test_mode_equivalence(grid256):
     # identical smooth data: backgrounds absorbed in the field (direct)
     # versus carried analytically (decomposed)
-    t0, t_end, dt = 1.0, 1.2, 2e-3
+    t0, t_end, cfg = 1.0, 1.2, StepperConfig.fixed(2e-3)
     xx, yy = grid256.meshes()
     pert = blob(grid256, 0.2, (1.5, 0.5), 1.0)
     omega0 = ScalarField(grid256, gaussian_profile(xx, yy)) + pert
-    direct = evolve_direct(omega0, t0, t_end, StepperConfig.fixed(dt))
-
+    direct = evolve_system(VortexSystem((), omega0, t0), [t_end],
+                           cfg).total_vorticity()
     sys = VortexSystem(backgrounds=(OseenVortex(1.0, (0.0, 0.0)),),
                        remainder=pert, t=t0)
-    now = t0
-    while now < t_end - 1e-12:
-        sys = step_decomposed(sys, dt, StepperConfig.fixed(dt))
-        now += dt
-    decomposed = sys.total_vorticity()
+    decomposed = evolve_system(sys, [t_end], cfg).total_vorticity()
     rel = lp_norm(direct - decomposed, 1) / lp_norm(direct, 1)
     assert rel < 1e-5
 
