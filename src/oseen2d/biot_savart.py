@@ -10,6 +10,9 @@ Two methods:
   K(x) = x_perp / (2 pi |x|^2) by zero-padding to a 2n x 2n grid, so it is
   an aperiodic convolution and remains correct for nonzero circulation.
   The kernel's value at the origin is 0 (principal value of an odd kernel).
+
+Each route applies one cached per-grid pair of half-spectrum multipliers
+(x and y component): one ``rfft2``, two products and two ``irfft2``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CirculationError, DomainError
-from .field import (Grid, ScalarField, VectorField, _deriv_wavenumbers, _ksq,
-                    lp_norm, require_boundary_decay)
+from .field import (BOUNDARY_DECAY_TOL, Grid, ScalarField, VectorField,
+                    _deriv_wavenumbers, _ksq, lp_norm, require_boundary_decay)
 
 MEAN_ZERO_REL_TOL = 1e-8
 
@@ -32,10 +35,24 @@ MEAN_ZERO_REL_TOL = 1e-8
 KERNEL_H4_CONSTANT = -0.006065678717
 
 
-
 def circulation_is_negligible(omega: ScalarField) -> bool:
     l1 = lp_norm(omega, 1)
     return l1 == 0.0 or abs(omega.integral()) < MEAN_ZERO_REL_TOL * l1
+
+
+def _apply(multiplier, values: np.ndarray, shape) -> list[np.ndarray]:
+    """irfft2(m * rfft2(values)) for each component m; rfft2 zero-pads to shape."""
+    what = np.fft.rfft2(values, s=shape)
+    return [np.fft.irfft2(m * what, s=shape) for m in multiplier]
+
+
+@lru_cache(maxsize=8)
+def _periodic_multiplier(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Half-spectrum (i k_y, -i k_x)/|k|^2, odd-derivative Nyquist zeroed."""
+    kd = _deriv_wavenumbers(grid)
+    ksq = _ksq(grid)[:, :grid.n // 2 + 1].copy()
+    ksq[0, 0] = np.inf                      # the zero mode is discarded
+    return 1j * kd[None, :grid.n // 2 + 1] / ksq, -1j * kd[:, None] / ksq
 
 
 def velocity_periodic(omega: ScalarField) -> VectorField:
@@ -53,14 +70,7 @@ def velocity_periodic(omega: ScalarField) -> VectorField:
             "periodic Biot-Savart needs mean-zero vorticity; "
             f"integral = {omega.integral():.3e}")
     grid = omega.grid
-    k = grid.wavenumbers()
-    ksq = _ksq(grid).copy()
-    ksq[0, 0] = 1.0
-    # stream function: Lap(psi) = omega, u = grad_perp(psi)
-    psi_hat = -omega.spectrum / ksq
-    psi_hat[0, 0] = 0.0
-    u1 = np.fft.ifft2(-1j * k[None, :] * psi_hat).real
-    u2 = np.fft.ifft2(1j * k[:, None] * psi_hat).real
+    u1, u2 = _apply(_periodic_multiplier(grid), omega.values, (grid.n, grid.n))
     xx, yy = grid.meshes()
     p1 = float(np.sum(xx * omega.values)) * grid.cell_area
     p2 = float(np.sum(yy * omega.values)) * grid.cell_area
@@ -70,23 +80,27 @@ def velocity_periodic(omega: ScalarField) -> VectorField:
 
 
 @lru_cache(maxsize=8)
-def _free_space_kernel_hat(grid: Grid) -> np.ndarray:
-    """FFT of the sampled kernel on the doubled grid, packed as K1 + i K2."""
+def _free_space_multiplier(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Transformed kernel on the 2n grid plus the singular-cell and lattice
+    symbols, on Nyquist-zeroed wavenumbers so each stays Hermitian."""
     n, h = grid.n, grid.h
     offsets = np.fft.fftfreq(2 * n) * 2 * n * h   # signed offsets, 0 first
-    dx = offsets[:, None]
-    dy = offsets[None, :]
-    rsq = dx**2 + dy**2
-    rsq[0, 0] = 1.0
-    k1 = -dy / (2.0 * np.pi * rsq)
-    k2 = dx / (2.0 * np.pi * rsq)
-    k1[0, 0] = 0.0
-    k2[0, 0] = 0.0
-    return np.fft.fft2(k1 + 1j * k2)
+    dx, dy = offsets[:, None], offsets[None, :]
+    rsq = 2.0 * np.pi * (dx**2 + dy**2)
+    rsq[0, 0] = np.inf                  # principal value: 0 at the origin
+    k = _deriv_wavenumbers(Grid(2 * n, 2 * grid.box_size))
+    kx, ky = k[:, None], k[None, :n + 1]
+    c2 = grid.cell_area / (4.0 * np.pi)
+    c4 = KERNEL_H4_CONSTANT * h**4
+    m1 = (grid.cell_area * np.fft.rfft2(-dy / rsq)
+          + 1j * (c2 * ky + c4 * (kx**2 * ky - ky**3 / 3.0)))
+    m2 = (grid.cell_area * np.fft.rfft2(dx / rsq)
+          - 1j * (c2 * kx + c4 * (ky**2 * kx - kx**3 / 3.0)))
+    return m1, m2
 
 
 def velocity_free_space(omega: ScalarField,
-                        boundary_tol: float | None = None) -> VectorField:
+                        boundary_tol: float = BOUNDARY_DECAY_TOL) -> VectorField:
     """Aperiodic convolution with the whole-plane Biot-Savart kernel.
 
     The result samples the true plane velocity of the gridded vorticity up
@@ -98,34 +112,14 @@ def velocity_free_space(omega: ScalarField,
     Zeroing the kernel at the origin drops the principal-value cell but
     also the cell's interaction with the local vorticity gradient, whose
     exact value over the h x h cell is -(h^2/(4 pi)) grad_perp(omega) to
-    leading order.  Restoring it and subtracting the universal O(h^4)
-    lattice term leaves a quadrature accurate to ~1e-11 relative at the
-    reference resolution.
+    leading order.  The cached 2n-grid multiplier restores it and subtracts
+    the universal O(h^4) lattice term, which leaves a quadrature accurate
+    to ~1e-11 relative at the reference resolution.
     """
-    if boundary_tol is None:
-        require_boundary_decay(omega, "velocity_free_space")
-    else:
-        require_boundary_decay(omega, "velocity_free_space", tol=boundary_tol)
-    grid = omega.grid
-    n = grid.n
-    padded = np.zeros((2 * n, 2 * n))
-    padded[:n, :n] = omega.values
-    conv = np.fft.ifft2(_free_space_kernel_hat(grid) * np.fft.fft2(padded))
-    u = conv[:n, :n] * grid.cell_area
-
-    k = _deriv_wavenumbers(grid)
-    kx = k[:, None]
-    ky = k[None, :]
-    what = omega.spectrum
-    d1 = np.fft.ifft2(1j * kx * what).real
-    d2 = np.fft.ifft2(1j * ky * what).real
-    t1 = np.fft.ifft2(-1j * (kx**2 * ky - ky**3 / 3.0) * what).real
-    t2 = np.fft.ifft2(-1j * (ky**2 * kx - kx**3 / 3.0) * what).real
-    c2 = grid.cell_area / (4.0 * np.pi)
-    c4 = KERNEL_H4_CONSTANT * grid.h**4
-    u1 = u.real + c2 * d2 - c4 * t1
-    u2 = u.imag - c2 * d1 + c4 * t2
-    return VectorField(ScalarField(grid, u1), ScalarField(grid, u2))
+    require_boundary_decay(omega, "velocity_free_space", tol=boundary_tol)
+    grid, n = omega.grid, omega.grid.n
+    u1, u2 = _apply(_free_space_multiplier(grid), omega.values, (2 * n, 2 * n))
+    return VectorField(ScalarField(grid, u1[:n, :n]), ScalarField(grid, u2[:n, :n]))
 
 
 def velocity(omega: ScalarField) -> VectorField:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -306,14 +307,10 @@ def _hermite_tables(grid: Grid, count: int):
     return phi, psi
 
 
-_COUPLING_CACHE: dict = {}
-
-
+# three keys in the test suite; 8 MB per key at basis 32
+@lru_cache(maxsize=4)
 def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     """Basis list, diagonal of L, and the alpha-independent coupling matrix."""
-    key = (basis_n, mean_zero, grid)
-    if key in _COUPLING_CACHE:
-        return _COUPLING_CACHE[key]
     modes = [(a, b) for a in range(basis_n) for b in range(basis_n)]
     if mean_zero:
         modes = [mode for mode in modes if mode != (0, 0)]
@@ -349,9 +346,7 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
         proj = psi @ weighted @ psi.T * area          # (basis_n+1)^2 block
         for (ar, br) in modes:
             coupling[index[(ar, br)], col] = proj[ar, br]
-    out = (modes, index, diag, coupling)
-    _COUPLING_CACHE[key] = out
-    return out
+    return modes, index, diag, coupling
 
 
 def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError, MarginError, MismatchError
 
 FIELD_MAGIC = b"FLD2"
+_FIELD_HEADER = struct.Struct("<4sqd")       # magic, n, L
 
 # Boundary values larger than this fraction of the max norm mean the box
 # is too small for the operation at hand.
@@ -39,8 +40,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 16 or self.n % 2 != 0:
             raise DomainError(f"grid size must be even and >= 16, got {self.n}")
-        if not (self.box_size > 0):
-            raise DomainError(f"box size must be positive, got {self.box_size}")
+        if not (0 < self.box_size < np.inf):
+            raise DomainError(f"box size must be finite and > 0, got {self.box_size}")
 
     @property
     def h(self) -> float:
@@ -350,21 +351,22 @@ def require_boundary_decay(f: ScalarField, what: str, tol: float = BOUNDARY_DECA
 def write_field(f: ScalarField, path) -> None:
     """Binary field file: magic 'FLD2', n (int64 LE), L (float64 LE), samples."""
     with open(path, "wb") as fh:
-        fh.write(FIELD_MAGIC)
-        fh.write(struct.pack("<q", f.grid.n))
-        fh.write(struct.pack("<d", f.grid.box_size))
+        fh.write(_FIELD_HEADER.pack(FIELD_MAGIC, f.grid.n, f.grid.box_size))
         fh.write(f.values.astype("<f8").tobytes(order="C"))
 
 
 def read_field(path) -> ScalarField:
+    """Read a write_field file; DomainError unless it holds exactly one field."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FIELD_MAGIC:
-            raise DomainError(f"not a field file (magic {magic!r})")
-        n = struct.unpack("<q", fh.read(8))[0]
-        L = struct.unpack("<d", fh.read(8))[0]
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n)
-    return ScalarField(Grid(int(n), float(L)), data.astype(float))
+        raw = fh.read()
+    head = _FIELD_HEADER.size
+    if len(raw) < head or raw[:4] != FIELD_MAGIC:
+        raise DomainError(f"not a field file ({len(raw)} bytes, magic {raw[:4]!r})")
+    _, n, L = _FIELD_HEADER.unpack_from(raw)
+    if len(raw) != head + 8 * n * n:
+        raise DomainError(
+            f"field file has {len(raw)} bytes, n={n} needs {head + 8 * n * n}")
+    return ScalarField(Grid(n, L), np.frombuffer(raw, "<f8", offset=head).reshape(n, n))
 
 
 def write_norms_csv(rows: Iterable[tuple], path) -> None:

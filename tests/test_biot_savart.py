@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oseen2d.biot_savart import (hls_ratio, velocity, velocity_free_space,
-                                 velocity_periodic, weighted_velocity_norm)
+from oseen2d.biot_savart import (KERNEL_H4_CONSTANT, hls_ratio, velocity,
+                                 velocity_free_space, velocity_periodic,
+                                 weighted_velocity_norm)
 from oseen2d.errors import CirculationError, DomainError, MarginError
-from oseen2d.field import (ScalarField, curl, curl_local, divergence,
+from oseen2d.field import (Grid, ScalarField, VectorField, _deriv_wavenumbers,
+                           _ksq, curl, curl_local, divergence,
                            divergence_local, weighted_norm)
 from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
                            velocity_jacobian)
@@ -16,6 +20,88 @@ from oracles import HLS_RATIO_GAUSSIAN_PLANE, WEIGHTED_VELOCITY_DX_GAUSSIAN
 HLS_RATIO_GAUSSIAN_GRID = 0.31684475268865353
 HLS_FAMILY_REGRESSION_MAX = 0.3332
 
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=15, deadline=None)
+
+
+# -------------------------------------------- reference formulas
+# Direct forms of both routes: complex transforms on the full spectrum, and
+# the free-space corrections as separate n-grid terms.  The cached
+# multipliers must agree with them to round-off.
+
+def _reference_velocity_periodic(omega):
+    grid = omega.grid
+    k = grid.wavenumbers()
+    ksq = _ksq(grid).copy()
+    ksq[0, 0] = 1.0
+    psi_hat = -np.fft.fft2(omega.values) / ksq
+    psi_hat[0, 0] = 0.0
+    u1 = np.fft.ifft2(-1j * k[None, :] * psi_hat).real
+    u2 = np.fft.ifft2(1j * k[:, None] * psi_hat).real
+    xx, yy = grid.meshes()
+    p1 = float(np.sum(xx * omega.values)) * grid.cell_area
+    p2 = float(np.sum(yy * omega.values)) * grid.cell_area
+    c = 1.0 / (2.0 * grid.box_size**2)
+    return VectorField(ScalarField(grid, u1 + c * p2),
+                       ScalarField(grid, u2 - c * p1))
+
+
+def _reference_velocity_free_space(omega):
+    grid = omega.grid
+    n, h = grid.n, grid.h
+    offsets = np.fft.fftfreq(2 * n) * 2 * n * h
+    dx = offsets[:, None]
+    dy = offsets[None, :]
+    rsq = dx**2 + dy**2
+    rsq[0, 0] = 1.0
+    kernel = (-dy + 1j * dx) / (2.0 * np.pi * rsq)
+    kernel[0, 0] = 0.0
+    padded = np.zeros((2 * n, 2 * n))
+    padded[:n, :n] = omega.values
+    conv = np.fft.ifft2(np.fft.fft2(kernel) * np.fft.fft2(padded))
+    u = conv[:n, :n] * grid.cell_area
+
+    k = _deriv_wavenumbers(grid)
+    kx = k[:, None]
+    ky = k[None, :]
+    what = np.fft.fft2(omega.values)
+    d1 = np.fft.ifft2(1j * kx * what).real
+    d2 = np.fft.ifft2(1j * ky * what).real
+    t1 = np.fft.ifft2(-1j * (kx**2 * ky - ky**3 / 3.0) * what).real
+    t2 = np.fft.ifft2(-1j * (ky**2 * kx - kx**3 / 3.0) * what).real
+    c2 = grid.cell_area / (4.0 * np.pi)
+    c4 = KERNEL_H4_CONSTANT * h**4
+    return VectorField(ScalarField(grid, u.real + c2 * d2 - c4 * t1),
+                       ScalarField(grid, u.imag - c2 * d1 + c4 * t2))
+
+
+def _max_diff(u, v):
+    return float(max(np.max(np.abs(u.x.values - v.x.values)),
+                     np.max(np.abs(u.y.values - v.y.values))))
+
+
+def _hermite_product(grid, a, b, center=(0.0, 0.0)):
+    xx, yy = grid.meshes()
+    hx = np.polynomial.hermite.hermval((xx - center[0]) / 2.0, [0] * a + [1])
+    hy = np.polynomial.hermite.hermval((yy - center[1]) / 2.0, [0] * b + [1])
+    return ScalarField(grid, hx * hy * gaussian_profile(xx - center[0],
+                                                        yy - center[1]))
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_routes_match_reference_formulas(n):
+    grid = Grid(n, 40.0)
+    xx, yy = grid.meshes()
+    free = [oseen_fields(OseenVortex(1.0), 1.0, grid)[0],
+            ScalarField(grid, gaussian_profile(xx - 3.0, yy + 2.0)),
+            _hermite_product(grid, 7, 5)]
+    for w in free:
+        u = velocity_free_space(w)
+        assert _max_diff(u, _reference_velocity_free_space(w)) <= 1e-14 * u.max_norm()
+    noise = np.random.default_rng(n).standard_normal((n, n))
+    w = ScalarField(grid, noise - noise.mean())
+    u = velocity_periodic(w)
+    assert _max_diff(u, _reference_velocity_periodic(w)) <= 1e-14 * u.max_norm()
+
 
 def test_periodic_curl_identity(grid256, dx_gauss256):
     u = velocity_periodic(dx_gauss256)
@@ -23,15 +109,29 @@ def test_periodic_curl_identity(grid256, dx_gauss256):
     assert np.max(np.abs(divergence(u).values)) < 1e-8
 
 
-def test_periodic_zero_and_linearity(grid256, dx_gauss256):
-    zero = grid256.zeros()
-    assert velocity_periodic(zero).max_norm() == 0.0
-    xx, yy = grid256.meshes()
-    other = ScalarField(grid256, -0.5 * yy * gaussian_profile(xx, yy))
-    a, b = 2.0, -0.5
-    lhs = velocity_periodic(a * dx_gauss256 + b * other)
-    rhs = velocity_periodic(dx_gauss256) * a + velocity_periodic(other) * b
-    assert (lhs - rhs).max_norm() < 1e-14
+# magnitudes kept away from underflow, where relative round-off fails
+_COEFFS = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+_HERMITE_ORDER = st.integers(0, 4)
+
+
+@PROPERTY_SETTINGS
+@given(a=_COEFFS, b=_COEFFS, p=_HERMITE_ORDER, q=_HERMITE_ORDER,
+       periodic=st.booleans())
+def test_zero_and_linearity(a, b, p, q, periodic):
+    # a Hermite product with a nonzero order is mean-zero, as the periodic
+    # route needs; the free-space route also takes the Gaussian (p = q = 0)
+    grid = Grid(64, 30.0)
+    route = velocity_periodic if periodic else velocity_free_space
+    assert route(grid.zeros()).max_norm() == 0.0
+    if periodic:
+        f, g = _hermite_product(grid, 2 * p + 1, q), _hermite_product(grid, q, 2 * p + 1)
+    else:
+        f, g = _hermite_product(grid, p, q), _hermite_product(grid, q, 0, (1.0, -2.0))
+    uf, ug = route(f), route(g)
+    lhs = route(a * f + b * g)
+    rhs = uf * a + ug * b
+    scale = abs(a) * uf.max_norm() + abs(b) * ug.max_norm()
+    assert (lhs - rhs).max_norm() <= 1e-14 * scale
 
 
 def test_periodic_rejects_nonzero_mean(gauss256):
@@ -57,12 +157,21 @@ def test_free_space_oracle(grid256):
     assert err.max() / u_exact.max_norm() < 1e-9   # what the kernel achieves
 
 
-def test_free_space_translation_equivariance(grid256):
-    w0, u0 = oseen_fields(OseenVortex(1.0, (0.0, 0.0)), 1.0, grid256)
-    wz, uz = oseen_fields(OseenVortex(1.0, (2.5, -1.25)), 1.0, grid256)
-    u = velocity_free_space(wz)
-    err = np.hypot(u.x.values - uz.x.values, u.y.values - uz.y.values)
-    assert err.max() / uz.max_norm() < 1e-9
+@PROPERTY_SETTINGS
+@given(sx=st.integers(-8, 8), sy=st.integers(-8, 8))
+def test_free_space_translation_equivariance(sx, sy):
+    # shifting the vorticity by whole cells shifts the velocity by the
+    # same cells; compared where both grids cover the shifted points
+    grid = Grid(64, 30.0)
+    w0, _ = oseen_fields(OseenVortex(1.0), 1.0, grid)
+    wz, _ = oseen_fields(OseenVortex(1.0, (sx * grid.h, sy * grid.h)), 1.0, grid)
+    u0, uz = velocity_free_space(w0), velocity_free_space(wz)
+    n = grid.n
+    src = (slice(max(0, -sx), n - max(0, sx)), slice(max(0, -sy), n - max(0, sy)))
+    dst = (slice(max(0, sx), n - max(0, -sx)), slice(max(0, sy), n - max(0, -sy)))
+    err = np.hypot(uz.x.values[dst] - u0.x.values[src],
+                   uz.y.values[dst] - u0.y.values[src])
+    assert err.max() <= 1e-13 * u0.max_norm()
 
 
 def test_free_space_zero(grid256):
@@ -89,7 +198,6 @@ def test_far_field_truncation_order():
     # at least as fast as 1/L^2 (for the Gaussian tails, much faster)
     errs = {}
     for n, L in ((128, 20.0), (256, 40.0)):
-        from oseen2d.field import Grid
         grid = Grid(n, L)
         w, u_exact = oseen_fields(OseenVortex(1.0), 2.0, grid)
         u = velocity_free_space(w, boundary_tol=1e-4)

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oseen2d.errors import DomainError, MarginError, MismatchError
 from oseen2d.field import (Grid, ScalarField, VectorField, curl, dealias,
@@ -20,6 +24,9 @@ def test_grid_validation():
         Grid(33, 40.0)
     with pytest.raises(DomainError):
         Grid(64, -1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            Grid(16, bad)
     g = Grid(64, 32.0)
     assert g.h == 0.5
     x = g.coords()
@@ -187,6 +194,32 @@ def test_field_file_round_trip(tmp_path, gauss128):
     raw = path.read_bytes()
     assert raw[:4] == b"FLD2"
     assert len(raw) == 4 + 8 + 8 + 8 * 128 * 128
+
+
+def test_read_field_rejects_truncated_or_trailing_bytes(tmp_path):
+    path = tmp_path / "field.fld"
+    write_field(Grid(16, 8.0).sample(lambda x, y: x - y), path)
+    raw = path.read_bytes()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, len(raw) - 1).map(lambda cut: raw[:cut])
+           | st.binary(min_size=1, max_size=16).map(lambda tail: raw + tail))
+    def check(damaged):
+        path.write_bytes(damaged)
+        with pytest.raises(DomainError):
+            read_field(path)
+
+    check()
+
+
+@pytest.mark.parametrize("n, L", [(-16, 8.0), (15, 8.0), (8, 8.0),
+                                  (16, np.inf), (16, np.nan), (16, 0.0)])
+def test_read_field_rejects_bad_header(tmp_path, n, L):
+    path = tmp_path / "field.fld"
+    payload = bytes(8 * n * n) if n > 0 else b""
+    path.write_bytes(b"FLD2" + struct.pack("<qd", n, L) + payload)
+    with pytest.raises(DomainError):
+        read_field(path)
 
 
 def test_norms_csv(tmp_path):

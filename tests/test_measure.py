@@ -186,6 +186,31 @@ def test_measure_file_round_trip(tmp_path, grid128):
     assert text[1].startswith("atom ")
 
 
+def test_measure_file_density_path_is_relative_to_file(tmp_path, grid128, monkeypatch):
+    folder = tmp_path / "run data"
+    folder.mkdir()
+    density = blob(grid128, 0.5, (1.0, 1.0), 1.0)
+    mu = FiniteMeasure(atoms=(((0.0, 0.0), 2.0),), density=density)
+    path = folder / "mu.measure"
+    write_measure(mu, path, density_path=folder / "blob density.fld")
+    assert path.read_text().splitlines()[-1] == "density blob density.fld"
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    back = read_measure(path)
+    assert back.atoms == mu.atoms
+    assert np.array_equal(back.density.values, density.values)
+
+
+@pytest.mark.parametrize("line", ["atom 1 2", "atom 1 2 3 4", "atom 1 x 3",
+                                  "atom"])
+def test_read_measure_rejects_malformed_atom(tmp_path, line):
+    path = tmp_path / "mu.measure"
+    path.write_text(f"measure v1\n{line}\n")
+    with pytest.raises(DomainError):
+        read_measure(path)
+
+
 def test_measure_hash_stability(grid128):
     a = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
     b = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
