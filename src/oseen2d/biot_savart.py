@@ -122,13 +122,6 @@ def velocity_free_space(omega: ScalarField,
     return VectorField(ScalarField(grid, u1[:n, :n]), ScalarField(grid, u2[:n, :n]))
 
 
-def velocity(omega: ScalarField) -> VectorField:
-    """Route by circulation: periodic when the mean vanishes, else free-space."""
-    if circulation_is_negligible(omega):
-        return velocity_periodic(omega)
-    return velocity_free_space(omega)
-
-
 def hls_ratio(omega: ScalarField, p: float) -> float:
     """||u||_{L^q} / ||omega||_{L^p} with 1/q = 1/p - 1/2.
 

@@ -38,9 +38,9 @@ def oseen_distance(omega: ScalarField, t: float, alpha: float, p: float) -> floa
     invariant along exact vortex solutions and measures only the profile
     mismatch.
     """
-    if p != np.inf and p < 1:
+    if not (p >= 1):
         raise DomainError(f"oseen_distance needs p >= 1, got {p}")
-    if t <= 0:
+    if not (t > 0):
         raise DomainError(f"oseen_distance needs t > 0, got {t}")
     grid = omega.grid
     xx, yy = grid.meshes()
@@ -110,27 +110,21 @@ def _require_decomposed(run: SolverRun):
         raise ModeError("diagnostic needs a decomposed-mode run")
 
 
-def _instant_part_norms(w: ScalarField, t: float, backgrounds, d: float,
-                        m: float) -> list[float]:
-    """[s^(1/4)|chi_0 w|_{4/3}, |rescaled chi_i w / alpha_i|_{L2(m)}, ...]."""
-    grid = w.grid
-    centers = [v.z for v in backgrounds]
-    chis = partition_of_unity(grid, centers, d)
-    vals = [t**0.25 * lp_norm(ScalarField(grid, chis[0] * w.values), 4.0 / 3.0)]
-    for chi, v in zip(chis[1:], backgrounds):
-        part = ScalarField(grid, chi * w.values / v.alpha)
-        rescaled = to_self_similar(part, SelfSimilarFrame.at_time(t, v.z))
-        vals.append(weighted_norm(rescaled, 2, m))
-    return vals
-
-
 def remainder_norms(run: SolverRun, m: float) -> ContractionSeries:
     """Running suprema of the attributed remainder norms along a run."""
     _require_decomposed(run)
-    d = run.decomposition.d
+    grid = run.grid
+    chis = partition_of_unity(grid, [v.z for v in run.backgrounds],
+                              run.decomposition.d)
     rows = []
     for t, w in zip(run.trajectory.times, run.trajectory.fields):
-        rows.append(_instant_part_norms(w, t, run.backgrounds, d, m))
+        # [s^(1/4)|chi_0 w|_{4/3}, |rescaled chi_i w / alpha_i|_{L2(m)}, ...]
+        row = [t**0.25 * lp_norm(ScalarField(grid, chis[0] * w.values), 4.0 / 3.0)]
+        for chi, v in zip(chis[1:], run.backgrounds):
+            part = ScalarField(grid, chi * w.values / v.alpha)
+            rescaled = to_self_similar(part, SelfSimilarFrame.at_time(t, v.z))
+            row.append(weighted_norm(rescaled, 2, m))
+        rows.append(row)
     return _running(run.trajectory.times, rows)
 
 
@@ -171,10 +165,10 @@ def solution_distance(runA: SolverRun, runB: SolverRun, m: float,
         for w in run.trajectory.fields:
             yield w if run.grid == coarse else restrict(w, coarse)
 
-    d = min(runA.decomposition.d, runB.decomposition.d)
+    chis = partition_of_unity(coarse, za,
+                              min(runA.decomposition.d, runB.decomposition.d))
     rows = []
     for t, wa, wb in zip(ta, frames(runA), frames(runB)):
-        chis = partition_of_unity(coarse, za, d)
         diff0 = ScalarField(coarse, chis[0] * (wa.values - wb.values))
         row = [t**0.25 * lp_norm(diff0, 4.0 / 3.0)]
         if include_l1:
@@ -253,12 +247,11 @@ def localized_diffuse_norm(run: SolverRun, i: int, p: float, q: float):
     if not (1 <= i <= len(run.backgrounds)):
         raise ModeError(f"vortex index {i} out of range")
     z = run.backgrounds[i - 1].z
-    d = run.decomposition.d
-    centers = [v.z for v in run.backgrounds]
+    chi0 = partition_of_unity(run.grid, [v.z for v in run.backgrounds],
+                              run.decomposition.d)[0]
     rows = []
     for t, w in zip(run.trajectory.times, run.trajectory.fields):
-        chis = partition_of_unity(run.grid, centers, d)
-        w0 = ScalarField(run.grid, chis[0] * w.values)
+        w0 = ScalarField(run.grid, chi0 * w.values)
         u0 = velocity_free_space(w0, boundary_tol=1e-6)
         rows.append((t, *localized_diffuse_point(w0, u0, t, z, p, q)))
     return rows

@@ -176,7 +176,7 @@ def lp_norm(f: ScalarField, p: float) -> float:
     """L^p norm by rectangle-rule quadrature; grid max for p = inf."""
     if p == np.inf:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
+    if not (p >= 1):
         raise DomainError(f"lp_norm needs p >= 1, got {p}")
     a = np.abs(f.values)
     return float((np.sum(a**p) * f.grid.cell_area) ** (1.0 / p))
@@ -190,9 +190,9 @@ def _weight_grid(grid: Grid, m: float) -> np.ndarray:
 
 def weighted_norm(f: ScalarField, q: float, m: float) -> float:
     """Norm of (1+|x|^2)^(m/2) f in L^q, weight on unwrapped coordinates."""
-    if q != np.inf and q < 1:
+    if not (q >= 1):
         raise DomainError(f"weighted_norm needs q >= 1, got {q}")
-    if m < 0:
+    if not (m >= 0):
         raise DomainError(f"weighted_norm needs m >= 0, got {m}")
     if m == 0:
         return lp_norm(f, q)
@@ -303,19 +303,25 @@ def project_mean_zero(f: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------
 
 def _interp_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:
-    """Complex matrix E with (E @ fft(f))_i = interpolant of f at targets[i].
+    """Real matrix D with (D @ f)_i = interpolant of the samples f at targets[i].
 
-    Points outside [-L/2, L/2] get an all-zero row (zero extension).  The
-    Nyquist mode is evaluated as a cosine so real fields stay real.
+    The trigonometric interpolant (cosine Nyquist) is the periodic sinc
+    D[i, j] = sin(pi x) / (n tan(pi x / n)), x = theta_i - j with theta the
+    grid-index coordinate, and 1 where x = 0 mod n.  For accuracy near the
+    zeros sin(pi x) is (-1)^(j+k) sin(pi (theta - k)), k = round(theta), and
+    x is reduced mod n.  Points outside [-L/2, L/2] get an all-zero row.
     """
     n, L = grid.n, grid.box_size
     theta = (targets + 0.5 * L) / grid.h          # grid-index coordinate
-    m = np.fft.fftfreq(n) * n                      # integer mode numbers
-    E = np.exp(2j * np.pi * np.outer(theta, m) / n) / n
-    E[:, n // 2] = np.cos(np.pi * theta) / n       # symmetric Nyquist
-    outside = np.abs(targets) > 0.5 * L * (1 + 1e-12)
-    E[outside, :] = 0.0
-    return E
+    k = np.round(theta)
+    sine = (1.0 - 2.0 * (k % 2)) * np.sin(np.pi * (theta - k)) / n
+    j = np.arange(n)
+    x = theta[:, None] - j
+    x -= n * np.round(x / n)                       # the kernel has period n
+    num = np.outer(sine, 1.0 - 2.0 * (j % 2))
+    D = np.divide(num, np.tan(x * (np.pi / n)), out=np.ones_like(x), where=x != 0)
+    D[np.abs(targets) > 0.5 * L * (1 + 1e-12), :] = 0.0
+    return D
 
 
 def resample_affine(f: ScalarField, scale: float, center: tuple[float, float] = (0.0, 0.0),
@@ -327,10 +333,9 @@ def resample_affine(f: ScalarField, scale: float, center: tuple[float, float] = 
     """
     out_grid = out_grid or f.grid
     x = out_grid.coords()
-    Ex = _interp_matrix(f.grid, scale * x + center[0])
-    Ey = _interp_matrix(f.grid, scale * x + center[1])
-    vals = (Ex @ f.spectrum @ Ey.T).real
-    return ScalarField(out_grid, vals)
+    Dx = _interp_matrix(f.grid, scale * x + center[0])
+    Dy = _interp_matrix(f.grid, scale * x + center[1])
+    return ScalarField(out_grid, Dx @ f.values @ Dy.T)
 
 
 def require_boundary_decay(f: ScalarField, what: str, tol: float = BOUNDARY_DECAY_TOL):

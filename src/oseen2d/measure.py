@@ -47,6 +47,8 @@ class FiniteMeasure:
     density: ScalarField | None = None
 
     def __post_init__(self):
+        if self.density is not None and not isinstance(self.density, ScalarField):
+            raise DomainError(f"density must be a ScalarField, not {type(self.density)}")
         object.__setattr__(self, "atoms", _canonical_atoms(self.atoms))
 
     @staticmethod

@@ -98,7 +98,7 @@ VELOCITY_PROFILE_MAX = 0.0507841687885389  # max |v| of the unit profile, at |xi
 
 def oseen_vorticity(v: OseenVortex, t: float, x1, x2):
     """Pointwise vorticity alpha/t G((x-z)/sqrt(t))."""
-    if t <= 0:
+    if not (t > 0):
         raise DomainError(f"Oseen fields need t > 0, got {t}")
     rt = np.sqrt(t)
     return (v.alpha / t) * gaussian_profile((np.asarray(x1) - v.z[0]) / rt,
@@ -107,7 +107,7 @@ def oseen_vorticity(v: OseenVortex, t: float, x1, x2):
 
 def oseen_velocity(v: OseenVortex, t: float, x1, x2):
     """Pointwise velocity alpha/sqrt(t) v((x-z)/sqrt(t))."""
-    if t <= 0:
+    if not (t > 0):
         raise DomainError(f"Oseen fields need t > 0, got {t}")
     rt = np.sqrt(t)
     u1, u2 = velocity_profile((np.asarray(x1) - v.z[0]) / rt,
@@ -144,7 +144,7 @@ def oseen_residual(v: OseenVortex, t: float, grid: Grid) -> float:
     is spectral.  A near-zero residual certifies that the sampled
     background solves the vorticity equation on this grid.
     """
-    if t <= 0:
+    if not (t > 0):
         raise DomainError(f"oseen_residual needs t > 0, got {t}")
     xx, yy = grid.meshes()
     w = ScalarField(grid, oseen_vorticity(v, t, xx, yy))

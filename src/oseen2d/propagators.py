@@ -21,6 +21,7 @@ plus least-squares decay-rate measurement on the resulting trajectories;
 ``solver`` supplies those of the nonlinear Cauchy solver and its rescaled
 perturbation flow.
 
+The state lives on the half spectrum of the real transform ``rfft2``.
 All advection terms are stepped in divergence form, so the zero mode of
 the state is bit-exactly conserved.
 """
@@ -146,18 +147,6 @@ Stage = Callable[[np.ndarray, float], tuple]
 STOP_RTOL = 1e-12
 
 
-def _drift_hat(grid: Grid, xx, yy, w: np.ndarray) -> np.ndarray:
-    """Spectrum of div(xi w / 2) = (xi/2) . grad w + w, the rest of L.
-
-    The divergence form leaves the zero mode untouched, so the rescaled
-    flows conserve the integral of the state bit-exactly.
-    """
-    kd = _deriv_wavenumbers(grid)
-    f1 = np.fft.fft2(0.5 * xx * w)
-    f2 = np.fft.fft2(0.5 * yy * w)
-    return 1j * kd[:, None] * f1 + 1j * kd[None, :] * f2
-
-
 def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
                 pick_dt: Callable[[float, float], float], dealias: bool = True,
                 drift: bool = False) -> tuple[ScalarField, float]:
@@ -167,43 +156,49 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
     evaluated first, so ``pick_dt(speed, room)`` sizes the step from the
     velocity that stage already solved for; it returns a step no longer
     than ``room = t_stop - t`` and raises StabilityError when that step
-    breaks the flow's bound.  Each stage sends its flux through one
+    breaks the flow's bound.  Each stage sends its flux through one real
     transform pair, dealiased by the 2/3 rule when ``dealias``; ``drift``
-    adds the self-similar drift div(xi w / 2), never dealiased.
+    adds the self-similar drift div(xi w / 2), never dealiased, whose
+    divergence form leaves the zero mode untouched.  The state, the
+    tendencies and the integrating factors live on the half spectrum.
 
     Returns the new state and its time.
     """
     grid = w.grid
+    nh = grid.n // 2 + 1                   # columns of the half spectrum
     kd = _deriv_wavenumbers(grid)
-    mask = _dealias_mask(grid) if dealias else None
+    kx, ky = kd[:, None], kd[None, :nh]
+    mask = _dealias_mask(grid)[:, :nh]
     xx, yy = grid.meshes() if drift else (None, None)
+
+    def div_hat(f1, f2):
+        return 1j * kx * np.fft.rfft2(f1) + 1j * ky * np.fft.rfft2(f2)
 
     def tendency(values, flux):
         out = 0.0
         if flux is not None:
-            out = -(1j * kd[:, None] * np.fft.fft2(flux[0])
-                    + 1j * kd[None, :] * np.fft.fft2(flux[1]))
-            if mask is not None:
+            out = -div_hat(*flux)
+            if dealias:
                 out = out * mask
         if drift:
-            out = out + _drift_hat(grid, xx, yy, values)
+            out = out + div_hat(0.5 * xx * values, 0.5 * yy * values)
         return out
 
     def nonlinear(w_hat, stage_t):
-        values = np.fft.ifft2(w_hat).real
+        values = np.fft.irfft2(w_hat, s=(grid.n, grid.n))
         return tendency(values, stage(values, stage_t)[0])
 
     flux, speed = stage(w.values, t)
     dt = pick_dt(speed, t_stop - t)
-    eh = np.exp(-0.5 * dt * _ksq(grid))
+    eh = np.exp(-0.5 * dt * _ksq(grid)[:, :nh])
     ef = eh * eh
-    w_hat = w.spectrum
+    w_hat = np.fft.rfft2(w.values)
     n1 = tendency(w.values, flux)
     n2 = nonlinear(eh * (w_hat + 0.5 * dt * n1), t + 0.5 * dt)
     n3 = nonlinear(eh * w_hat + 0.5 * dt * n2, t + 0.5 * dt)
     n4 = nonlinear(ef * w_hat + dt * eh * n3, t + dt)
     out = ef * w_hat + (dt / 6.0) * (ef * n1 + 2.0 * eh * (n2 + n3) + n4)
-    return ScalarField(grid, np.fft.ifft2(out).real), t + dt
+    return ScalarField(grid, np.fft.irfft2(out, s=(grid.n, grid.n))), t + dt
 
 
 def march(w: ScalarField, t: float, stops: Sequence[float], advance,

@@ -47,7 +47,7 @@ class SelfSimilarFrame:
 
     @staticmethod
     def at_time(t: float, center: tuple[float, float] = (0.0, 0.0)) -> "SelfSimilarFrame":
-        if t <= 0:
+        if not (t > 0):
             raise DomainError(f"frame time must be positive, got {t}")
         return SelfSimilarFrame(center=center, tau=float(np.log(t)))
 
@@ -130,7 +130,7 @@ def semigroup_apply(tau: float, f: ScalarField) -> ScalarField:
     uses the dilation + exact-diffusion route; larger tau uses direct
     kernel quadrature, which needs no interpolation at all.
     """
-    if tau < 0:
+    if not (tau >= 0):
         raise DomainError(f"semigroup time must be >= 0, got {tau}")
     if tau == 0.0:
         return ScalarField(f.grid, f.values)

@@ -24,6 +24,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,14 +108,25 @@ def initialize_from_measure(mu: FiniteMeasure, epsilon: float, t0: float,
 # ---------------------------------------------------------------------
 
 def _remainder_velocity(wf: ScalarField, method: str):
-    if method == "periodic":
-        return velocity_periodic(wf)
-    if method == "free_space":
+    """The one velocity router: by circulation unless a method is forced."""
+    if method == "free_space" or (method != "periodic"
+                                  and not circulation_is_negligible(wf)):
         return velocity_free_space(wf, boundary_tol=SOLVER_BOUNDARY_TOL)
-    # auto: periodic inversion for mean-zero remainders, free-space otherwise
-    if circulation_is_negligible(wf):
-        return velocity_periodic(wf)
-    return velocity_free_space(wf, boundary_tol=SOLVER_BOUNDARY_TOL)
+    return velocity_periodic(wf)
+
+
+@lru_cache(maxsize=3)
+def _background_fields(backgrounds, t: float, grid: Grid) -> np.ndarray:
+    """Read-only (u1, u2, w) samples of each background at time t.
+
+    One step evaluates three stage times and its last is the next step's
+    first, so three entries leave two new stage times per step.
+    """
+    xx, yy = grid.meshes()
+    fields = np.array([(*oseen_velocity(v, t, xx, yy), oseen_vorticity(v, t, xx, yy))
+                       for v in backgrounds]).reshape(-1, 3, grid.n, grid.n)
+    fields.flags.writeable = False
+    return fields
 
 
 def _decomposed_stage(backgrounds, grid: Grid, velocity_method: str):
@@ -123,28 +135,21 @@ def _decomposed_stage(backgrounds, grid: Grid, velocity_method: str):
 
     The background self-advection terms u_i . grad(w_i) are dropped
     analytically (they vanish pointwise by radial symmetry), which keeps a
-    pure vortex background exact to round-off.  The background fields are
-    evaluated once per stage time.
+    pure vortex background exact to round-off.  The background fields come
+    from ``_background_fields``, shared across steps.
     """
-    xx, yy = grid.meshes()
-    cache: dict = {}
-
     def stage(w, t):
-        fields = cache.get(t)
-        if fields is None:
-            fields = cache[t] = [
-                (oseen_velocity(v, t, xx, yy), oseen_vorticity(v, t, xx, yy))
-                for v in backgrounds]
+        fields = _background_fields(backgrounds, t, grid)
         if np.any(w):
             ut = _remainder_velocity(ScalarField(grid, w), velocity_method)
             ut1, ut2, speed = ut.x.values, ut.y.values, ut.max_norm()
         else:
             ut1 = ut2 = np.zeros_like(w)
             speed = 0.0
-        u1 = ut1 + sum(a for (a, _), _ in fields)
-        u2 = ut2 + sum(b for (_, b), _ in fields)
+        u1 = ut1 + sum(b[0] for b in fields)
+        u2 = ut2 + sum(b[1] for b in fields)
         f1, f2 = u1 * w, u2 * w
-        for (b1, b2), wi in fields:
+        for b1, b2, wi in fields:
             f1 = f1 + (u1 - b1) * wi
             f2 = f2 + (u2 - b2) * wi
         return (f1, f2), speed

@@ -45,6 +45,14 @@ def test_oseen_distance_perturbation_scale_exact(grid256):
         assert abs(got - 0.1 * DX_GAUSSIAN_L2) < 1e-8
 
 
+@pytest.mark.parametrize("t, p", [(np.nan, 1.0), (0.0, 1.0), (1.0, np.nan),
+                                  (1.0, 0.5)])
+def test_oseen_distance_rejects_nan_arguments(t, p, grid256):
+    w, _ = oseen_fields(OseenVortex(1.0), 1.0, grid256)
+    with pytest.raises(DomainError):
+        oseen_distance(w, t, 1.0, p)
+
+
 def test_oseen_distance_alpha_mismatch_l1(grid256):
     w, _ = oseen_fields(OseenVortex(2.0), 1.0, grid256)
     assert abs(oseen_distance(w, 1.0, 1.0, 1) - 1.0) < 1e-9

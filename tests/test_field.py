@@ -74,6 +74,18 @@ def test_weighted_norm(gauss256):
         weighted_norm(gauss256, 2, -1)
 
 
+@pytest.mark.parametrize("p", [np.nan, 0.5])
+def test_lp_norm_rejects_nan_exponent(p, gauss128):
+    with pytest.raises(DomainError):
+        lp_norm(gauss128, p)
+
+
+@pytest.mark.parametrize("q, m", [(2.0, np.nan), (np.nan, 1.0), (2.0, -1.0)])
+def test_weighted_norm_rejects_nan_parameters(q, m, gauss128):
+    with pytest.raises(DomainError):
+        weighted_norm(gauss128, q, m)
+
+
 def test_parseval(gauss128):
     f = gauss128
     n = f.grid.n
@@ -168,6 +180,39 @@ def test_resample_affine_shift(grid128):
     want = gaussian_profile(xx + 1.0, yy - 2.0)
     mask = (np.abs(xx) < 15) & (np.abs(yy) < 15)
     assert np.max(np.abs(out.values - want)[mask]) < 1e-10
+
+
+def _reference_resample_affine(f, scale, center=(0.0, 0.0)):
+    """The complex E-matrix form: E @ fft2(f) @ E.T with a cosine Nyquist."""
+    n, L, h = f.grid.n, f.grid.box_size, f.grid.h
+    m = np.fft.fftfreq(n) * n
+
+    def matrix(targets):
+        theta = (targets + 0.5 * L) / h
+        E = np.exp(2j * np.pi * np.outer(theta, m) / n) / n
+        E[:, n // 2] = np.cos(np.pi * theta) / n
+        E[np.abs(targets) > 0.5 * L * (1 + 1e-12), :] = 0.0
+        return E
+
+    x = f.grid.coords()
+    Ex, Ey = matrix(scale * x + center[0]), matrix(scale * x + center[1])
+    return (Ex @ np.fft.fft2(f.values) @ Ey.T).real
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("scale", [0.1, 0.37, 1.0, 2.0])
+def test_resample_affine_matches_complex_reference(n, scale):
+    # an off-centre Gaussian plus white noise, so every mode is present;
+    # the shifted centres put targets outside the box for scale >= 1
+    grid = Grid(n, 40.0)
+    xx, yy = grid.meshes()
+    noise = np.random.default_rng(n).standard_normal((n, n))
+    f = ScalarField(grid, np.exp(-((xx - 1.0)**2 + yy**2) / 3.0) + 0.01 * noise)
+    peak = np.max(np.abs(f.values))
+    for center in ((0.0, 0.0), (7.3, -11.1), (19.9, -3.0)):
+        got = resample_affine(f, scale, center).values
+        want = _reference_resample_affine(f, scale, center)
+        assert np.max(np.abs(got - want)) <= 1e-14 * peak
 
 
 def test_boundary_decay_check(grid128):

@@ -36,6 +36,12 @@ def test_atoms_distinct_and_finite():
     assert len(mu.atoms) == 1
 
 
+@pytest.mark.parametrize("density", [np.ones((128, 128)), [[1.0]], 1.0])
+def test_measure_rejects_density_that_is_not_a_field(density):
+    with pytest.raises(DomainError):
+        FiniteMeasure(density=density)
+
+
 def test_total_variation_additive(grid128):
     density = blob(grid128, 1.0, (0.0, 0.0), 1.0)
     mu = FiniteMeasure(atoms=(((0.0, 0.0), 2.0), ((1.0, 0.0), -3.0)),

@@ -5,6 +5,7 @@ from oseen2d.errors import DomainError
 from oseen2d.field import Grid
 from oseen2d.oseen import (OseenVortex, gaussian_gradient, gaussian_profile,
                            oseen_fields, oseen_max_speed, oseen_residual,
+                           oseen_velocity, oseen_vorticity,
                            velocity_jacobian, velocity_profile)
 
 
@@ -93,6 +94,19 @@ def test_oseen_fields_self_similar_scaling(grid256):
 def test_oseen_fields_rejects_bad_time(grid256):
     with pytest.raises(DomainError):
         oseen_fields(OseenVortex(1.0), 0.0, grid256)
+
+
+@pytest.mark.parametrize("fn", [oseen_vorticity, oseen_velocity])
+@pytest.mark.parametrize("t", [np.nan, 0.0, -1.0])
+def test_oseen_fields_reject_nan_time(fn, t):
+    with pytest.raises(DomainError):
+        fn(OseenVortex(1.0), t, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, 0.0])
+def test_oseen_residual_rejects_nan_time(t, grid256):
+    with pytest.raises(DomainError):
+        oseen_residual(OseenVortex(1.0), t, grid256)
 
 
 def test_oseen_max_speed():

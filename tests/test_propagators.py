@@ -3,14 +3,17 @@ import os
 import numpy as np
 import pytest
 
+from oseen2d import solver
 from oseen2d.errors import DegenerateError, DomainError, StabilityError
-from oseen2d.field import ScalarField, VectorField, lp_norm
+from oseen2d.field import (ScalarField, VectorField, _dealias_mask,
+                           _deriv_wavenumbers, _ksq, lp_norm)
 from oseen2d.measure import FiniteMeasure, heat_smooth
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
 from oseen2d.propagators import (DecayFit, StepperConfig, Trajectory,
                                  advect_diffuse_step, background_velocity,
-                                 evolve_S1, evolve_T_alpha, fit_decay, march,
-                                 propagate_SN)
+                                 evolve_S1, evolve_T_alpha, fit_decay,
+                                 lawson_step, march, propagate_SN,
+                                 vortex_advection)
 from oseen2d.rng import band_limited_field
 from oseen2d.selfsim import semigroup_apply
 
@@ -191,6 +194,68 @@ def test_march_nonfinite_state_raises(gauss128):
         return ScalarField(w.grid, np.full_like(w.values, np.nan)), stop
     with pytest.raises(StabilityError, match=r"not finite at t=1.5 \(step 1\)"):
         march(gauss128, 1.0, [1.5, 2.0], advance)
+
+
+def _reference_lawson_step(w, t, stage, dt, dealias=True, drift=False):
+    """One Lawson RK4 step with the state on the full complex spectrum."""
+    grid = w.grid
+    kd = _deriv_wavenumbers(grid)
+    mask = _dealias_mask(grid) if dealias else None
+    xx, yy = grid.meshes()
+
+    def tendency(values, flux):
+        out = 0.0
+        if flux is not None:
+            out = -(1j * kd[:, None] * np.fft.fft2(flux[0])
+                    + 1j * kd[None, :] * np.fft.fft2(flux[1]))
+            if mask is not None:
+                out = out * mask
+        if drift:
+            out = out + (1j * kd[:, None] * np.fft.fft2(0.5 * xx * values)
+                         + 1j * kd[None, :] * np.fft.fft2(0.5 * yy * values))
+        return out
+
+    def nonlinear(w_hat, stage_t):
+        values = np.fft.ifft2(w_hat).real
+        return tendency(values, stage(values, stage_t)[0])
+
+    eh = np.exp(-0.5 * dt * _ksq(grid))
+    ef = eh * eh
+    w_hat = np.fft.fft2(w.values)
+    n1 = tendency(w.values, stage(w.values, t)[0])
+    n2 = nonlinear(eh * (w_hat + 0.5 * dt * n1), t + 0.5 * dt)
+    n3 = nonlinear(eh * w_hat + 0.5 * dt * n2, t + 0.5 * dt)
+    n4 = nonlinear(ef * w_hat + dt * eh * n3, t + dt)
+    out = ef * w_hat + (dt / 6.0) * (ef * n1 + 2.0 * eh * (n2 + n3) + n4)
+    return np.fft.ifft2(out).real
+
+
+def test_decomposed_step_matches_full_spectrum_reference(grid128):
+    # two backgrounds and a remainder with circulation (free-space solves)
+    backgrounds = (OseenVortex(1.0, (0.0, 0.0)), OseenVortex(0.5, (4.0, 0.0)))
+    xx, yy = grid128.meshes()
+    pert = ScalarField(grid128, 0.2 * gaussian_profile(xx - 1.5, yy - 0.5))
+    sys = solver.VortexSystem(backgrounds, pert, 0.1)
+    got = solver.step_decomposed(sys, StepperConfig.fixed(1e-3)).remainder.values
+    stage = solver._decomposed_stage(backgrounds, grid128, "auto")
+    want = _reference_lawson_step(pert, 0.1, stage, 1e-3)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_drift_step_matches_full_spectrum_reference(grid128):
+    a1, a2, _ = vortex_advection(grid128, 10.0)
+    f = band_limited_field(grid128, seed=3)
+    xx, yy = grid128.meshes()
+    f = ScalarField(grid128, f.values * np.exp(-(xx**2 + yy**2) / 8.0))
+
+    def stage(w, tau):
+        return (a1 * w, a2 * w), 0.0
+
+    got, tau = lawson_step(f, 0.0, np.inf, stage, lambda speed, room: 5e-3,
+                           drift=True)
+    want = _reference_lawson_step(f, 0.0, stage, 5e-3, drift=True)
+    assert tau == 5e-3
+    assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_fit_decay_exact_exponential(grid128, dx_gauss128):

@@ -84,6 +84,18 @@ def test_semigroup_identity_and_domain(gauss128):
         semigroup_apply(-0.1, gauss128)
 
 
+@pytest.mark.parametrize("tau", [np.nan, -0.1])
+def test_semigroup_rejects_nan_time(tau, gauss128):
+    with pytest.raises(DomainError):
+        semigroup_apply(tau, gauss128)
+
+
+@pytest.mark.parametrize("t", [np.nan, 0.0])
+def test_frame_at_time_rejects_nan_time(t):
+    with pytest.raises(DomainError):
+        SelfSimilarFrame.at_time(t)
+
+
 def test_semigroup_strong_continuity(grid128):
     f = band_limited_field(grid128, seed=42)
     out = semigroup_apply(1e-4, f)

@@ -20,6 +20,14 @@ def blob(grid, mass, center, width):
         -((xx - center[0])**2 + (yy - center[1])**2) / (2 * width**2)))
 
 
+def counted(calls, real):
+    """real, appending its name to calls at every call."""
+    def wrapper(*args, **kwargs):
+        calls.append(real.__name__)
+        return real(*args, **kwargs)
+    return wrapper
+
+
 def test_initialize_single_atom(grid128):
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
     sys, dec = initialize_from_measure(mu, 0.1, 1e-2, grid128)
@@ -93,21 +101,32 @@ def test_step_decomposed_solves_velocity_four_times(grid128, monkeypatch):
     # stage 1 serves the dt rule and the CFL check, so one step takes
     # exactly one velocity solve per Lawson stage
     calls = []
-
-    def counted(real):
-        def wrapper(*args, **kwargs):
-            calls.append(real.__name__)
-            return real(*args, **kwargs)
-        return wrapper
-
     for name in ("velocity_periodic", "velocity_free_space"):
-        monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
+        monkeypatch.setattr(solver, name, counted(calls, getattr(solver, name)))
     pert = blob(grid128, 0.2, (1.5, 0.5), 1.0)
     for cfg in (StepperConfig.courant(), StepperConfig.fixed(1e-3)):
         calls.clear()
         sys = VortexSystem(backgrounds=(OseenVortex(1.0),), remainder=pert, t=0.1)
         step_decomposed(sys, cfg)
         assert len(calls) == 4
+
+
+def test_step_decomposed_reuses_background_fields(grid128, monkeypatch):
+    # a step evaluates the backgrounds at t, t + dt/2 and t + dt, and the
+    # next step starts at t + dt: with 2 backgrounds, 2 fields each, that
+    # is 8 evaluations per step after the first (12 without reuse)
+    calls = []
+    for name in ("oseen_velocity", "oseen_vorticity"):
+        monkeypatch.setattr(solver, name, counted(calls, getattr(solver, name)))
+    solver._background_fields.cache_clear()
+    backgrounds = (OseenVortex(1.0, (0.0, 0.0)), OseenVortex(1.0, (4.0, 0.0)))
+    sys = VortexSystem(backgrounds, blob(grid128, 0.2, (1.5, 0.5), 1.0), 0.1)
+    counts = []
+    for _ in range(4):
+        calls.clear()
+        sys = step_decomposed(sys, StepperConfig.fixed(1e-3))
+        counts.append(len(calls))
+    assert counts == [12, 8, 8, 8]
 
 
 def test_step_decomposed_lands_on_stop(grid128):
