@@ -6,9 +6,14 @@ Every flow in the package has the form
 
 with the Laplacian handled exactly in spectral space (Lawson's
 integrating-factor RK4) and the flux F evaluated in physical space by a
-stage function of the flow.  ``lawson_step`` takes one step of any such
-flow and ``march`` is the one loop that steps through a list of stop
-times.  This module supplies the stage functions and step-size rules of
+stage function of the flow.  Each flow supplies only its physics: the
+stage function and a stability bound ``bound(cfl)``.  This module owns
+the rest: ``lawson_step`` takes one step of any such flow (always
+dealiased by the 2/3 rule), ``march`` is the one loop that steps through
+a list of stop times, ``StepperConfig.step`` is the one step-size rule,
+and ``background_fields`` is the one sampler of the analytic vortex
+backgrounds, cached so that consecutive steps share their samples.  It
+supplies the stage functions and bounds of
 
 * advection-diffusion with a prescribed divergence-free velocity
   (one step at a time),
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,7 +57,6 @@ class StepperConfig:
 
     dt: float | None = None
     cfl: float | None = None
-    dealias: bool = True
 
     def __post_init__(self):
         if (self.dt is None) == (self.cfl is None):
@@ -62,12 +67,33 @@ class StepperConfig:
             raise DomainError(f"cfl must be positive, got {self.cfl}")
 
     @staticmethod
-    def fixed(dt: float, dealias: bool = True) -> "StepperConfig":
-        return StepperConfig(dt=dt, dealias=dealias)
+    def fixed(dt: float) -> "StepperConfig":
+        return StepperConfig(dt=dt)
 
     @staticmethod
-    def courant(cfl: float = CFL_DEFAULT, dealias: bool = True) -> "StepperConfig":
-        return StepperConfig(cfl=cfl, dealias=dealias)
+    def courant(cfl: float = CFL_DEFAULT) -> "StepperConfig":
+        return StepperConfig(cfl=cfl)
+
+    def step(self, bound: Callable[[float], float], room: float,
+             accuracy: float = np.inf) -> float:
+        """The one step-size rule: the step a flow takes, at most ``room``.
+
+        ``bound(cfl)`` is the flow's stability bound at a CFL number.  A
+        fixed config takes its dt; a CFL config takes bound(cfl), shortened
+        to the flow's ``accuracy`` limit.  Raises StabilityError when the
+        step exceeds bound(CFL_DEFAULT).
+        """
+        dt = min(self.dt if self.dt is not None
+                 else min(bound(self.cfl), accuracy), room)
+        limit = bound(CFL_DEFAULT)
+        if dt > limit:
+            raise StabilityError(f"dt={dt:.3e} exceeds the stability bound {limit:.3e}")
+        return dt
+
+
+def cfl_bound(cfl: float, h: float, speed: float) -> float:
+    """The CFL step cfl * h / speed; infinite for a zero speed."""
+    return np.inf if speed == 0 else cfl * h / speed
 
 
 SERIES_COLUMNS = ("index", "time", "l1", "l2", "linf", "l2m15", "l2m30",
@@ -148,7 +174,7 @@ STOP_RTOL = 1e-12
 
 
 def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
-                pick_dt: Callable[[float, float], float], dealias: bool = True,
+                pick_dt: Callable[[float, float], float],
                 drift: bool = False) -> tuple[ScalarField, float]:
     """One Lawson (integrating-factor) RK4 step of dw/dt = Lap(w) - div F(w, t).
 
@@ -157,7 +183,7 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
     velocity that stage already solved for; it returns a step no longer
     than ``room = t_stop - t`` and raises StabilityError when that step
     breaks the flow's bound.  Each stage sends its flux through one real
-    transform pair, dealiased by the 2/3 rule when ``dealias``; ``drift``
+    transform pair, dealiased by the 2/3 rule; ``drift``
     adds the self-similar drift div(xi w / 2), never dealiased, whose
     divergence form leaves the zero mode untouched.  The state, the
     tendencies and the integrating factors live on the half spectrum.
@@ -177,9 +203,7 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
     def tendency(values, flux):
         out = 0.0
         if flux is not None:
-            out = -div_hat(*flux)
-            if dealias:
-                out = out * mask
+            out = -div_hat(*flux) * mask
         if drift:
             out = out + div_hat(0.5 * xx * values, 0.5 * yy * values)
         return out
@@ -261,10 +285,8 @@ def _require_divergence_free(u: VectorField, tol: float = 1e-2):
 
 
 def _prescribed_stage(velocity_fn: Callable[[float], VectorField],
-                      cache: dict | None = None) -> Stage:
+                      cache: dict) -> Stage:
     """Stage function of advection by U(t), evaluated once per stage time."""
-    cache = {} if cache is None else cache
-
     def stage(w, t):
         u = cache.get(t)
         if u is None:
@@ -273,17 +295,8 @@ def _prescribed_stage(velocity_fn: Callable[[float], VectorField],
     return stage
 
 
-def _advection_checked(dt: float, speed: float, grid: Grid) -> float:
-    """dt, after checking it against the advection bound h/(2 max|U|)."""
-    if speed > 0 and dt > grid.h / (2.0 * speed):
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the advection bound h/(2 max|U|)="
-            f"{grid.h / (2 * speed):.3e}")
-    return dt
-
-
 def advect_diffuse_step(omega: ScalarField, velocity_fn: Callable[[float], VectorField],
-                        t: float, dt: float, dealias_products: bool = True) -> ScalarField:
+                        t: float, dt: float) -> ScalarField:
     """One step of d(omega)/dt + div(U omega) = Lap(omega).
 
     Diffusion is exact in spectral space; the advection term is evaluated
@@ -293,47 +306,42 @@ def advect_diffuse_step(omega: ScalarField, velocity_fn: Callable[[float], Vecto
     u_now = velocity_fn(t)
     _require_divergence_free(u_now)
     stage = _prescribed_stage(velocity_fn, {t: u_now})
-    out, _ = lawson_step(omega, t, np.inf, stage,
-                         lambda speed, room: _advection_checked(dt, speed, omega.grid),
-                         dealias_products)
+    cfg, h = StepperConfig.fixed(dt), omega.grid.h
+    out, _ = lawson_step(omega, t, np.inf, stage, lambda speed, room: cfg.step(
+        lambda cfl: cfl_bound(cfl, h, speed), room))
     return out
 
 
-def background_sum(vortices: Sequence[OseenVortex], t: float, grid: Grid,
-                   velocity: bool = False, start=0.0) -> np.ndarray:
-    """The one sum of the analytic vortex backgrounds sampled at time t.
+@lru_cache(maxsize=3)
+def background_fields(vortices: tuple[OseenVortex, ...], t: float,
+                      grid: Grid) -> np.ndarray:
+    """The one sampler of the analytic vortex backgrounds.
 
-    Returns ``start`` plus the vorticity of every vortex, or with
-    ``velocity`` the velocity components stacked as a (2, n, n) array.
+    Returns the read-only (u1, u2, w) samples of each vortex at time t,
+    stacked as a (len(vortices), 3, n, n) array.  One Lawson step samples
+    three stage times and its last is the next step's first, so three
+    entries leave two new stage times per step.
     """
     xx, yy = grid.meshes()
-    field = oseen_velocity if velocity else oseen_vorticity
-    total = np.zeros((2, grid.n, grid.n) if velocity else (grid.n, grid.n)) + start
-    for v in vortices:
-        total += field(v, t, xx, yy)
-    return total
+    fields = np.array([(*oseen_velocity(v, t, xx, yy), oseen_vorticity(v, t, xx, yy))
+                       for v in vortices]).reshape(-1, 3, grid.n, grid.n)
+    fields.flags.writeable = False
+    return fields
 
 
 def background_velocity(vortices: Sequence[OseenVortex], t: float,
                         grid: Grid) -> VectorField:
     """Sampled sum of the analytic vortex velocities at time t."""
-    u1, u2 = background_sum(vortices, t, grid, velocity=True)
-    return VectorField(ScalarField(grid, u1), ScalarField(grid, u2))
+    fields = background_fields(tuple(vortices), t, grid)
+    zero = np.zeros((grid.n, grid.n))
+    return VectorField(ScalarField(grid, sum((b[0] for b in fields), zero)),
+                       ScalarField(grid, sum((b[1] for b in fields), zero)))
 
 
 def background_cfl_bound(vortices: Sequence[OseenVortex], t: float, grid: Grid,
                          cfl: float) -> float:
     """Hard stability bound against the analytic background speed."""
-    umax = sum(oseen_max_speed(v, t) for v in vortices)
-    return np.inf if umax == 0 else cfl * grid.h / umax
-
-
-def background_dt(vortices: Sequence[OseenVortex], t: float, grid: Grid,
-                  cfl: float) -> float:
-    """Automatic step control: the CFL bound plus the 1/sqrt(t) sharpening
-    of the backgrounds near t = 0 (resolved by dt <= t/50; an accuracy
-    rule, not a stability one)."""
-    return min(background_cfl_bound(vortices, t, grid, cfl), t / 50.0)
+    return cfl_bound(cfl, grid.h, sum(oseen_max_speed(v, t) for v in vortices))
 
 
 def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
@@ -341,26 +349,25 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
     """Evolve f from time s to time t under the frozen vortex backgrounds.
 
     Pure heat flow when the vortex list is empty.  Total mass is conserved
-    to round-off by the divergence-form advection.
+    to round-off by the divergence-form advection.  The automatic step
+    also keeps dt <= t/50, which resolves the 1/sqrt(t) sharpening of the
+    backgrounds near t = 0 (an accuracy rule, not a stability one).
     """
     if not (0 < s < t):
         raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
     grid = f.grid
     _require_divergence_free(background_velocity(vortices, s, grid))
 
+    def stage(w, now):
+        u = background_velocity(vortices, now, grid)
+        return (u.x.values * w, u.y.values * w), u.max_norm()
+
     def advance(w, now, stop):
         def pick_dt(speed, room):
-            fixed = cfg.dt is not None
-            dt = min(cfg.dt if fixed else background_dt(vortices, now, grid, cfg.cfl),
-                     room)
-            limit = background_cfl_bound(vortices, now, grid, CFL_DEFAULT)
-            if fixed and dt > limit:
-                raise StabilityError(
-                    f"fixed dt={dt:.3e} exceeds the background bound {limit:.3e}")
-            return _advection_checked(dt, speed, grid)
-
-        stage = _prescribed_stage(lambda u_t: background_velocity(vortices, u_t, grid))
-        return lawson_step(w, now, stop, stage, pick_dt, cfg.dealias)
+            return cfg.step(lambda cfl: min(
+                background_cfl_bound(vortices, now, grid, cfl),
+                cfl_bound(cfl, grid.h, speed)), room, now / 50.0)
+        return lawson_step(w, now, stop, stage, pick_dt)
 
     return march(f, s, [t], advance)[0]
 
@@ -368,14 +375,6 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
 # ---------------------------------------------------------------------
 # self-similar propagators
 # ---------------------------------------------------------------------
-
-def selfsim_dt_bound(grid: Grid, advection_max: float, cfl: float) -> float:
-    """Explicit-drift bound 4h/L combined with the advection CFL."""
-    drift_bound = 4.0 * grid.h / grid.box_size
-    if advection_max <= 0:
-        return drift_bound
-    return min(drift_bound, cfl * grid.h / advection_max)
-
 
 def vortex_advection(grid: Grid, alpha: float):
     """alpha v on the grid, and its largest speed."""
@@ -389,24 +388,19 @@ def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
     """March a rescaled flow d w/d tau = L w - div F(w), sampled at the stop
     times k * sample_every and at tau_end.
 
-    Every step obeys selfsim_dt_bound for ``advection_max`` plus the speed
-    the stage solved for.
+    Every step obeys the explicit-drift bound 4h/L and the CFL bound of
+    ``advection_max`` plus the speed the stage solved for.
     """
     if not sample_every > 0:
         raise DomainError(f"sample_every must be positive, got {sample_every}")
-    grid = w0.grid
-    cfl = cfg.cfl or CFL_DEFAULT
+    h, drift_bound = w0.grid.h, 4.0 * w0.grid.h / w0.grid.box_size
 
     def pick_dt(speed, room):
-        bound = selfsim_dt_bound(grid, advection_max + speed, cfl)
-        dt = min(bound if cfg.dt is None else cfg.dt, room)
-        if dt > bound:
-            raise StabilityError(
-                f"dt={dt:.3e} exceeds the rescaled-flow bound {bound:.3e}")
-        return dt
+        return cfg.step(lambda cfl: min(
+            drift_bound, cfl_bound(cfl, h, advection_max + speed)), room)
 
     def advance(w, tau, stop):
-        return lawson_step(w, tau, stop, stage, pick_dt, cfg.dealias, drift=True)
+        return lawson_step(w, tau, stop, stage, pick_dt, drift=True)
 
     stops = [k * sample_every for k in range(1, int(tau_end / sample_every) + 1)]
     stops = [s for s in stops if s < tau_end * (1 - STOP_RTOL)] + [tau_end]

@@ -14,8 +14,9 @@ vorticity, so the same stepper marches the plain ("direct") equation.
 
 Both this flow and the rescaled perturbation flow about alpha G (for
 long-horizon single-vortex asymptotics, where the box does not have to
-chase the sqrt(t) spreading) are advanced by the one Lawson RK4 core of
-``propagators``.
+chase the sqrt(t) spreading) supply only a stage function and a stability
+bound; the one Lawson RK4 core, the one step-size rule and the one
+sampler of the analytic backgrounds live in ``propagators``.
 """
 
 from __future__ import annotations
@@ -24,19 +25,18 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 
 from .biot_savart import (circulation_is_negligible, velocity_free_space,
                           velocity_periodic)
-from .errors import DomainError, MarginError, Oseen2dError, StabilityError
+from .errors import DomainError, MarginError, Oseen2dError
 from .field import Grid, ScalarField, VectorField, lp_norm, require_boundary_decay
 from .measure import (AtomicDecomposition, FiniteMeasure, decompose,
                       heat_smooth, measure_hash, total_variation)
-from .oseen import OseenVortex, gaussian_profile, oseen_velocity, oseen_vorticity
-from .propagators import (CFL_DEFAULT, StepperConfig, Trajectory,
-                          background_cfl_bound, background_dt, background_sum,
+from .oseen import OseenVortex, gaussian_profile
+from .propagators import (StepperConfig, Trajectory, background_cfl_bound,
+                          background_fields, background_velocity, cfl_bound,
                           evolve_rescaled, lawson_step, march,
                           vortex_advection)
 
@@ -61,18 +61,15 @@ class VortexSystem:
 
     def total_vorticity(self) -> ScalarField:
         grid = self.remainder.grid
-        return ScalarField(grid, background_sum(self.backgrounds, self.t, grid,
-                                                start=self.remainder.values))
+        fields = background_fields(self.backgrounds, self.t, grid)
+        return ScalarField(grid, sum((b[2] for b in fields), self.remainder.values))
 
     def total_velocity(self) -> VectorField:
-        grid = self.remainder.grid
-        u1, u2 = background_sum(self.backgrounds, self.t, grid, velocity=True)
+        u = background_velocity(self.backgrounds, self.t, self.remainder.grid)
         if np.any(self.remainder.values):
-            ut = velocity_free_space(self.remainder,
-                                     boundary_tol=SOLVER_BOUNDARY_TOL)
-            u1 = u1 + ut.x.values
-            u2 = u2 + ut.y.values
-        return VectorField(ScalarField(grid, u1), ScalarField(grid, u2))
+            u = u + velocity_free_space(self.remainder,
+                                        boundary_tol=SOLVER_BOUNDARY_TOL)
+        return u
 
 
 def initialize_from_measure(mu: FiniteMeasure, epsilon: float, t0: float,
@@ -115,20 +112,6 @@ def _remainder_velocity(wf: ScalarField, method: str):
     return velocity_periodic(wf)
 
 
-@lru_cache(maxsize=3)
-def _background_fields(backgrounds, t: float, grid: Grid) -> np.ndarray:
-    """Read-only (u1, u2, w) samples of each background at time t.
-
-    One step evaluates three stage times and its last is the next step's
-    first, so three entries leave two new stage times per step.
-    """
-    xx, yy = grid.meshes()
-    fields = np.array([(*oseen_velocity(v, t, xx, yy), oseen_vorticity(v, t, xx, yy))
-                       for v in backgrounds]).reshape(-1, 3, grid.n, grid.n)
-    fields.flags.writeable = False
-    return fields
-
-
 def _decomposed_stage(backgrounds, grid: Grid, velocity_method: str):
     """Stage function of the remainder equation: the flux
     u w~ + sum_i (u - u_i) w_i and the speed of the remainder velocity.
@@ -136,10 +119,10 @@ def _decomposed_stage(backgrounds, grid: Grid, velocity_method: str):
     The background self-advection terms u_i . grad(w_i) are dropped
     analytically (they vanish pointwise by radial symmetry), which keeps a
     pure vortex background exact to round-off.  The background fields come
-    from ``_background_fields``, shared across steps.
+    from ``propagators.background_fields``, shared across steps.
     """
     def stage(w, t):
-        fields = _background_fields(backgrounds, t, grid)
+        fields = background_fields(backgrounds, t, grid)
         if np.any(w):
             ut = _remainder_velocity(ScalarField(grid, w), velocity_method)
             ut1, ut2, speed = ut.x.values, ut.y.values, ut.max_norm()
@@ -160,27 +143,15 @@ def decomposed_dt(sys: VortexSystem, cfg: StepperConfig, remainder_speed: float,
                   room: float = np.inf) -> float:
     """The step step_decomposed takes from sys, at most ``room``.
 
-    Either the fixed cfg.dt or the automatic rule: background CFL, the
-    t/50 sharpening rule, and the CFL of the remainder speed that stage 1
-    solved for.  Raises StabilityError when the step exceeds the
-    CFL_DEFAULT bound of the backgrounds and the remainder.
+    The stability bound is the CFL bound of the backgrounds and of the
+    remainder speed that stage 1 solved for; the automatic step also keeps
+    dt <= t/50, which resolves the 1/sqrt(t) sharpening of the backgrounds
+    near t = 0 (an accuracy rule, not a stability one).
     """
     grid = sys.remainder.grid
-
-    def remainder_bound(cfl):
-        return np.inf if remainder_speed == 0 else cfl * grid.h / remainder_speed
-
-    if cfg.dt is not None:
-        dt = cfg.dt
-    else:
-        dt = min(background_dt(sys.backgrounds, sys.t, grid, cfg.cfl),
-                 remainder_bound(cfg.cfl))
-    dt = min(dt, room)
-    limit = min(background_cfl_bound(sys.backgrounds, sys.t, grid, CFL_DEFAULT),
-                remainder_bound(CFL_DEFAULT))
-    if dt > limit * (1 + 1e-9):
-        raise StabilityError(f"dt={dt:.3e} exceeds the bound {limit:.3e}")
-    return dt
+    return cfg.step(lambda cfl: min(
+        background_cfl_bound(sys.backgrounds, sys.t, grid, cfl),
+        cfl_bound(cfl, grid.h, remainder_speed)), room, sys.t / 50.0)
 
 
 def step_decomposed(sys: VortexSystem, cfg: StepperConfig, t_stop: float = np.inf,
@@ -191,13 +162,16 @@ def step_decomposed(sys: VortexSystem, cfg: StepperConfig, t_stop: float = np.in
     Backgrounds advance only through t -> t + dt inside their formulas.
     The remainder velocity routes by circulation (periodic inversion for
     mean-zero remainders, free-space otherwise); "periodic" or
-    "free_space" force one method.
+    "free_space" force one method, and any other name than these and
+    "auto" raises DomainError.
     """
+    if velocity_method not in ("auto", "periodic", "free_space"):
+        raise DomainError(f"unknown velocity method {velocity_method!r}")
     grid = sys.remainder.grid
     stage = _decomposed_stage(sys.backgrounds, grid, velocity_method)
     remainder, t = lawson_step(
         sys.remainder, sys.t, t_stop, stage,
-        lambda speed, room: decomposed_dt(sys, cfg, speed, room), cfg.dealias)
+        lambda speed, room: decomposed_dt(sys, cfg, speed, room))
     return VortexSystem(backgrounds=sys.backgrounds, remainder=remainder, t=t)
 
 

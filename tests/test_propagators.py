@@ -2,14 +2,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oseen2d import solver
+from oseen2d import propagators, solver
 from oseen2d.errors import DegenerateError, DomainError, StabilityError
 from oseen2d.field import (ScalarField, VectorField, _dealias_mask,
                            _deriv_wavenumbers, _ksq, lp_norm)
 from oseen2d.measure import FiniteMeasure, heat_smooth
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
-from oseen2d.propagators import (DecayFit, StepperConfig, Trajectory,
+from oseen2d.propagators import (CFL_DEFAULT, DecayFit, StepperConfig, Trajectory,
                                  advect_diffuse_step, background_velocity,
                                  evolve_S1, evolve_T_alpha, fit_decay,
                                  lawson_step, march, propagate_SN,
@@ -32,6 +34,33 @@ def test_stepper_config_validation():
         StepperConfig(dt=-1e-3)
     assert StepperConfig.fixed(1e-3).dt == 1e-3
     assert StepperConfig.courant().cfl == 0.5
+
+
+_POSITIVE = st.floats(1e-6, 1e3)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(fixed=st.booleans(), value=_POSITIVE, room=_POSITIVE,
+       slope=st.one_of(st.just(np.inf), _POSITIVE),
+       accuracy=st.one_of(st.just(np.inf), _POSITIVE))
+def test_step_rule(fixed, value, room, slope, accuracy):
+    # bounds linear in the CFL number, or infinite for a zero speed
+    cfg = StepperConfig.fixed(value) if fixed else StepperConfig.courant(value)
+
+    def bound(cfl):
+        return slope * cfl
+
+    want = min(value, room) if fixed else min(bound(value), accuracy, room)
+    if want > bound(CFL_DEFAULT):
+        with pytest.raises(StabilityError):
+            cfg.step(bound, room, accuracy)
+        return
+    dt = cfg.step(bound, room, accuracy)
+    assert dt <= room
+    if fixed:
+        assert dt == min(value, room)
+    else:
+        assert dt <= bound(value) and dt <= accuracy
 
 
 def test_pure_diffusion_is_exact(grid128):
@@ -104,6 +133,20 @@ def test_propagate_linearity(grid128):
     b = propagate_SN(vortices, g, 1.0, 1.05, cfg)
     rhs = 2.0 * a - 0.5 * b
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-13
+
+
+def test_propagate_samples_each_stage_time_once(grid128, monkeypatch):
+    # the divergence check samples s; each step then samples only t + dt/2
+    # and t + dt, since its first stage time is the previous step's last
+    times = []
+    real = propagators.oseen_velocity
+    monkeypatch.setattr(propagators, "oseen_velocity",
+                        lambda v, t, *xy: times.append(t) or real(v, t, *xy))
+    propagators.background_fields.cache_clear()
+    propagate_SN([OseenVortex(1.0)], heat_kernel_field(grid128, 0.5), 1.0, 1.02,
+                 StepperConfig.fixed(5e-3))
+    assert len(times) == 1 + 2 * 4
+    assert len(set(times)) == len(times)
 
 
 def test_propagate_requires_ordered_times(grid128, gauss128):

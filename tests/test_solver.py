@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oseen2d import solver
+from oseen2d import propagators, solver
 from oseen2d.errors import DomainError, MarginError, StabilityError
 from oseen2d.field import Grid, ScalarField, lp_norm
 from oseen2d.measure import FiniteMeasure, total_variation
@@ -117,8 +117,9 @@ def test_step_decomposed_reuses_background_fields(grid128, monkeypatch):
     # is 8 evaluations per step after the first (12 without reuse)
     calls = []
     for name in ("oseen_velocity", "oseen_vorticity"):
-        monkeypatch.setattr(solver, name, counted(calls, getattr(solver, name)))
-    solver._background_fields.cache_clear()
+        monkeypatch.setattr(propagators, name,
+                            counted(calls, getattr(propagators, name)))
+    propagators.background_fields.cache_clear()
     backgrounds = (OseenVortex(1.0, (0.0, 0.0)), OseenVortex(1.0, (4.0, 0.0)))
     sys = VortexSystem(backgrounds, blob(grid128, 0.2, (1.5, 0.5), 1.0), 0.1)
     counts = []
@@ -127,6 +128,32 @@ def test_step_decomposed_reuses_background_fields(grid128, monkeypatch):
         sys = step_decomposed(sys, StepperConfig.fixed(1e-3))
         counts.append(len(calls))
     assert counts == [12, 8, 8, 8]
+
+
+def test_solve_cauchy_records_reuse_step_samples(grid128, monkeypatch):
+    # the snapshot records read the samples the steps took: every background
+    # field is sampled once per time, and only at the steps' stage times
+    # (t0, then t + dt/2 and t + dt of each step)
+    sampled, steps = [], []
+    for name in ("oseen_velocity", "oseen_vorticity"):
+        real = getattr(propagators, name)
+        monkeypatch.setattr(propagators, name, lambda v, t, *xy, name=name, real=real:
+                            sampled.append((name, v, t)) or real(v, t, *xy))
+    real_step = solver.step_decomposed
+    monkeypatch.setattr(solver, "step_decomposed",
+                        lambda *args: steps.append(args) or real_step(*args))
+    propagators.background_fields.cache_clear()
+    mu = FiniteMeasure.from_atoms(((-2.0, 0.0), 1.0), ((2.0, 0.0), 1.0))
+    solve_cauchy(mu, 0.1, 0.05, 0.08, grid128)
+    assert len(sampled) == len(set(sampled))
+    assert len({t for _, _, t in sampled}) == 1 + 2 * len(steps)
+
+
+def test_solve_cauchy_rejects_unknown_velocity_method():
+    grid = Grid(64, 40.0)
+    mu = FiniteMeasure(density=blob(grid, 0.5, (0.0, 0.0), 1.0))
+    with pytest.raises(DomainError, match="periodc"):
+        solve_cauchy(mu, 0.1, 1e-2, 2e-2, grid, remainder_velocity="periodc")
 
 
 def test_step_decomposed_lands_on_stop(grid128):
