@@ -11,8 +11,13 @@ Two methods:
   an aperiodic convolution and remains correct for nonzero circulation.
   The kernel's value at the origin is 0 (principal value of an odd kernel).
 
-Each route applies one cached per-grid pair of half-spectrum multipliers
-(x and y component): one ``rfft2``, two products and two ``irfft2``.
+Each route applies one cached per-grid multiplier on the half spectrum,
+the x and y components stacked in one array, so each solve makes one
+forward and one (batched) inverse transform.  The free-space route prunes
+its padded transforms: the forward pass transforms only the n data rows
+(the other n are zero), and the inverse pass keeps only the n x n corner
+it returns, so it runs four 1-D passes (``rfft``, ``fft``, ``ifft``,
+``irfft``) instead of two full 2n x 2n transforms.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import CirculationError, DomainError
 from .field import (BOUNDARY_DECAY_TOL, Grid, ScalarField, VectorField,
@@ -40,19 +46,22 @@ def circulation_is_negligible(omega: ScalarField) -> bool:
     return l1 == 0.0 or abs(omega.integral()) < MEAN_ZERO_REL_TOL * l1
 
 
-def _apply(multiplier, values: np.ndarray, shape) -> list[np.ndarray]:
-    """irfft2(m * rfft2(values)) for each component m; rfft2 zero-pads to shape."""
-    what = np.fft.rfft2(values, s=shape)
-    return [np.fft.irfft2(m * what, s=shape) for m in multiplier]
+def _velocity(grid: Grid, u: np.ndarray) -> VectorField:
+    """Wrap the stacked (2, n, n) components a route has just computed."""
+    return VectorField(ScalarField._owned(grid, u[0]), ScalarField._owned(grid, u[1]))
 
 
 @lru_cache(maxsize=8)
-def _periodic_multiplier(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum (i k_y, -i k_x)/|k|^2, odd-derivative Nyquist zeroed."""
+def _periodic_multiplier(grid: Grid) -> np.ndarray:
+    """Half-spectrum (i k_y, -i k_x)/|k|^2 stacked as (2, n, n/2 + 1),
+    odd-derivative Nyquist zeroed."""
+    nh = grid.n // 2 + 1
     kd = _deriv_wavenumbers(grid)
-    ksq = _ksq(grid)[:, :grid.n // 2 + 1].copy()
+    ksq = _ksq(grid)[:, :nh].copy()
     ksq[0, 0] = np.inf                      # the zero mode is discarded
-    return 1j * kd[None, :grid.n // 2 + 1] / ksq, -1j * kd[:, None] / ksq
+    m = np.stack((1j * kd[None, :nh] / ksq, -1j * kd[:, None] / ksq))
+    m.flags.writeable = False
+    return m
 
 
 def velocity_periodic(omega: ScalarField) -> VectorField:
@@ -70,21 +79,24 @@ def velocity_periodic(omega: ScalarField) -> VectorField:
             "periodic Biot-Savart needs mean-zero vorticity; "
             f"integral = {omega.integral():.3e}")
     grid = omega.grid
-    u1, u2 = _apply(_periodic_multiplier(grid), omega.values, (grid.n, grid.n))
+    u = scipy.fft.irfft2(_periodic_multiplier(grid) * scipy.fft.rfft2(omega.values),
+                         s=(grid.n, grid.n), overwrite_x=True)
     xx, yy = grid.meshes()
     p1 = float(np.sum(xx * omega.values)) * grid.cell_area
     p2 = float(np.sum(yy * omega.values)) * grid.cell_area
     c = 1.0 / (2.0 * grid.box_size**2)
-    return VectorField(ScalarField(grid, u1 + c * p2),
-                       ScalarField(grid, u2 - c * p1))
+    u[0] += c * p2
+    u[1] -= c * p1
+    return _velocity(grid, u)
 
 
 @lru_cache(maxsize=8)
-def _free_space_multiplier(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def _free_space_multiplier(grid: Grid) -> np.ndarray:
     """Transformed kernel on the 2n grid plus the singular-cell and lattice
-    symbols, on Nyquist-zeroed wavenumbers so each stays Hermitian."""
+    symbols, on Nyquist-zeroed wavenumbers so each stays Hermitian; the x
+    and y components stacked as (2, 2n, n + 1)."""
     n, h = grid.n, grid.h
-    offsets = np.fft.fftfreq(2 * n) * 2 * n * h   # signed offsets, 0 first
+    offsets = scipy.fft.fftfreq(2 * n) * 2 * n * h   # signed offsets, 0 first
     dx, dy = offsets[:, None], offsets[None, :]
     rsq = 2.0 * np.pi * (dx**2 + dy**2)
     rsq[0, 0] = np.inf                  # principal value: 0 at the origin
@@ -92,11 +104,11 @@ def _free_space_multiplier(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     kx, ky = k[:, None], k[None, :n + 1]
     c2 = grid.cell_area / (4.0 * np.pi)
     c4 = KERNEL_H4_CONSTANT * h**4
-    m1 = (grid.cell_area * np.fft.rfft2(-dy / rsq)
-          + 1j * (c2 * ky + c4 * (kx**2 * ky - ky**3 / 3.0)))
-    m2 = (grid.cell_area * np.fft.rfft2(dx / rsq)
-          - 1j * (c2 * kx + c4 * (ky**2 * kx - kx**3 / 3.0)))
-    return m1, m2
+    m = grid.cell_area * scipy.fft.rfft2(np.stack((-dy / rsq, dx / rsq)))
+    m[0] += 1j * (c2 * ky + c4 * (kx**2 * ky - ky**3 / 3.0))
+    m[1] -= 1j * (c2 * kx + c4 * (ky**2 * kx - kx**3 / 3.0))
+    m.flags.writeable = False
+    return m
 
 
 def velocity_free_space(omega: ScalarField,
@@ -115,11 +127,19 @@ def velocity_free_space(omega: ScalarField,
     leading order.  The cached 2n-grid multiplier restores it and subtracts
     the universal O(h^4) lattice term, which leaves a quadrature accurate
     to ~1e-11 relative at the reference resolution.
+
+    The transforms are those of the zero-padded 2n x 2n convolution,
+    pruned: rows n..2n-1 of the padded input are zero, so the forward
+    ``rfft`` runs on the n data rows only, and only the n x n corner of the
+    output is read, so the inverse ``irfft`` runs on the first n rows only.
     """
     require_boundary_decay(omega, "velocity_free_space", tol=boundary_tol)
     grid, n = omega.grid, omega.grid.n
-    u1, u2 = _apply(_free_space_multiplier(grid), omega.values, (2 * n, 2 * n))
-    return VectorField(ScalarField(grid, u1[:n, :n]), ScalarField(grid, u2[:n, :n]))
+    what = scipy.fft.fft(scipy.fft.rfft(omega.values, n=2 * n, axis=1), n=2 * n,
+                         axis=0, overwrite_x=True)
+    rows = scipy.fft.ifft(_free_space_multiplier(grid) * what, axis=1,
+                          overwrite_x=True)[:, :n]
+    return _velocity(grid, scipy.fft.irfft(rows, n=2 * n, axis=2)[:, :, :n])
 
 
 def hls_ratio(omega: ScalarField, p: float) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .biot_savart import velocity_free_space
 from .errors import ConvergenceError, DomainError, MismatchError, ModeError
@@ -332,7 +331,7 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
             # v . grad G vanishes pointwise by perpendicularity
             vw1, vw2 = v1, v2
         else:
-            vw = velocity_free_space(ScalarField(grid, field_ab))
+            vw = velocity_free_space(ScalarField._owned(grid, field_ab))
             vw1, vw2 = vw.x.values, vw.y.values
         coupled = coupled + vw1 * grad_g[0] + vw2 * grad_g[1]
         weighted = coupled * half_weight
@@ -352,6 +351,10 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     of each basis function is its free-space Biot-Savart field.  The
     coupling matrix does not depend on alpha and is cached.
     """
+    # imported here: only the eigen-solve needs it, and loading it costs
+    # 50-120 ms even after scipy.fft
+    import scipy.linalg
+
     if basis_n < 16:
         raise DomainError(f"basis_n must be >= 16, got {basis_n}")
     grid = grid or Grid(256, 40.0)

@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
+import scipy.fft
 
 from .errors import DomainError, MarginError, MismatchError
 
@@ -62,7 +63,7 @@ class Grid:
 
     def wavenumbers(self) -> np.ndarray:
         """1D angular wavenumbers in FFT order (Nyquist at index n/2)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+        return 2.0 * np.pi * scipy.fft.fftfreq(self.n, d=self.h)
 
     def zeros(self) -> "ScalarField":
         return ScalarField(self, np.zeros((self.n, self.n)))
@@ -78,11 +79,23 @@ class ScalarField:
     __slots__ = ("grid", "values", "_spectrum")
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+        self._fill(grid, np.array(values, dtype=float))
+
+    @classmethod
+    def _owned(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
+        """Wrap a float array the package has just computed, without a copy.
+
+        The array is marked read-only in place, so nothing may write to it
+        afterwards.  Arrays from callers go through the copying constructor.
+        """
+        f = object.__new__(cls)
+        f._fill(grid, values)
+        return f
+
+    def _fill(self, grid: Grid, values: np.ndarray):
         if values.shape != (grid.n, grid.n):
             raise MismatchError(
                 f"values shape {values.shape} does not match grid n={grid.n}")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -95,7 +108,7 @@ class ScalarField:
     def spectrum(self) -> np.ndarray:
         """Full complex DFT of the samples (cached)."""
         if self._spectrum is None:
-            object.__setattr__(self, "_spectrum", np.fft.fft2(self.values))
+            object.__setattr__(self, "_spectrum", _fft2(self.values))
         return self._spectrum
 
     # -- arithmetic ---------------------------------------------------
@@ -154,7 +167,8 @@ class VectorField:
         return ScalarField(self.grid, np.hypot(self.x.values, self.y.values))
 
     def max_norm(self) -> float:
-        return float(np.max(np.hypot(self.x.values, self.y.values)))
+        x, y = self.x.values, self.y.values
+        return float(np.sqrt(np.max(x * x + y * y)))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.x + other.x, self.y + other.y)
@@ -204,6 +218,22 @@ def weighted_norm(f: ScalarField, q: float, m: float) -> float:
 # spectral calculus
 # ---------------------------------------------------------------------
 
+def _fft2(values: np.ndarray) -> np.ndarray:
+    """Full complex DFT of real or complex samples.
+
+    Both full-spectrum transforms run on complex data, last axis first,
+    which is the order of numpy.fft: the localized vorticity norm of A12 at
+    t = 1e-3 is ~1e-9 of the density's peak, and the other order moves it
+    by ~4e-10 relative through round-off alone.
+    """
+    return scipy.fft.fft2(np.asarray(values, dtype=complex), axes=(1, 0))
+
+
+def _ifft2(spectrum: np.ndarray) -> np.ndarray:
+    """Inverse of _fft2, in the same order."""
+    return scipy.fft.ifft2(spectrum, axes=(1, 0))
+
+
 @lru_cache(maxsize=32)
 def _deriv_wavenumbers(grid: Grid) -> np.ndarray:
     """Wavenumbers for odd derivatives: Nyquist mode zeroed."""
@@ -221,27 +251,27 @@ def _ksq(grid: Grid) -> np.ndarray:
 def gradient(f: ScalarField) -> VectorField:
     kd = _deriv_wavenumbers(f.grid)
     fh = f.spectrum
-    gx = np.fft.ifft2(1j * kd[:, None] * fh).real
-    gy = np.fft.ifft2(1j * kd[None, :] * fh).real
+    gx = _ifft2(1j * kd[:, None] * fh).real
+    gy = _ifft2(1j * kd[None, :] * fh).real
     return VectorField(ScalarField(f.grid, gx), ScalarField(f.grid, gy))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, np.fft.ifft2(-_ksq(f.grid) * f.spectrum).real)
+    return ScalarField(f.grid, _ifft2(-_ksq(f.grid) * f.spectrum).real)
 
 
 def divergence(v: VectorField) -> ScalarField:
     kd = _deriv_wavenumbers(v.grid)
     dx = 1j * kd[:, None] * v.x.spectrum
     dy = 1j * kd[None, :] * v.y.spectrum
-    return ScalarField(v.grid, np.fft.ifft2(dx + dy).real)
+    return ScalarField(v.grid, _ifft2(dx + dy).real)
 
 
 def curl(v: VectorField) -> ScalarField:
     """Scalar curl d(v_y)/dx - d(v_x)/dy."""
     kd = _deriv_wavenumbers(v.grid)
     c = 1j * kd[:, None] * v.y.spectrum - 1j * kd[None, :] * v.x.spectrum
-    return ScalarField(v.grid, np.fft.ifft2(c).real)
+    return ScalarField(v.grid, _ifft2(c).real)
 
 
 def _fd_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -274,13 +304,13 @@ def divergence_local(v: VectorField) -> ScalarField:
 @lru_cache(maxsize=32)
 def _dealias_mask(grid: Grid) -> np.ndarray:
     """2/3-rule mask in full-spectrum layout."""
-    m = np.fft.fftfreq(grid.n) * grid.n
+    m = scipy.fft.fftfreq(grid.n) * grid.n
     keep = np.abs(m) <= grid.n / 3.0
     return keep[:, None] & keep[None, :]
 
 
 def dealias(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, np.fft.ifft2(_dealias_mask(f.grid) * f.spectrum).real)
+    return ScalarField(f.grid, _ifft2(_dealias_mask(f.grid) * f.spectrum).real)
 
 
 def project_mean_zero(f: ScalarField) -> ScalarField:
@@ -361,7 +391,8 @@ def write_field(f: ScalarField, path) -> None:
 
 
 def read_field(path) -> ScalarField:
-    """Read a write_field file; DomainError unless it holds exactly one field."""
+    """Read a write_field file; DomainError unless it holds exactly one
+    field with finite samples."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head = _FIELD_HEADER.size
@@ -371,7 +402,11 @@ def read_field(path) -> ScalarField:
     if len(raw) != head + 8 * n * n:
         raise DomainError(
             f"field file has {len(raw)} bytes, n={n} needs {head + 8 * n * n}")
-    return ScalarField(Grid(n, L), np.frombuffer(raw, "<f8", offset=head).reshape(n, n))
+    values = np.frombuffer(raw, "<f8", offset=head).reshape(n, n)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"field file holds {int(np.sum(~np.isfinite(values)))} "
+                          "non-finite samples")
+    return ScalarField(Grid(n, L), values)
 
 
 def write_norms_csv(rows: Iterable[tuple], path) -> None:

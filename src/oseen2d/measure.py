@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MarginError, MismatchError
-from .field import Grid, ScalarField, lp_norm, read_field, write_field, _ksq
+from .field import (Grid, ScalarField, _ifft2, _ksq, lp_norm, read_field,
+                    write_field)
 
 Point = tuple[float, float]
 
@@ -49,6 +50,8 @@ class FiniteMeasure:
     def __post_init__(self):
         if self.density is not None and not isinstance(self.density, ScalarField):
             raise DomainError(f"density must be a ScalarField, not {type(self.density)}")
+        if self.density is not None and not np.all(np.isfinite(self.density.values)):
+            raise DomainError("density samples must be finite")
         object.__setattr__(self, "atoms", _canonical_atoms(self.atoms))
 
     @staticmethod
@@ -145,7 +148,7 @@ def heat_smooth(mu: FiniteMeasure, t: float, grid: Grid) -> ScalarField:
     if mu.density is not None:
         if mu.density.grid != grid:
             raise MismatchError("density grid must match the target grid")
-        smooth = np.fft.ifft2(np.exp(-_ksq(grid) * t) * mu.density.spectrum).real
+        smooth = _ifft2(np.exp(-_ksq(grid) * t) * mu.density.spectrum).real
         vals += smooth
     return ScalarField(grid, vals)
 

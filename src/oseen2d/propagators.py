@@ -39,6 +39,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 
 from .biot_savart import velocity_free_space
 from .errors import DegenerateError, DomainError, StabilityError
@@ -198,7 +199,8 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
     xx, yy = grid.meshes() if drift else (None, None)
 
     def div_hat(f1, f2):
-        return 1j * kx * np.fft.rfft2(f1) + 1j * ky * np.fft.rfft2(f2)
+        fh = scipy.fft.rfft2(np.stack((f1, f2)))
+        return 1j * kx * fh[0] + 1j * ky * fh[1]
 
     def tendency(values, flux):
         out = 0.0
@@ -208,21 +210,23 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
             out = out + div_hat(0.5 * xx * values, 0.5 * yy * values)
         return out
 
+    # every caller passes a fresh w_hat, which the inverse transform overwrites
     def nonlinear(w_hat, stage_t):
-        values = np.fft.irfft2(w_hat, s=(grid.n, grid.n))
+        values = scipy.fft.irfft2(w_hat, s=(grid.n, grid.n), overwrite_x=True)
         return tendency(values, stage(values, stage_t)[0])
 
     flux, speed = stage(w.values, t)
     dt = pick_dt(speed, t_stop - t)
     eh = np.exp(-0.5 * dt * _ksq(grid)[:, :nh])
     ef = eh * eh
-    w_hat = np.fft.rfft2(w.values)
+    w_hat = scipy.fft.rfft2(w.values)
     n1 = tendency(w.values, flux)
     n2 = nonlinear(eh * (w_hat + 0.5 * dt * n1), t + 0.5 * dt)
     n3 = nonlinear(eh * w_hat + 0.5 * dt * n2, t + 0.5 * dt)
     n4 = nonlinear(ef * w_hat + dt * eh * n3, t + dt)
     out = ef * w_hat + (dt / 6.0) * (ef * n1 + 2.0 * eh * (n2 + n3) + n4)
-    return ScalarField(grid, np.fft.irfft2(out, s=(grid.n, grid.n))), t + dt
+    values = scipy.fft.irfft2(out, s=(grid.n, grid.n), overwrite_x=True)
+    return ScalarField._owned(grid, values), t + dt
 
 
 def march(w: ScalarField, t: float, stops: Sequence[float], advance,
@@ -334,8 +338,18 @@ def background_velocity(vortices: Sequence[OseenVortex], t: float,
     """Sampled sum of the analytic vortex velocities at time t."""
     fields = background_fields(tuple(vortices), t, grid)
     zero = np.zeros((grid.n, grid.n))
-    return VectorField(ScalarField(grid, sum((b[0] for b in fields), zero)),
-                       ScalarField(grid, sum((b[1] for b in fields), zero)))
+    return VectorField(ScalarField._owned(grid, sum((b[0] for b in fields), zero)),
+                       ScalarField._owned(grid, sum((b[1] for b in fields), zero)))
+
+
+@lru_cache(maxsize=2)
+def background_sum(vortices: tuple[OseenVortex, ...], t: float,
+                   grid: Grid) -> tuple[VectorField, float]:
+    """background_velocity and its largest speed, cached for SN's stages:
+    the two middle stages of a step share a time, and a step's last time
+    is the next step's first, so two entries serve every stage."""
+    u = background_velocity(vortices, t, grid)
+    return u, u.max_norm()
 
 
 def background_cfl_bound(vortices: Sequence[OseenVortex], t: float, grid: Grid,
@@ -355,12 +369,12 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
     """
     if not (0 < s < t):
         raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
-    grid = f.grid
-    _require_divergence_free(background_velocity(vortices, s, grid))
+    grid, vortices = f.grid, tuple(vortices)
+    _require_divergence_free(background_sum(vortices, s, grid)[0])
 
     def stage(w, now):
-        u = background_velocity(vortices, now, grid)
-        return (u.x.values * w, u.y.values * w), u.max_norm()
+        u, speed = background_sum(vortices, now, grid)
+        return (u.x.values * w, u.y.values * w), speed
 
     def advance(w, now, stop):
         def pick_dt(speed, room):
@@ -437,7 +451,7 @@ def evolve_T_alpha(alpha: float, w0: ScalarField, tau_end: float,
     def stage(w, tau):
         if alpha == 0:
             return None, 0.0
-        vw = velocity_free_space(ScalarField(grid, w))
+        vw = velocity_free_space(ScalarField._owned(grid, w))
         return (a1 * w + alpha * vw.x.values * g,
                 a2 * w + alpha * vw.y.values * g), 0.0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import Grid, ScalarField
+from .field import Grid, ScalarField, _ifft2
 
 DEFAULT_SEED = 42
 
@@ -49,7 +49,7 @@ def band_limited_field(grid: Grid, seed: int = DEFAULT_SEED, band: int = 8,
             c = complex(re, im)
             spec[mx % n, my % n] = c
             spec[(-mx) % n, (-my) % n] = np.conj(c)
-    values = np.fft.ifft2(spec).real * n  # unit-variance-ish amplitude
+    values = _ifft2(spec).real * n  # unit-variance-ish amplitude
     if envelope:
         xx, yy = grid.meshes()
         values = values * np.exp(-(xx**2 + yy**2) / 8.0)

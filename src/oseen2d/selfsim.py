@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .field import (Grid, ScalarField, _ksq, gradient, laplacian,
+from .field import (Grid, ScalarField, _ifft2, _ksq, gradient, laplacian,
                     require_boundary_decay, resample_affine)
 
 # Below this tau the quadrature kernel is thinner than the grid; the
@@ -119,7 +119,7 @@ def _semigroup_spectral(tau: float, f: ScalarField) -> ScalarField:
     grid = f.grid
     a = -np.expm1(-tau)
     dilated = resample_affine(f, np.exp(0.5 * tau))
-    smoothed = np.fft.ifft2(np.exp(-a * _ksq(grid)) * dilated.spectrum).real
+    smoothed = _ifft2(np.exp(-a * _ksq(grid)) * dilated.spectrum).real
     return ScalarField(grid, np.exp(tau) * smoothed)
 
 

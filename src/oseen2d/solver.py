@@ -124,7 +124,7 @@ def _decomposed_stage(backgrounds, grid: Grid, velocity_method: str):
     def stage(w, t):
         fields = background_fields(backgrounds, t, grid)
         if np.any(w):
-            ut = _remainder_velocity(ScalarField(grid, w), velocity_method)
+            ut = _remainder_velocity(ScalarField._owned(grid, w), velocity_method)
             ut1, ut2, speed = ut.x.values, ut.y.values, ut.max_norm()
         else:
             ut1 = ut2 = np.zeros_like(w)
@@ -305,7 +305,7 @@ def evolve_rescaled_perturbation(alpha: float, w0: ScalarField, tau_end: float,
     g = gaussian_profile(*grid.meshes())
 
     def stage(w, tau):
-        vt = velocity_free_space(ScalarField(grid, w),
+        vt = velocity_free_space(ScalarField._owned(grid, w),
                                  boundary_tol=SOLVER_BOUNDARY_TOL)
         u1, u2 = vt.x.values, vt.y.values
         return ((a1 + u1) * w + alpha * u1 * g,

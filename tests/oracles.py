@@ -50,6 +50,14 @@ HLS_RATIO_GAUSSIAN_PLANE = RING_SPEED_L4 / GAUSSIAN_L43
 WEIGHTED_VELOCITY_DX_GAUSSIAN = 0.1290427997259097
 
 
+def padded_route(multiplier, values, shape):
+    """The unpruned multiplier route: irfft2(m * rfft2(values)) for each
+    component m of a stacked half-spectrum multiplier, with numpy's
+    transforms; rfft2 zero-pads values to shape."""
+    what = np.fft.rfft2(values, s=shape)
+    return [np.fft.irfft2(m * what, s=shape) for m in multiplier]
+
+
 def minimal_prefix(masses, epsilon):
     """Brute-force oracle for the greedy atom-retention rule."""
     total = sum(abs(m) for m in masses)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oseen2d.biot_savart import (KERNEL_H4_CONSTANT, hls_ratio,
+from oseen2d.biot_savart import (KERNEL_H4_CONSTANT, _free_space_multiplier,
+                                 _periodic_multiplier, hls_ratio,
                                  velocity_free_space, velocity_periodic,
                                  weighted_velocity_norm)
 from oseen2d.errors import CirculationError, DomainError, MarginError
@@ -15,7 +16,8 @@ from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
 from oseen2d.rng import band_limited_field
 from oseen2d.solver import _remainder_velocity
 
-from oracles import HLS_RATIO_GAUSSIAN_PLANE, WEIGHTED_VELOCITY_DX_GAUSSIAN
+from oracles import (HLS_RATIO_GAUSSIAN_PLANE, WEIGHTED_VELOCITY_DX_GAUSSIAN,
+                     padded_route)
 
 # grid values at (n=256, L=40), pinned after the first oracle-checked run
 HLS_RATIO_GAUSSIAN_GRID = 0.31684475268865353
@@ -102,6 +104,31 @@ def test_routes_match_reference_formulas(n):
     w = ScalarField(grid, noise - noise.mean())
     u = velocity_periodic(w)
     assert _max_diff(u, _reference_velocity_periodic(w)) <= 1e-14 * u.max_norm()
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_routes_match_padded_transforms(n):
+    # the pruned free-space transforms and the batched periodic ones give
+    # the unpruned padded route of numpy's transforms to round-off
+    grid = Grid(n, 40.0)
+    xx, yy = grid.meshes()
+    w = ScalarField(grid, gaussian_profile(xx - 3.0, yy + 2.0)
+                    - 0.5 * gaussian_profile(1.5 * (xx + 4.0), yy - 1.0))
+    u = velocity_free_space(w)
+    ref = [c[:n, :n] for c in padded_route(_free_space_multiplier(grid), w.values,
+                                            (2 * n, 2 * n))]
+    assert _max_diff(u, VectorField(*(ScalarField(grid, c) for c in ref))
+                     ) <= 1e-15 * u.max_norm()
+
+    g = ScalarField(grid, gaussian_profile(xx, yy + 1.0))
+    w = ScalarField(grid, w.values - (w.integral() / g.integral()) * g.values)
+    u = velocity_periodic(w)
+    c = grid.cell_area / (2.0 * grid.box_size**2)
+    drift = (np.sum(yy * w.values) * c, -np.sum(xx * w.values) * c)
+    ref = padded_route(_periodic_multiplier(grid), w.values, (n, n))
+    assert _max_diff(u, VectorField(*(ScalarField(grid, r + d)
+                                      for r, d in zip(ref, drift)))
+                     ) <= 1e-15 * u.max_norm()
 
 
 def test_periodic_curl_identity(grid256, dx_gauss256):

@@ -9,12 +9,25 @@ from oseen2d.cli import ConfigError
 from oseen2d.experiments import EXPERIMENTS, ExperimentConfig
 
 
-def run_cli(args):
+def run_python(args, check=False):
+    """Run the interpreter on args with the source tree on its path."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "oseen2d.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=check)
+
+
+def run_cli(args):
+    return run_python(["-m", "oseen2d.cli", *args])
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # only the eigen-solve needs scipy.linalg, so importing the package
+    # (every module) does not pay for loading it
+    code = ("import sys, oseen2d, oseen2d.cli, oseen2d.diagnostics, oseen2d.experiments; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    assert run_python(["-c", code], check=True).stdout.strip() == "[]"
 
 
 def test_list_prints_every_subcommand():

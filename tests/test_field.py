@@ -40,6 +40,25 @@ def test_field_immutable(gauss128):
         gauss128.values[0, 0] = 1.0
 
 
+def test_owned_field_wraps_without_copy(grid128):
+    values = np.ones((128, 128))
+    f = ScalarField._owned(grid128, values)
+    assert f.values is values and not values.flags.writeable
+    with pytest.raises(MismatchError):
+        ScalarField._owned(grid128, np.ones((64, 64)))
+    # the public constructor still copies what callers hand in
+    mine = np.ones((128, 128))
+    assert ScalarField(grid128, mine).values is not mine and mine.flags.writeable
+
+
+def test_max_norm_is_largest_speed(grid128):
+    xx, yy = grid128.meshes()
+    v = VectorField(ScalarField(grid128, 3.0 * np.cos(xx)),
+                    ScalarField(grid128, -4.0 * np.sin(yy + 1.0)))
+    speed = np.hypot(v.x.values, v.y.values)
+    assert abs(v.max_norm() - np.max(speed)) <= 4e-16 * np.max(speed)
+
+
 def test_spectrum_cache_matches_fft(gauss128):
     assert np.allclose(gauss128.spectrum, np.fft.fft2(gauss128.values))
 
@@ -264,6 +283,17 @@ def test_read_field_rejects_bad_header(tmp_path, n, L):
     payload = bytes(8 * n * n) if n > 0 else b""
     path.write_bytes(b"FLD2" + struct.pack("<qd", n, L) + payload)
     with pytest.raises(DomainError):
+        read_field(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_field_rejects_nonfinite_payload(tmp_path, bad):
+    values = np.zeros((16, 16))
+    values[5, 7] = bad
+    path = tmp_path / "field.fld"
+    path.write_bytes(b"FLD2" + struct.pack("<qd", 16, 8.0)
+                     + values.astype("<f8").tobytes())
+    with pytest.raises(DomainError, match="non-finite"):
         read_field(path)
 
 

@@ -42,6 +42,14 @@ def test_measure_rejects_density_that_is_not_a_field(density):
         FiniteMeasure(density=density)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_measure_rejects_nonfinite_density(grid128, bad):
+    values = np.zeros((128, 128))
+    values[3, 4] = bad
+    with pytest.raises(DomainError, match="finite"):
+        FiniteMeasure(density=ScalarField(grid128, values))
+
+
 def test_total_variation_additive(grid128):
     density = blob(grid128, 1.0, (0.0, 0.0), 1.0)
     mu = FiniteMeasure(atoms=(((0.0, 0.0), 2.0), ((1.0, 0.0), -3.0)),

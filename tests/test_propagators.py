@@ -149,6 +149,22 @@ def test_propagate_samples_each_stage_time_once(grid128, monkeypatch):
     assert len(set(times)) == len(times)
 
 
+def test_propagate_sums_backgrounds_once_per_time(grid128, monkeypatch):
+    # SN's stages read the summed background velocity and its max speed
+    # from a cache, so the stages that share a time share one sum: 4 steps
+    # build it at 9 distinct times, not once per stage (17 times)
+    times = []
+    real = propagators.background_fields
+    monkeypatch.setattr(propagators, "background_fields",
+                        lambda vs, t, grid: times.append(t) or real(vs, t, grid))
+    real.cache_clear()
+    propagators.background_sum.cache_clear()
+    propagate_SN([OseenVortex(1.0)], heat_kernel_field(grid128, 0.5), 1.0, 1.02,
+                 StepperConfig.fixed(5e-3))
+    assert len(times) == 9
+    assert len(set(times)) == len(times)
+
+
 def test_propagate_requires_ordered_times(grid128, gauss128):
     with pytest.raises(DomainError):
         propagate_SN([], gauss128, 1.0, 0.5, StepperConfig.courant())

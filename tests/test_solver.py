@@ -164,14 +164,17 @@ def test_step_decomposed_lands_on_stop(grid128):
 
 
 def test_solve_cauchy_nan_density_raises():
-    # a non-finite state stops the run with the time and the step, instead
-    # of finishing with total_l1 = nan and l1_bound_ratio = 0
+    # a non-finite density fails where the measure is built; a non-finite
+    # remainder state stops the run with the time and the step, instead of
+    # finishing with total_l1 = nan and l1_bound_ratio = 0
     grid = Grid(64, 40.0)
     values = blob(grid, 0.5, (0.0, 0.0), 1.0).values.copy()
     values[10, 10] = np.nan
-    mu = FiniteMeasure(density=ScalarField(grid, values))
+    with pytest.raises(DomainError, match="finite"):
+        FiniteMeasure(density=ScalarField(grid, values))
+    state = VortexSystem(backgrounds=(), remainder=ScalarField(grid, values), t=1e-2)
     with pytest.raises(StabilityError, match="not finite at t=0.01"):
-        solve_cauchy(mu, 0.1, 1e-2, 2e-2, grid)
+        evolve_system(state, [2e-2], StepperConfig.courant())
 
 
 def test_direct_zero_field_stays_zero(grid128):
