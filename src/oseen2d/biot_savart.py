@@ -13,11 +13,13 @@ Two methods:
 
 Each route applies one cached per-grid multiplier on the half spectrum,
 the x and y components stacked in one array, so each solve makes one
-forward and one (batched) inverse transform.  The free-space route prunes
-its padded transforms: the forward pass transforms only the n data rows
-(the other n are zero), and the inverse pass keeps only the n x n corner
-it returns, so it runs four 1-D passes (``rfft``, ``fft``, ``ifft``,
-``irfft``) instead of two full 2n x 2n transforms.
+forward and one (batched) inverse transform, all on ``numpy.fft`` with the
+complex passes in place.  The free-space route prunes its padded
+transforms: the forward pass transforms only the n data rows into a
+zero-filled buffer (the other n rows stay zero), and the inverse pass
+keeps only the n x n corner it returns, so it runs four 1-D passes
+(``rfft``, ``fft``, ``ifft``, ``irfft``) instead of two full 2n x 2n
+transforms.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .errors import CirculationError, DomainError
 from .field import (BOUNDARY_DECAY_TOL, Grid, ScalarField, VectorField,
-                    _deriv_wavenumbers, _ksq, lp_norm, require_boundary_decay)
+                    _deriv_wavenumbers, _irfft2, _ksq, _rfft2, lp_norm,
+                    require_boundary_decay)
 
 MEAN_ZERO_REL_TOL = 1e-8
 
@@ -79,8 +81,7 @@ def velocity_periodic(omega: ScalarField) -> VectorField:
             "periodic Biot-Savart needs mean-zero vorticity; "
             f"integral = {omega.integral():.3e}")
     grid = omega.grid
-    u = scipy.fft.irfft2(_periodic_multiplier(grid) * scipy.fft.rfft2(omega.values),
-                         s=(grid.n, grid.n), overwrite_x=True)
+    u = _irfft2(_periodic_multiplier(grid) * _rfft2(omega.values), grid.n)
     xx, yy = grid.meshes()
     p1 = float(np.sum(xx * omega.values)) * grid.cell_area
     p2 = float(np.sum(yy * omega.values)) * grid.cell_area
@@ -96,7 +97,7 @@ def _free_space_multiplier(grid: Grid) -> np.ndarray:
     symbols, on Nyquist-zeroed wavenumbers so each stays Hermitian; the x
     and y components stacked as (2, 2n, n + 1)."""
     n, h = grid.n, grid.h
-    offsets = scipy.fft.fftfreq(2 * n) * 2 * n * h   # signed offsets, 0 first
+    offsets = np.fft.fftfreq(2 * n) * 2 * n * h   # signed offsets, 0 first
     dx, dy = offsets[:, None], offsets[None, :]
     rsq = 2.0 * np.pi * (dx**2 + dy**2)
     rsq[0, 0] = np.inf                  # principal value: 0 at the origin
@@ -104,7 +105,7 @@ def _free_space_multiplier(grid: Grid) -> np.ndarray:
     kx, ky = k[:, None], k[None, :n + 1]
     c2 = grid.cell_area / (4.0 * np.pi)
     c4 = KERNEL_H4_CONSTANT * h**4
-    m = grid.cell_area * scipy.fft.rfft2(np.stack((-dy / rsq, dx / rsq)))
+    m = grid.cell_area * _rfft2(np.stack((-dy / rsq, dx / rsq)))
     m[0] += 1j * (c2 * ky + c4 * (kx**2 * ky - ky**3 / 3.0))
     m[1] -= 1j * (c2 * kx + c4 * (ky**2 * kx - kx**3 / 3.0))
     m.flags.writeable = False
@@ -135,11 +136,12 @@ def velocity_free_space(omega: ScalarField,
     """
     require_boundary_decay(omega, "velocity_free_space", tol=boundary_tol)
     grid, n = omega.grid, omega.grid.n
-    what = scipy.fft.fft(scipy.fft.rfft(omega.values, n=2 * n, axis=1), n=2 * n,
-                         axis=0, overwrite_x=True)
-    rows = scipy.fft.ifft(_free_space_multiplier(grid) * what, axis=1,
-                          overwrite_x=True)[:, :n]
-    return _velocity(grid, scipy.fft.irfft(rows, n=2 * n, axis=2)[:, :, :n])
+    what = np.zeros((2 * n, n + 1), dtype=complex)
+    np.fft.rfft(omega.values, n=2 * n, axis=1, out=what[:n])
+    np.fft.fft(what, axis=0, out=what)
+    prod = _free_space_multiplier(grid) * what
+    np.fft.ifft(prod, axis=1, out=prod)
+    return _velocity(grid, np.fft.irfft(prod[:, :n], n=2 * n, axis=2)[:, :, :n])
 
 
 def hls_ratio(omega: ScalarField, p: float) -> float:

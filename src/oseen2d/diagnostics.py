@@ -308,6 +308,7 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
         modes = [mode for mode in modes if mode != (0, 0)]
     index = {mode: i for i, mode in enumerate(modes)}
     nm = len(modes)
+    rows = tuple(np.array(modes).T)             # mode i's (a, b) at [i]
 
     phi, psi = _hermite_tables(grid, basis_n + 1)
     xx, yy = grid.meshes()
@@ -319,8 +320,7 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     diag = np.array([-(a + b) / 2.0 for a, b in modes])
     coupling = np.zeros((nm, nm))
     area = grid.cell_area
-    for (a, b) in modes:
-        col = index[(a, b)]
+    for col, (a, b) in enumerate(modes):
         field_ab = np.outer(phi[a], phi[b])
         # grad of the basis function: next-order factors
         dx = np.sqrt((a + 1) / 2.0) * np.outer(phi[a + 1], phi[b])
@@ -336,8 +336,7 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
         coupled = coupled + vw1 * grad_g[0] + vw2 * grad_g[1]
         weighted = coupled * half_weight
         proj = psi @ weighted @ psi.T * area          # (basis_n+1)^2 block
-        for (ar, br) in modes:
-            coupling[index[(ar, br)], col] = proj[ar, br]
+        coupling[:, col] = proj[rows]
     return modes, index, diag, coupling
 
 
@@ -351,8 +350,8 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     of each basis function is its free-space Biot-Savart field.  The
     coupling matrix does not depend on alpha and is cached.
     """
-    # imported here: only the eigen-solve needs it, and loading it costs
-    # 50-120 ms even after scipy.fft
+    # imported here: only the eigen-solve needs scipy, and loading
+    # scipy.linalg costs ~0.25 s, the only scipy import the package makes
     import scipy.linalg
 
     if basis_n < 16:

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.fft
 
 from .errors import DomainError, MarginError, MismatchError
 
@@ -63,7 +62,7 @@ class Grid:
 
     def wavenumbers(self) -> np.ndarray:
         """1D angular wavenumbers in FFT order (Nyquist at index n/2)."""
-        return 2.0 * np.pi * scipy.fft.fftfreq(self.n, d=self.h)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
     def zeros(self) -> "ScalarField":
         return ScalarField(self, np.zeros((self.n, self.n)))
@@ -221,17 +220,31 @@ def weighted_norm(f: ScalarField, q: float, m: float) -> float:
 def _fft2(values: np.ndarray) -> np.ndarray:
     """Full complex DFT of real or complex samples.
 
-    Both full-spectrum transforms run on complex data, last axis first,
-    which is the order of numpy.fft: the localized vorticity norm of A12 at
-    t = 1e-3 is ~1e-9 of the density's peak, and the other order moves it
-    by ~4e-10 relative through round-off alone.
+    The last axis is transformed first, numpy.fft's order: the localized
+    vorticity norm of A12 at t = 1e-3 is ~1e-9 of the density's peak, and
+    the other order moves it by ~4e-10 relative through round-off alone.
     """
-    return scipy.fft.fft2(np.asarray(values, dtype=complex), axes=(1, 0))
+    return np.fft.fft2(values)
 
 
 def _ifft2(spectrum: np.ndarray) -> np.ndarray:
     """Inverse of _fft2, in the same order."""
-    return scipy.fft.ifft2(spectrum, axes=(1, 0))
+    return np.fft.ifft2(spectrum)
+
+
+def _rfft2(values: np.ndarray) -> np.ndarray:
+    """Half-spectrum DFT over the last two axes (stacked inputs allowed).
+
+    Two one-axis passes, the second in place: numpy's pass along a strided
+    axis would otherwise allocate and copy a second complex array.
+    """
+    h = np.fft.rfft(values, axis=-1)
+    return np.fft.fft(h, axis=-2, out=h)
+
+
+def _irfft2(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _rfft2 to n x n real samples; overwrites ``spectrum``."""
+    return np.fft.irfft(np.fft.ifft(spectrum, axis=-2, out=spectrum), n=n, axis=-1)
 
 
 @lru_cache(maxsize=32)
@@ -304,7 +317,7 @@ def divergence_local(v: VectorField) -> ScalarField:
 @lru_cache(maxsize=32)
 def _dealias_mask(grid: Grid) -> np.ndarray:
     """2/3-rule mask in full-spectrum layout."""
-    m = scipy.fft.fftfreq(grid.n) * grid.n
+    m = np.fft.fftfreq(grid.n) * grid.n
     keep = np.abs(m) <= grid.n / 3.0
     return keep[:, None] & keep[None, :]
 

@@ -39,13 +39,12 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .biot_savart import velocity_free_space
 from .errors import DegenerateError, DomainError, StabilityError
 from .field import (Grid, ScalarField, VectorField, _dealias_mask,
-                    _deriv_wavenumbers, _ksq, lp_norm, weighted_norm,
-                    write_field)
+                    _deriv_wavenumbers, _irfft2, _ksq, _rfft2, lp_norm,
+                    weighted_norm, write_field)
 from .oseen import (OseenVortex, gaussian_profile, oseen_max_speed,
                     oseen_velocity, oseen_vorticity, velocity_profile)
 
@@ -199,7 +198,7 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
     xx, yy = grid.meshes() if drift else (None, None)
 
     def div_hat(f1, f2):
-        fh = scipy.fft.rfft2(np.stack((f1, f2)))
+        fh = _rfft2(np.stack((f1, f2)))
         return 1j * kx * fh[0] + 1j * ky * fh[1]
 
     def tendency(values, flux):
@@ -212,20 +211,20 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
 
     # every caller passes a fresh w_hat, which the inverse transform overwrites
     def nonlinear(w_hat, stage_t):
-        values = scipy.fft.irfft2(w_hat, s=(grid.n, grid.n), overwrite_x=True)
+        values = _irfft2(w_hat, grid.n)
         return tendency(values, stage(values, stage_t)[0])
 
     flux, speed = stage(w.values, t)
     dt = pick_dt(speed, t_stop - t)
     eh = np.exp(-0.5 * dt * _ksq(grid)[:, :nh])
     ef = eh * eh
-    w_hat = scipy.fft.rfft2(w.values)
+    w_hat = _rfft2(w.values)
     n1 = tendency(w.values, flux)
     n2 = nonlinear(eh * (w_hat + 0.5 * dt * n1), t + 0.5 * dt)
     n3 = nonlinear(eh * w_hat + 0.5 * dt * n2, t + 0.5 * dt)
     n4 = nonlinear(ef * w_hat + dt * eh * n3, t + dt)
     out = ef * w_hat + (dt / 6.0) * (ef * n1 + 2.0 * eh * (n2 + n3) + n4)
-    values = scipy.fft.irfft2(out, s=(grid.n, grid.n), overwrite_x=True)
+    values = _irfft2(out, grid.n)
     return ScalarField._owned(grid, values), t + dt
 
 

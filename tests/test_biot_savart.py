@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from oseen2d.biot_savart import (KERNEL_H4_CONSTANT, _free_space_multiplier,
                                  weighted_velocity_norm)
 from oseen2d.errors import CirculationError, DomainError, MarginError
 from oseen2d.field import (Grid, ScalarField, VectorField, _deriv_wavenumbers,
-                           _ksq, curl, curl_local, divergence,
+                           _irfft2, _ksq, _rfft2, curl, curl_local, divergence,
                            divergence_local, weighted_norm)
 from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
                            velocity_jacobian)
@@ -129,6 +130,28 @@ def test_routes_match_padded_transforms(n):
     assert _max_diff(u, VectorField(*(ScalarField(grid, r + d)
                                       for r, d in zip(ref, drift)))
                      ) <= 1e-15 * u.max_norm()
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_transform_helpers_match_scipy(n):
+    # numpy.fft's one-axis passes are scipy.fft's pocketfft: the half-spectrum
+    # helpers and the pruned free-space solve agree with scipy's 2-D real
+    # transforms and the padded route bit for bit, single and stacked
+    rng = np.random.default_rng(n)
+    for shape in ((n, n), (2, n, n)):
+        values = rng.standard_normal(shape)
+        spectrum = scipy.fft.rfft2(values)
+        assert np.array_equal(_rfft2(values), spectrum)
+        expected = scipy.fft.irfft2(spectrum, s=(n, n))
+        assert np.array_equal(_irfft2(spectrum.copy(), n), expected)
+    grid = Grid(n, 40.0)
+    xx, yy = grid.meshes()
+    w = ScalarField(grid, gaussian_profile(xx - 3.0, yy + 2.0)
+                    * (1.0 + 0.1 * rng.standard_normal((n, n))))
+    u = velocity_free_space(w)
+    ref = padded_route(_free_space_multiplier(grid), w.values, (2 * n, 2 * n))
+    assert np.array_equal(u.x.values, ref[0][:n, :n])
+    assert np.array_equal(u.y.values, ref[1][:n, :n])
 
 
 def test_periodic_curl_identity(grid256, dx_gauss256):

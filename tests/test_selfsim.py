@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oseen2d.errors import DomainError, MarginError
 from oseen2d.field import ScalarField, lp_norm, project_mean_zero, weighted_norm
@@ -114,6 +116,21 @@ def test_semigroup_law(grid128):
     f = band_limited_field(grid128, seed=42)
     lhs = semigroup_apply(0.7, semigroup_apply(0.8, f))
     rhs = semigroup_apply(1.5, f)
+    assert lp_norm(lhs - rhs, 2) < 1e-6 * lp_norm(rhs, 2)
+
+
+# both routes of semigroup_apply: the spectral one below tau = 0.25, where
+# the full-spectrum transforms run, and the quadrature one above
+_SEMIGROUP_TAUS = st.sampled_from((0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2, 2.0))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(tau1=_SEMIGROUP_TAUS, tau2=_SEMIGROUP_TAUS)
+def test_semigroup_law_property(grid128, tau1, tau2):
+    # S(tau1) S(tau2) = S(tau1 + tau2) over pairs mixing the two routes
+    f = band_limited_field(grid128, seed=42)
+    lhs = semigroup_apply(tau1, semigroup_apply(tau2, f))
+    rhs = semigroup_apply(tau1 + tau2, f)
     assert lp_norm(lhs - rhs, 2) < 1e-6 * lp_norm(rhs, 2)
 
 
