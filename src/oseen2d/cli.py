@@ -16,6 +16,7 @@ is printed per assertion.  Exit status: 0 all pass, 1 config error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields as dc_fields, replace
@@ -64,6 +65,8 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
                 updates[key] = int(value)
             elif key in _FLOAT_KEYS:
                 updates[key] = float(value)
+                if not math.isfinite(updates[key]):
+                    raise ConfigError(f"{key} must be finite, got {value!r}")
             else:
                 updates[key] = value
         except ValueError as exc:

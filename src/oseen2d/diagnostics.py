@@ -11,6 +11,8 @@ for the exact per-vortex splitting, which a grid solver cannot observe.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -302,13 +304,15 @@ def _hermite_tables(grid: Grid, count: int):
 # three keys in the test suite; 8 MB per key at basis 32
 @lru_cache(maxsize=4)
 def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
-    """Basis list, diagonal of L, and the alpha-independent coupling matrix."""
+    """Basis list, diagonal of L, the alpha-independent coupling matrix, and
+    the (even, odd) index arrays of the modes by the parity of a + b."""
     modes = [(a, b) for a in range(basis_n) for b in range(basis_n)]
     if mean_zero:
         modes = [mode for mode in modes if mode != (0, 0)]
-    index = {mode: i for i, mode in enumerate(modes)}
     nm = len(modes)
     rows = tuple(np.array(modes).T)             # mode i's (a, b) at [i]
+    parity = (rows[0] + rows[1]) % 2
+    parts = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
 
     phi, psi = _hermite_tables(grid, basis_n + 1)
     xx, yy = grid.meshes()
@@ -337,7 +341,7 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
         weighted = coupled * half_weight
         proj = psi @ weighted @ psi.T * area          # (basis_n+1)^2 block
         coupling[:, col] = proj[rows]
-    return modes, index, diag, coupling
+    return modes, diag, coupling, parts
 
 
 def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
@@ -349,37 +353,46 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     only the alpha-coupling needs grid quadrature.  The coupling velocity
     of each basis function is its free-space Biot-Savart field.  The
     coupling matrix does not depend on alpha and is cached.
+
+    The operator commutes with rotations about the vortex, and the
+    rotation by pi multiplies the mode (a, b) by its Hermite parity
+    (-1)^(a+b).  So the matrix splits into an even and an odd diagonal
+    block; the entries between them are quadrature error and are dropped.
+    Each block is solved on its own, and only the odd block, which holds
+    the translation modes (1, 0) and (0, 1), computes eigenvectors.
     """
+    if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
+        raise DomainError(f"alpha must be a finite number, got {alpha!r}")
+    if not isinstance(basis_n, numbers.Integral):
+        raise DomainError(f"basis_n must be an integer, got {basis_n!r}")
+    if basis_n < 16:
+        raise DomainError(f"basis_n must be >= 16, got {basis_n}")
     # imported here: only the eigen-solve needs scipy, and loading
     # scipy.linalg costs ~0.25 s, the only scipy import the package makes
     import scipy.linalg
 
-    if basis_n < 16:
-        raise DomainError(f"basis_n must be >= 16, got {basis_n}")
     grid = grid or Grid(256, 40.0)
-    modes, index, diag, coupling = _assemble_coupling(basis_n, mean_zero, grid)
-    nm = len(modes)
-    matrix = np.diag(diag) - alpha * coupling
+    modes, diag, coupling, (even, odd) = _assemble_coupling(basis_n, mean_zero,
+                                                            grid)
+
+    def block(idx):
+        return np.diag(diag[idx]) - alpha * coupling[np.ix_(idx, idx)]
+
     try:
-        eigvals, eigvecs = scipy.linalg.eig(matrix)
-    except Exception as exc:                           # pragma: no cover
+        even_vals = scipy.linalg.eig(block(even), right=False)
+        odd_vals, odd_vecs = scipy.linalg.eig(block(odd))
+    except scipy.linalg.LinAlgError as exc:            # pragma: no cover
         raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
-    order = np.argsort(-eigvals.real)
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
+    eigvals = np.concatenate([even_vals, odd_vals])
+    eigvals = eigvals[np.argsort(-eigvals.real)]
 
     labeled = {}
-    translation_idx = [index[m] for m in ((1, 0), (0, 1)) if m in index]
-    best = None
-    for j in range(nm):
-        vec = eigvecs[:, j]
-        corr = np.sqrt(sum(abs(vec[i])**2 for i in translation_idx)) / np.linalg.norm(vec)
-        if corr > 0.99:
-            cand = (abs(eigvals[j] + 0.5), j)
-            if best is None or cand < best:
-                best = cand
-    if best is not None:
-        labeled["translation"] = complex(eigvals[best[1]])
+    rows = [k for k, i in enumerate(odd) if modes[i] in ((1, 0), (0, 1))]
+    on_translation = (np.linalg.norm(odd_vecs[rows], axis=0)
+                      > 0.99 * np.linalg.norm(odd_vecs, axis=0))
+    if on_translation.any():
+        dist = np.where(on_translation, np.abs(odd_vals + 0.5), np.inf)
+        labeled["translation"] = complex(odd_vals[np.argmin(dist)])
     j_scal = int(np.argmin(np.abs(eigvals + 1.0)))
     labeled["scaling"] = complex(eigvals[j_scal])
 

@@ -7,6 +7,7 @@ frozen with the generating function kept here for regeneration.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy import integrate
 
 
@@ -56,6 +57,32 @@ def padded_route(multiplier, values, shape):
     transforms; rfft2 zero-pads values to shape."""
     what = np.fft.rfft2(values, s=shape)
     return [np.fft.irfft2(m * what, s=shape) for m in multiplier]
+
+
+def unsplit_spectrum(modes, diag, coupling, alpha):
+    """Eigen-solve of the whole linearization matrix diag - alpha * coupling.
+
+    Returns the eigenvalues sorted by descending real part and the
+    translation label: the eigenvalue closest to -1/2 among eigenvectors
+    with more than 0.99 of their norm on the modes (1, 0) and (0, 1), or
+    None if no eigenvector qualifies.
+    """
+    eigvals, eigvecs = scipy.linalg.eig(np.diag(diag) - alpha * coupling)
+    order = np.argsort(-eigvals.real)
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+    translation_idx = [i for i, mode in enumerate(modes)
+                       if mode in ((1, 0), (0, 1))]
+    best = None
+    for j in range(len(modes)):
+        vec = eigvecs[:, j]
+        corr = (np.sqrt(sum(abs(vec[i])**2 for i in translation_idx))
+                / np.linalg.norm(vec))
+        if corr > 0.99:
+            cand = (abs(eigvals[j] + 0.5), j)
+            if best is None or cand < best:
+                best = cand
+    return eigvals, (complex(eigvals[best[1]]) if best is not None else None)
 
 
 def minimal_prefix(masses, epsilon):

@@ -61,6 +61,21 @@ def test_config_rejects_unknown_key():
         build_config({"grid_n": "not-a-number"}, {})
 
 
+@pytest.mark.parametrize("key", ["alpha", "dt", "box_l", "m"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_nonfinite_float(key, value):
+    # from a config file (strings) and from flags (argparse's floats)
+    with pytest.raises(ConfigError):
+        build_config({key: value}, {})
+    with pytest.raises(ConfigError):
+        build_config({}, {key: float(value)})
+
+
+def test_cli_nonfinite_flag_is_config_error():
+    assert main(["spectrum", "--alpha", "nan", "--grid-n", "64",
+                 "--basis", "16"]) == 1
+
+
 def test_cli_missing_config_file():
     assert main(["biot-savart-oracle", "/nonexistent/config"]) == 1
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from oseen2d.diagnostics import (bump, eigenvalue_multiplicity,
+from scipy.optimize import linear_sum_assignment
+
+from oseen2d.diagnostics import (_assemble_coupling, bump,
+                                 eigenvalue_multiplicity,
                                  linearized_spectrum, localized_diffuse_norm,
                                  localized_diffuse_series, oseen_distance,
                                  partition_of_unity, remainder_norms,
@@ -14,7 +17,7 @@ from oseen2d.measure import FiniteMeasure
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
 from oseen2d.solver import solve_cauchy
 
-from oracles import DX_GAUSSIAN_L2
+from oracles import DX_GAUSSIAN_L2, unsplit_spectrum
 
 
 def blob(grid, mass, center, width):
@@ -236,6 +239,47 @@ def test_spectrum_with_mean_mode(spectrum_grid):
 def test_spectrum_requires_basis(spectrum_grid):
     with pytest.raises(DomainError):
         linearized_spectrum(1.0, 8, grid=spectrum_grid)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+def test_spectrum_rejects_nonfinite_alpha(alpha):
+    with pytest.raises(DomainError):
+        linearized_spectrum(alpha, 16, grid=Grid(64, 40.0))
+
+
+@pytest.mark.parametrize("basis_n", [16.5, 16.0, "16"])
+def test_spectrum_rejects_noninteger_basis(basis_n):
+    with pytest.raises(DomainError):
+        linearized_spectrum(1.0, basis_n, grid=Grid(64, 40.0))
+
+
+@pytest.mark.parametrize("mean_zero", [True, False])
+def test_coupling_splits_by_parity(spectrum_grid, mean_zero):
+    # rotation by pi maps the Hermite mode (a, b) to (-1)^(a+b) times itself
+    # and commutes with the linearization, so the entries between modes of
+    # opposite parity are quadrature error
+    modes, _, coupling, (even, odd) = _assemble_coupling(16, mean_zero,
+                                                         spectrum_grid)
+    parity = np.array([(a + b) % 2 for a, b in modes])
+    assert np.all(parity[even] == 0) and np.all(parity[odd] == 1)
+    assert sorted(np.concatenate([even, odd])) == list(range(len(modes)))
+    cross = max(np.max(np.abs(coupling[np.ix_(parity == p, parity != p)]))
+                for p in (0, 1))
+    assert cross <= 1e-12 * np.max(np.abs(coupling))
+
+
+@pytest.mark.parametrize("mean_zero", [True, False])
+def test_split_spectrum_matches_unsplit_oracle(spectrum_grid, mean_zero):
+    modes, diag, coupling, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
+    for alpha in (1.0, 10.0):
+        rep = linearized_spectrum(alpha, 16, mean_zero=mean_zero,
+                                  grid=spectrum_grid)
+        expected, translation = unsplit_spectrum(modes, diag, coupling, alpha)
+        got = np.array(rep.eigenvalues)
+        assert len(got) == len(expected)
+        rows, cols = linear_sum_assignment(np.abs(got[:, None] - expected))
+        assert np.max(np.abs(got[rows] - expected[cols])) <= 1e-10
+        assert abs(rep.labeled_modes["translation"] - translation) <= 1e-12
 
 
 # ------------------------------------------------------------------- output
