@@ -19,9 +19,10 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields as dc_fields, replace
+from dataclasses import fields as dc_fields
 
-from .errors import Oseen2dError
+from .diagnostics import MIN_BASIS
+from .errors import DomainError, Oseen2dError
 from .experiments import EXPERIMENTS, ExperimentConfig
 
 _FLOAT_KEYS = {"box_l", "t0", "t_end", "dt", "alpha", "epsilon", "m"}
@@ -53,7 +54,6 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
     merged = dict(file_values)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
     known = {f.name for f in dc_fields(ExperimentConfig)}
-    cfg = ExperimentConfig()
     updates = {}
     for key, value in merged.items():
         if key == "out":
@@ -71,7 +71,14 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
                 updates[key] = value
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    return replace(cfg, **updates)
+    cfg = ExperimentConfig(**updates)
+    try:
+        cfg.grid()
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg.basis < MIN_BASIS:
+        raise ConfigError(f"basis must be >= {MIN_BASIS}, got {cfg.basis}")
+    return cfg
 
 
 def write_manifest(cfg: ExperimentConfig, subcommand: str, out) -> None:

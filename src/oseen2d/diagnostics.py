@@ -208,59 +208,37 @@ def total_l1_difference(runA: SolverRun, runB: SolverRun) -> np.ndarray:
 # localized diffuse-part decay
 # ---------------------------------------------------------------------
 
-def localized_diffuse_point(omega0: ScalarField, u0, t: float, z, p: float,
-                            q: float) -> tuple[float, float]:
-    """One (t) sample of the localized vorticity and velocity norms.
-
-    Weight exp(-|x-z|^2/(8 t)) localizes at the vortex center z; the
-    prefactors t^(1-1/p), t^(1/2-1/q) make both quantities vanish as
-    t -> 0 whenever the diffuse part carries no atom at z.
-    """
-    grid = omega0.grid
-    xx, yy = grid.meshes()
-    cut = np.exp(-((xx - z[0])**2 + (yy - z[1])**2) / (8.0 * t))
-    wn = t**(1.0 - 1.0 / p) * lp_norm(ScalarField(grid, omega0.values * cut), p)
-    un = t**(0.5 - 1.0 / q) * lp_norm(
-        ScalarField(grid, u0.magnitude().values * cut), q)
-    return wn, un
-
-
 def localized_diffuse_series(mu0: FiniteMeasure, z, t_values, p: float,
                              q: float, grid: Grid):
-    """Localized norms of the heat-smoothed diffuse measure at given times."""
+    """Localized norms of the heat-smoothed diffuse measure at given times.
+
+    Weight exp(-|x-z|^2/(8 t)) localizes at z; the prefactors t^(1-1/p),
+    t^(1/2-1/q) make both the vorticity and the velocity norm vanish as
+    t -> 0 whenever the measure carries no atom at z.  Rows are
+    (t, vorticity norm, velocity norm).
+    """
     if not (q > 2):
         raise DomainError(f"velocity exponent must be > 2, got {q}")
+    xx, yy = grid.meshes()
     rows = []
     for t in t_values:
         w0 = heat_smooth(mu0, t, grid)
         # sampling-level boundary junk is irrelevant to these integral norms
         u0 = velocity_free_space(w0, boundary_tol=1e-6)
-        rows.append((t, *localized_diffuse_point(w0, u0, t, z, p, q)))
-    return rows
-
-
-def localized_diffuse_norm(run: SolverRun, i: int, p: float, q: float):
-    """Localized norms of the diffuse-attributed remainder along a run."""
-    _require_decomposed(run)
-    rem = run.decomposition.remainder
-    if not rem.atoms and rem.density is None:
-        raise ModeError("run has no diffuse part")
-    if not (1 <= i <= len(run.backgrounds)):
-        raise ModeError(f"vortex index {i} out of range")
-    z = run.backgrounds[i - 1].z
-    chi0 = partition_of_unity(run.grid, [v.z for v in run.backgrounds],
-                              run.decomposition.d)[0]
-    rows = []
-    for t, w in zip(run.trajectory.times, run.trajectory.fields):
-        w0 = ScalarField(run.grid, chi0 * w.values)
-        u0 = velocity_free_space(w0, boundary_tol=1e-6)
-        rows.append((t, *localized_diffuse_point(w0, u0, t, z, p, q)))
+        cut = np.exp(-((xx - z[0])**2 + (yy - z[1])**2) / (8.0 * t))
+        wn = t**(1.0 - 1.0 / p) * lp_norm(ScalarField(grid, w0.values * cut), p)
+        un = t**(0.5 - 1.0 / q) * lp_norm(
+            ScalarField(grid, u0.magnitude().values * cut), q)
+        rows.append((t, wn, un))
     return rows
 
 
 # ---------------------------------------------------------------------
 # spectrum of the linearization about the Gaussian profile
 # ---------------------------------------------------------------------
+
+MIN_BASIS = 16      # smallest Hermite basis per axis linearized_spectrum takes
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -365,8 +343,8 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
         raise DomainError(f"alpha must be a finite number, got {alpha!r}")
     if not isinstance(basis_n, numbers.Integral):
         raise DomainError(f"basis_n must be an integer, got {basis_n!r}")
-    if basis_n < 16:
-        raise DomainError(f"basis_n must be >= 16, got {basis_n}")
+    if basis_n < MIN_BASIS:
+        raise DomainError(f"basis_n must be >= {MIN_BASIS}, got {basis_n}")
     # imported here: only the eigen-solve needs scipy, and loading
     # scipy.linalg costs ~0.25 s, the only scipy import the package makes
     import scipy.linalg

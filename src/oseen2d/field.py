@@ -6,9 +6,8 @@ interest decays like a Gaussian well inside the box, which makes the
 periodic truncation error negligible and the rectangle rule spectrally
 accurate.
 
-Fields are immutable values: operations return new fields, the sample
-array of a constructed field is marked read-only, and the spectral cache
-is computed lazily from the samples.
+Fields are immutable values: operations return new fields, and the
+sample array of a constructed field is marked read-only.
 """
 
 from __future__ import annotations
@@ -73,9 +72,9 @@ class Grid:
 
 
 class ScalarField:
-    """Real scalar samples on a Grid with a lazy spectral companion."""
+    """Real scalar samples on a Grid."""
 
-    __slots__ = ("grid", "values", "_spectrum")
+    __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values: np.ndarray):
         self._fill(grid, np.array(values, dtype=float))
@@ -98,17 +97,9 @@ class ScalarField:
         values.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_spectrum", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Full complex DFT of the samples (cached)."""
-        if self._spectrum is None:
-            object.__setattr__(self, "_spectrum", _fft2(self.values))
-        return self._spectrum
 
     # -- arithmetic ---------------------------------------------------
 
@@ -263,28 +254,14 @@ def _ksq(grid: Grid) -> np.ndarray:
 
 def gradient(f: ScalarField) -> VectorField:
     kd = _deriv_wavenumbers(f.grid)
-    fh = f.spectrum
+    fh = _fft2(f.values)
     gx = _ifft2(1j * kd[:, None] * fh).real
     gy = _ifft2(1j * kd[None, :] * fh).real
     return VectorField(ScalarField(f.grid, gx), ScalarField(f.grid, gy))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, _ifft2(-_ksq(f.grid) * f.spectrum).real)
-
-
-def divergence(v: VectorField) -> ScalarField:
-    kd = _deriv_wavenumbers(v.grid)
-    dx = 1j * kd[:, None] * v.x.spectrum
-    dy = 1j * kd[None, :] * v.y.spectrum
-    return ScalarField(v.grid, _ifft2(dx + dy).real)
-
-
-def curl(v: VectorField) -> ScalarField:
-    """Scalar curl d(v_y)/dx - d(v_x)/dy."""
-    kd = _deriv_wavenumbers(v.grid)
-    c = 1j * kd[:, None] * v.y.spectrum - 1j * kd[None, :] * v.x.spectrum
-    return ScalarField(v.grid, _ifft2(c).real)
+    return ScalarField(f.grid, _ifft2(-_ksq(f.grid) * _fft2(f.values)).real)
 
 
 def _fd_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -295,20 +272,13 @@ def _fd_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
             + 32.0 * (sh(3) - sh(-3)) - 3.0 * (sh(4) - sh(-4))) / (840.0 * h)
 
 
-def curl_local(v: VectorField) -> ScalarField:
-    """Scalar curl by local finite differences.
+def divergence_local(v: VectorField) -> ScalarField:
+    """Divergence by local finite differences.
 
     Free-space velocities are smooth but not box-periodic, so spectral
     differentiation sees the wrap jump; the local stencil does not (except
     on the outermost three rings, which callers should exclude).
     """
-    h = v.grid.h
-    return ScalarField(v.grid, _fd_derivative(v.y.values, 0, h)
-                       - _fd_derivative(v.x.values, 1, h))
-
-
-def divergence_local(v: VectorField) -> ScalarField:
-    """Divergence by local finite differences (see curl_local)."""
     h = v.grid.h
     return ScalarField(v.grid, _fd_derivative(v.x.values, 0, h)
                        + _fd_derivative(v.y.values, 1, h))
@@ -320,10 +290,6 @@ def _dealias_mask(grid: Grid) -> np.ndarray:
     m = np.fft.fftfreq(grid.n) * grid.n
     keep = np.abs(m) <= grid.n / 3.0
     return keep[:, None] & keep[None, :]
-
-
-def dealias(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, _ifft2(_dealias_mask(f.grid) * f.spectrum).real)
 
 
 def project_mean_zero(f: ScalarField) -> ScalarField:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MarginError, MismatchError
-from .field import (Grid, ScalarField, _ifft2, _ksq, lp_norm, read_field,
-                    write_field)
+from .field import (Grid, ScalarField, _fft2, _ifft2, _ksq, lp_norm,
+                    read_field, write_field)
 
 Point = tuple[float, float]
 
@@ -148,8 +148,7 @@ def heat_smooth(mu: FiniteMeasure, t: float, grid: Grid) -> ScalarField:
     if mu.density is not None:
         if mu.density.grid != grid:
             raise MismatchError("density grid must match the target grid")
-        smooth = _ifft2(np.exp(-_ksq(grid) * t) * mu.density.spectrum).real
-        vals += smooth
+        vals += _ifft2(np.exp(-_ksq(grid) * t) * _fft2(mu.density.values)).real
     return ScalarField(grid, vals)
 
 

@@ -71,28 +71,6 @@ def velocity_profile(x1, x2):
     return -x2 * f, x1 * f
 
 
-def velocity_jacobian(x1, x2):
-    """Analytic Jacobian d v_i / d xi_j of the unit vortex velocity.
-
-    Returns (d1v1, d2v1, d1v2, d2v2).
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    s = x1**2 + x2**2
-    f = _ring_factor(s)
-    # derivative of the ring factor with respect to s
-    small = s < SERIES_CUTOFF_SQ
-    safe = np.where(small, 1.0, s)
-    df_full = (np.exp(-safe / 4.0) * (safe + 4.0) - 4.0) / (8.0 * np.pi * safe**2)
-    df_series = (-1.0 / 8.0 + s / 48.0) / (8.0 * np.pi)
-    df = np.where(small, df_series, df_full)
-    d1v1 = -x2 * df * 2.0 * x1
-    d2v1 = -f - x2 * df * 2.0 * x2
-    d1v2 = f + x1 * df * 2.0 * x1
-    d2v2 = x1 * df * 2.0 * x2
-    return d1v1, d2v1, d1v2, d2v2
-
-
 VELOCITY_PROFILE_MAX = 0.0507841687885389  # max |v| of the unit profile, at |xi| ~ 2.2418
 
 

@@ -15,8 +15,6 @@ and ``background_fields`` is the one sampler of the analytic vortex
 backgrounds, cached so that consecutive steps share their samples.  It
 supplies the stage functions and bounds of
 
-* advection-diffusion with a prescribed divergence-free velocity
-  (one step at a time),
 * the frozen multi-vortex background propagator SN in physical time,
 * the one-vortex self-similar flow  dw/dtau + alpha v . grad w = L w,
 * the linearization at the Gaussian steady profile
@@ -43,8 +41,8 @@ import numpy as np
 from .biot_savart import velocity_free_space
 from .errors import DegenerateError, DomainError, StabilityError
 from .field import (Grid, ScalarField, VectorField, _dealias_mask,
-                    _deriv_wavenumbers, _irfft2, _ksq, _rfft2, lp_norm,
-                    weighted_norm, write_field)
+                    _deriv_wavenumbers, _fd_derivative, _irfft2, _ksq, _rfft2,
+                    divergence_local, lp_norm, weighted_norm, write_field)
 from .oseen import (OseenVortex, gaussian_profile, oseen_max_speed,
                     oseen_velocity, oseen_vorticity, velocity_profile)
 
@@ -258,22 +256,20 @@ def march(w: ScalarField, t: float, stops: Sequence[float], advance,
 
 
 # ---------------------------------------------------------------------
-# advection-diffusion by a prescribed velocity, and the frozen
-# multi-vortex background propagator SN (physical time)
+# the frozen multi-vortex background propagator SN (physical time)
 # ---------------------------------------------------------------------
 
 def _require_divergence_free(u: VectorField, tol: float = 1e-2):
     """Interior local-stencil check that the velocity is solenoidal.
 
-    Prescribed velocities need not be box-periodic (backgrounds decay like
-    1/r), so a spectral divergence would see the wrap jump; the local
-    stencil only wraps on the outermost rings, which are excluded.  The
-    stencil cannot certify fine-grained solenoidality for marginally
-    resolved fields, so this guards against grossly compressible inputs
-    (divergence comparable to the velocity gradient itself); exact
-    divergence-freeness is the analytic responsibility of the caller.
+    Background velocities are not box-periodic (they decay like 1/r), so
+    a spectral divergence would see the wrap jump; the local stencil only
+    wraps on the outermost rings, which are excluded.  The stencil cannot
+    certify fine-grained solenoidality for marginally resolved fields, so
+    this guards against grossly compressible inputs (divergence comparable
+    to the velocity gradient itself); exact divergence-freeness is the
+    analytic responsibility of the caller.
     """
-    from .field import _fd_derivative, divergence_local
     div = divergence_local(u).values[4:-4, 4:-4]
     h = u.grid.h
     grad_scale = max(
@@ -285,34 +281,6 @@ def _require_divergence_free(u: VectorField, tol: float = 1e-2):
         raise DomainError(
             f"velocity is not divergence-free: max |div| = {np.max(np.abs(div)):.3e} "
             f"vs gradient scale {grad_scale:.3e}")
-
-
-def _prescribed_stage(velocity_fn: Callable[[float], VectorField],
-                      cache: dict) -> Stage:
-    """Stage function of advection by U(t), evaluated once per stage time."""
-    def stage(w, t):
-        u = cache.get(t)
-        if u is None:
-            u = cache[t] = velocity_fn(t)
-        return (u.x.values * w, u.y.values * w), u.max_norm()
-    return stage
-
-
-def advect_diffuse_step(omega: ScalarField, velocity_fn: Callable[[float], VectorField],
-                        t: float, dt: float) -> ScalarField:
-    """One step of d(omega)/dt + div(U omega) = Lap(omega).
-
-    Diffusion is exact in spectral space; the advection term is evaluated
-    pseudo-spectrally with the 2/3 rule.  The prescribed velocity must be
-    divergence-free and dt must satisfy dt <= h / (2 max|U|).
-    """
-    u_now = velocity_fn(t)
-    _require_divergence_free(u_now)
-    stage = _prescribed_stage(velocity_fn, {t: u_now})
-    cfg, h = StepperConfig.fixed(dt), omega.grid.h
-    out, _ = lawson_step(omega, t, np.inf, stage, lambda speed, room: cfg.step(
-        lambda cfl: cfl_bound(cfl, h, speed), room))
-    return out
 
 
 @lru_cache(maxsize=3)

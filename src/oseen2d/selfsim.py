@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .field import (Grid, ScalarField, _ifft2, _ksq, gradient, laplacian,
+from .field import (Grid, ScalarField, _fft2, _ifft2, _ksq, gradient, laplacian,
                     require_boundary_decay, resample_affine)
 
 # Below this tau the quadrature kernel is thinner than the grid; the
@@ -119,7 +119,7 @@ def _semigroup_spectral(tau: float, f: ScalarField) -> ScalarField:
     grid = f.grid
     a = -np.expm1(-tau)
     dilated = resample_affine(f, np.exp(0.5 * tau))
-    smoothed = _ifft2(np.exp(-a * _ksq(grid)) * dilated.spectrum).real
+    smoothed = _ifft2(np.exp(-a * _ksq(grid)) * _fft2(dilated.values)).real
     return ScalarField(grid, np.exp(tau) * smoothed)
 
 
@@ -144,8 +144,9 @@ def commutation_residual(tau: float, f: ScalarField) -> float:
     """Max-norm residual of grad S(tau) f = e^{tau/2} S(tau) grad f."""
     left = gradient(semigroup_apply(tau, f))
     c = np.exp(0.5 * tau)
-    right_x = c * semigroup_apply(tau, gradient(f).x)
-    right_y = c * semigroup_apply(tau, gradient(f).y)
+    g = gradient(f)
+    right_x = c * semigroup_apply(tau, g.x)
+    right_y = c * semigroup_apply(tau, g.y)
     rx = np.max(np.abs(left.x.values - right_x.values))
     ry = np.max(np.abs(left.y.values - right_y.values))
     return float(max(rx, ry))

@@ -4,11 +4,20 @@ profiles straight from scipy, never through the grid code under test.
 The frozen constants below were produced by these oracle functions; the
 cheap ones are re-derived at test time, the expensive 2D quadratures are
 frozen with the generating function kept here for regeneration.
+
+The last section holds the vector calculus that only tests call (curl,
+divergence, the 2/3 mask, the vortex Jacobian); it builds on the grid's
+own wavenumbers, mask and stencil, so the identities it checks are the
+ones the package relies on.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy import integrate
+
+from oseen2d.field import (ScalarField, _dealias_mask, _deriv_wavenumbers,
+                           _fd_derivative)
+from oseen2d.oseen import SERIES_CUTOFF_SQ, _ring_factor
 
 
 def gaussian(r):
@@ -92,3 +101,61 @@ def minimal_prefix(masses, epsilon):
         if total - sum(abs(m) for m in masses[:k]) <= epsilon:
             return k
     return len(masses)
+
+
+# ---------------------------------------------------------------------
+# calculus that only tests use: the identities curl u = omega and
+# div u = 0, the 2/3 mask, and the closed-form vortex Jacobian
+# ---------------------------------------------------------------------
+
+def divergence(v):
+    """Spectral divergence of a VectorField (Nyquist mode dropped)."""
+    kd = _deriv_wavenumbers(v.grid)
+    dx = 1j * kd[:, None] * np.fft.fft2(v.x.values)
+    dy = 1j * kd[None, :] * np.fft.fft2(v.y.values)
+    return ScalarField(v.grid, np.fft.ifft2(dx + dy).real)
+
+
+def curl(v):
+    """Spectral scalar curl d(v_y)/dx - d(v_x)/dy."""
+    kd = _deriv_wavenumbers(v.grid)
+    c = (1j * kd[:, None] * np.fft.fft2(v.y.values)
+         - 1j * kd[None, :] * np.fft.fft2(v.x.values))
+    return ScalarField(v.grid, np.fft.ifft2(c).real)
+
+
+def curl_local(v):
+    """Scalar curl by the local stencil of field.divergence_local, which
+    does not see the wrap jump of a free-space velocity (except on the
+    outermost three rings, which callers exclude)."""
+    h = v.grid.h
+    return ScalarField(v.grid, _fd_derivative(v.y.values, 0, h)
+                       - _fd_derivative(v.x.values, 1, h))
+
+
+def dealias(f):
+    """Apply the 2/3-rule mask of the time-marching core to f."""
+    return ScalarField(f.grid, np.fft.ifft2(
+        _dealias_mask(f.grid) * np.fft.fft2(f.values)).real)
+
+
+def velocity_jacobian(x1, x2):
+    """Analytic Jacobian d v_i / d xi_j of the unit vortex velocity.
+
+    Returns (d1v1, d2v1, d1v2, d2v2).
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    s = x1**2 + x2**2
+    f = _ring_factor(s)
+    # derivative of the ring factor with respect to s
+    small = s < SERIES_CUTOFF_SQ
+    safe = np.where(small, 1.0, s)
+    df_full = (np.exp(-safe / 4.0) * (safe + 4.0) - 4.0) / (8.0 * np.pi * safe**2)
+    df_series = (-1.0 / 8.0 + s / 48.0) / (8.0 * np.pi)
+    df = np.where(small, df_series, df_full)
+    d1v1 = -x2 * df * 2.0 * x1
+    d2v1 = -f - x2 * df * 2.0 * x2
+    d1v2 = f + x1 * df * 2.0 * x1
+    d2v2 = x1 * df * 2.0 * x2
+    return d1v1, d2v1, d1v2, d2v2

@@ -76,6 +76,16 @@ def test_cli_nonfinite_flag_is_config_error():
                  "--basis", "16"]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--basis", "8", "--grid-n", "64"], ["--grid-n", "0"], ["--grid-n", "-4"],
+    ["--grid-n", "63"], ["--box-l", "-40"]],
+    ids=["basis-8", "grid-n-0", "grid-n-neg4", "grid-n-63", "box-l-neg40"])
+def test_cli_out_of_range_is_config_error(flags, capsys):
+    # rejected while the config is built, before any experiment runs
+    assert main(["spectrum", *flags]) == 1
+    assert "numerical failure" not in capsys.readouterr().err
+
+
 def test_cli_missing_config_file():
     assert main(["biot-savart-oracle", "/nonexistent/config"]) == 1
 

@@ -5,8 +5,8 @@ from scipy.optimize import linear_sum_assignment
 
 from oseen2d.diagnostics import (_assemble_coupling, bump,
                                  eigenvalue_multiplicity,
-                                 linearized_spectrum, localized_diffuse_norm,
-                                 localized_diffuse_series, oseen_distance,
+                                 linearized_spectrum, localized_diffuse_series,
+                                 oseen_distance,
                                  partition_of_unity, remainder_norms,
                                  solution_distance, total_l1_difference,
                                  write_contraction_csv, write_oseen_distance_csv,
@@ -162,25 +162,9 @@ def test_localized_diffuse_series_decay(grid256):
     u_vals = [r[2] for r in rows]
     assert w_vals[0] < w_vals[-1] / 5.0
     assert u_vals[0] < u_vals[-1] / 5.0
-
-
-def test_localized_diffuse_norm_requires_diffuse(run_single):
-    with pytest.raises(ModeError):
-        localized_diffuse_norm(run_single, 1, 4.0, 4.0)
-
-
-def test_localized_diffuse_norm_on_run(grid128):
-    mu = FiniteMeasure(atoms=(((0.0, 0.0), 1.0),),
-                       density=blob(grid128, 0.1, (3.0, 0.0), 0.5))
-    run = solve_cauchy(mu, 0.15, 0.05, 0.2, grid128)
-    rows = localized_diffuse_norm(run, 1, 4.0, 4.0)
-    assert len(rows) == len(run.trajectory.times)
-    assert all(v >= 0 for _, v, _ in rows)
-    with pytest.raises(ModeError):
-        localized_diffuse_norm(run, 2, 4.0, 4.0)
     with pytest.raises(DomainError):
         localized_diffuse_series(FiniteMeasure(), (0, 0), [0.1], 4.0, 1.5,
-                                 grid128)
+                                 grid256)
 
 
 # ------------------------------------------------------------------ spectrum

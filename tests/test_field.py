@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oseen2d.errors import DomainError, MarginError, MismatchError
-from oseen2d.field import (Grid, ScalarField, VectorField, curl, dealias,
-                           divergence, gradient, laplacian, lp_norm,
-                           project_mean_zero, read_field, require_boundary_decay,
-                           resample_affine, weighted_norm, write_field,
-                           write_norms_csv)
+from oseen2d.field import (Grid, ScalarField, VectorField, _fft2, _ifft2,
+                           gradient, laplacian, lp_norm, project_mean_zero,
+                           read_field, require_boundary_decay, resample_affine,
+                           weighted_norm, write_field, write_norms_csv)
 from oseen2d.oseen import gaussian_profile
 
-from oracles import (GAUSSIAN_L1, GAUSSIAN_L2, WEIGHTED_GAUSSIAN_L2_M3,
-                     gaussian, radial_weighted_l2)
+from oracles import (GAUSSIAN_L1, GAUSSIAN_L2, WEIGHTED_GAUSSIAN_L2_M3, curl,
+                     dealias, divergence, gaussian, radial_weighted_l2)
 
 
 def test_grid_validation():
@@ -57,10 +56,6 @@ def test_max_norm_is_largest_speed(grid128):
                     ScalarField(grid128, -4.0 * np.sin(yy + 1.0)))
     speed = np.hypot(v.x.values, v.y.values)
     assert abs(v.max_norm() - np.max(speed)) <= 4e-16 * np.max(speed)
-
-
-def test_spectrum_cache_matches_fft(gauss128):
-    assert np.allclose(gauss128.spectrum, np.fft.fft2(gauss128.values))
 
 
 def test_lp_norms_of_gaussian(gauss256):
@@ -108,14 +103,14 @@ def test_weighted_norm_rejects_nan_parameters(q, m, gauss128):
 def test_parseval(gauss128):
     f = gauss128
     n = f.grid.n
-    spectral = np.sum(np.abs(f.spectrum) ** 2) / n**2 * f.grid.cell_area
+    spectral = np.sum(np.abs(_fft2(f.values)) ** 2) / n**2 * f.grid.cell_area
     assert abs(lp_norm(f, 2) ** 2 - spectral) < 1e-10 * spectral
 
 
 def test_transform_round_trip(grid128):
     rng = np.random.default_rng(7)
     f = ScalarField(grid128, rng.standard_normal((128, 128)))
-    back = np.fft.ifft2(f.spectrum).real
+    back = _ifft2(_fft2(f.values)).real
     assert np.max(np.abs(back - f.values)) < 1e-12
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oseen2d.errors import DomainError, MarginError, MismatchError
-from oseen2d.field import Grid, ScalarField, lp_norm
+from oseen2d.field import Grid, ScalarField, _ksq, lp_norm
 from oseen2d.measure import (FiniteMeasure, atomic_norm, decompose,
                              heat_smooth, measure_hash, read_measure,
                              total_variation, write_measure)
@@ -127,6 +129,45 @@ def test_decompose_matches_enumeration_oracle():
         again = decompose(dec.remainder, eps)
         assert again.retained == ()
         assert again.M_pp <= eps
+
+
+_MASSES = st.lists(st.one_of(st.floats(-4.0, -1e-3), st.floats(1e-3, 4.0),
+                             st.sampled_from([0.1, 0.2, -0.3, 1.0])),
+                   max_size=8)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(masses=_MASSES, epsilon=st.floats(1e-18, 20.0))
+def test_decompose_matches_minimal_prefix(masses, epsilon):
+    mu = FiniteMeasure(atoms=tuple(((float(i), 0.0), m)
+                                   for i, m in enumerate(masses)))
+    dec = decompose(mu, epsilon)
+    assert len(dec.retained) == minimal_prefix([m for _, m in mu.atoms], epsilon)
+    assert atomic_norm(dec.remainder) <= epsilon
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_canonical_order_ignores_input_order(data):
+    # distinct cells, with repeated |mass| so the position tie-break is hit
+    cells = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                               unique=True, max_size=8))
+    masses = data.draw(st.lists(st.sampled_from([0.5, -0.5, 1.0, -2.0, 0.25]),
+                                min_size=len(cells), max_size=len(cells)))
+    atoms = [((float(x), float(y)), m) for (x, y), m in zip(cells, masses)]
+    shuffled = data.draw(st.permutations(atoms))
+    assert FiniteMeasure(atoms=tuple(shuffled)).atoms == FiniteMeasure(
+        atoms=tuple(atoms)).atoms
+
+
+def test_heat_smooth_density_transform_order(grid128):
+    # the density is smoothed by numpy's full complex transforms in their
+    # default pass order, which the A12 values depend on to the last bit
+    d = blob(grid128, 0.7, (1.0, -2.0), 0.8).values
+    t = 0.3
+    f = heat_smooth(FiniteMeasure(density=ScalarField(grid128, d)), t, grid128)
+    want = np.fft.ifft2(np.exp(-_ksq(grid128) * t) * np.fft.fft2(d)).real
+    assert np.array_equal(f.values, want)
 
 
 def test_heat_smooth_dirac_peak(grid128):

@@ -12,9 +12,9 @@ from oseen2d.field import (ScalarField, VectorField, _dealias_mask,
 from oseen2d.measure import FiniteMeasure, heat_smooth
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
 from oseen2d.propagators import (CFL_DEFAULT, DecayFit, StepperConfig, Trajectory,
-                                 advect_diffuse_step, background_velocity,
-                                 evolve_S1, evolve_T_alpha, fit_decay,
-                                 lawson_step, march, propagate_SN,
+                                 _require_divergence_free, background_velocity,
+                                 cfl_bound, evolve_S1, evolve_T_alpha,
+                                 fit_decay, lawson_step, march, propagate_SN,
                                  vortex_advection)
 from oseen2d.rng import band_limited_field
 from oseen2d.selfsim import semigroup_apply
@@ -23,6 +23,18 @@ from oseen2d.selfsim import semigroup_apply
 def heat_kernel_field(grid, t):
     xx, yy = grid.meshes()
     return ScalarField(grid, np.exp(-(xx**2 + yy**2) / (4 * t)) / (4 * np.pi * t))
+
+
+def prescribed_step(w, velocity_fn, t, dt):
+    """One fixed-dt lawson_step of dw/dt + div(U(t) w) = Lap(w)."""
+    def stage(values, s):
+        u = velocity_fn(s)
+        return (u.x.values * values, u.y.values * values), u.max_norm()
+
+    cfg, h = StepperConfig.fixed(dt), w.grid.h
+    out, _ = lawson_step(w, t, np.inf, stage, lambda speed, room: cfg.step(
+        lambda cfl: cfl_bound(cfl, h, speed), room))
+    return out
 
 
 def test_stepper_config_validation():
@@ -69,7 +81,7 @@ def test_pure_diffusion_is_exact(grid128):
     f = heat_kernel_field(grid128, t)
     zero = VectorField(grid128.zeros(), grid128.zeros())
     dt = 0.01
-    out = advect_diffuse_step(f, lambda s: zero, t, dt)
+    out = prescribed_step(f, lambda s: zero, t, dt)
     want = heat_kernel_field(grid128, t + dt)
     assert np.max(np.abs(out.values - want.values)) < 1e-10
 
@@ -79,7 +91,7 @@ def test_oseen_background_step_stays_on_solution(grid256):
     vtx = OseenVortex(1.0)
     t, dt = 1.0, 1e-3
     w, _ = oseen_fields(vtx, t, grid256)
-    out = advect_diffuse_step(
+    out = prescribed_step(
         w, lambda s: background_velocity([vtx], s, grid256), t, dt)
     want, _ = oseen_fields(vtx, t + dt, grid256)
     assert np.max(np.abs(out.values - want.values)) < 1e-8
@@ -87,7 +99,7 @@ def test_oseen_background_step_stays_on_solution(grid256):
 
 def test_step_zero_field(grid128):
     zero = VectorField(grid128.zeros(), grid128.zeros())
-    out = advect_diffuse_step(grid128.zeros(), lambda s: zero, 1.0, 0.01)
+    out = prescribed_step(grid128.zeros(), lambda s: zero, 1.0, 0.01)
     assert np.all(out.values == 0.0)
 
 
@@ -96,15 +108,15 @@ def test_stability_error(grid128, gauss128):
                        grid128.zeros())
     big_dt = grid128.h       # exceeds h / (2 max|U|) = h/2
     with pytest.raises(StabilityError):
-        advect_diffuse_step(gauss128, lambda s: ones, 1.0, big_dt)
+        prescribed_step(gauss128, lambda s: ones, 1.0, big_dt)
 
 
-def test_divergence_free_precondition(grid128, gauss128):
+def test_divergence_free_precondition(grid128):
     xx, yy = grid128.meshes()
     radial = VectorField(ScalarField(grid128, xx * gaussian_profile(xx, yy)),
                          ScalarField(grid128, yy * gaussian_profile(xx, yy)))
     with pytest.raises(DomainError):
-        advect_diffuse_step(gauss128, lambda s: radial, 1.0, 1e-3)
+        _require_divergence_free(radial)
 
 
 def test_propagate_no_vortices_is_heat(grid128):
