@@ -1,8 +1,8 @@
 """2D Navier-Stokes vorticity toolkit for measure-valued initial data."""
 
 from .errors import (CirculationError, ConvergenceError, DegenerateError,
-                     DomainError, MarginError, MismatchError, ModeError,
-                     Oseen2dError, StabilityError)
+                     DomainError, MarginError, MismatchError, Oseen2dError,
+                     StabilityError)
 from .field import Grid, ScalarField, VectorField, lp_norm, weighted_norm
 from .measure import (AtomicDecomposition, FiniteMeasure, atomic_norm,
                       decompose, heat_smooth, total_variation)
@@ -20,7 +20,7 @@ __all__ = [
     "StepperConfig", "Trajectory", "fit_decay",
     "VortexSystem", "SolverRun", "solve_cauchy",
     "Oseen2dError", "DomainError", "MarginError", "CirculationError",
-    "StabilityError", "DegenerateError", "ModeError", "MismatchError",
+    "StabilityError", "DegenerateError", "MismatchError",
     "ConvergenceError",
 ]
 

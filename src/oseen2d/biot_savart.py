@@ -160,24 +160,3 @@ def hls_ratio(omega: ScalarField, p: float) -> float:
     q = 2.0 * p / (2.0 - p)
     u = velocity_free_space(omega)
     return lp_norm(u.magnitude(), q) / denom
-
-
-def weighted_velocity_norm(omega: ScalarField, q: float, m: float) -> float:
-    """||b^(m - 2/q) u||_{L^q} with b = (1+|x|^2)^(1/2).
-
-    Admissible regimes: m in (0,1) for any omega, or m in (1,2) for
-    mean-zero omega.
-    """
-    if not (q > 2.0):
-        raise DomainError(f"weighted_velocity_norm needs q > 2, got {q}")
-    if not (0.0 < m < 2.0) or m == 1.0:
-        raise DomainError(f"weighted_velocity_norm needs m in (0,1) or (1,2), got {m}")
-    if m > 1.0 and not circulation_is_negligible(omega):
-        raise DomainError(
-            "weighted_velocity_norm with m in (1,2) needs mean-zero vorticity")
-    u = velocity_free_space(omega)
-    # the exponent m - 2/q may be negative (a decaying weight), so the
-    # plain weighted_norm precondition does not apply here
-    xx, yy = omega.grid.meshes()
-    w = (1.0 + xx**2 + yy**2) ** ((m - 2.0 / q) / 2.0)
-    return lp_norm(ScalarField(omega.grid, w * u.magnitude().values), q)

@@ -19,14 +19,17 @@ import argparse
 import math
 import os
 import sys
+import typing
 from dataclasses import fields as dc_fields
 
 from .diagnostics import MIN_BASIS
 from .errors import DomainError, Oseen2dError
 from .experiments import EXPERIMENTS, ExperimentConfig
 
-_FLOAT_KEYS = {"box_l", "t0", "t_end", "dt", "alpha", "epsilon", "m"}
-_INT_KEYS = {"grid_n", "seed", "basis"}
+# every config key with the type its values parse to (the optional floats
+# dt and epsilon parse as float); one flag per key, in field order
+_KEY_TYPES = {name: int if hint is int else float
+              for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
 class ConfigError(Exception):
@@ -53,31 +56,34 @@ def parse_config_file(path) -> dict:
 def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
     merged = dict(file_values)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
-    known = {f.name for f in dc_fields(ExperimentConfig)}
     updates = {}
     for key, value in merged.items():
         if key == "out":
             continue
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key: {key}")
         try:
-            if key in _INT_KEYS:
-                updates[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                updates[key] = float(value)
-                if not math.isfinite(updates[key]):
-                    raise ConfigError(f"{key} must be finite, got {value!r}")
-            else:
-                updates[key] = value
+            updates[key] = _KEY_TYPES[key](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
+        if not math.isfinite(updates[key]):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     cfg = ExperimentConfig(**updates)
     try:
         cfg.grid()
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.basis < MIN_BASIS:
-        raise ConfigError(f"basis must be >= {MIN_BASIS}, got {cfg.basis}")
+    for bad, message in (
+            (cfg.basis < MIN_BASIS, f"basis must be >= {MIN_BASIS}, got {cfg.basis}"),
+            (cfg.seed < 0, f"seed must be >= 0, got {cfg.seed}"),
+            (cfg.t0 <= 0, f"t0 must be > 0, got {cfg.t0}"),
+            (cfg.t_end <= cfg.t0, f"t_end must be > t0 = {cfg.t0}, got {cfg.t_end}"),
+            (cfg.dt is not None and cfg.dt <= 0, f"dt must be > 0, got {cfg.dt}"),
+            (cfg.epsilon is not None and cfg.epsilon <= 0,
+             f"epsilon must be > 0, got {cfg.epsilon}"),
+            (cfg.m < 0, f"m must be >= 0, got {cfg.m}")):
+        if bad:
+            raise ConfigError(message)
     return cfg
 
 
@@ -104,16 +110,8 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", nargs="?", choices=sorted(EXPERIMENTS))
     parser.add_argument("config", nargs="?", help="flat key = value file")
     parser.add_argument("--out", help="output directory for artifacts")
-    parser.add_argument("--grid-n", dest="grid_n", type=int)
-    parser.add_argument("--box-l", dest="box_l", type=float)
-    parser.add_argument("--t0", type=float)
-    parser.add_argument("--t-end", dest="t_end", type=float)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--m", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--basis", type=int)
+    for key, kind in _KEY_TYPES.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
     try:
         args = parser.parse_args(argv)
@@ -129,9 +127,7 @@ def main(argv=None) -> int:
 
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        flag_values = {k: getattr(args, k) for k in
-                       ("grid_n", "box_l", "t0", "t_end", "dt", "alpha",
-                        "epsilon", "m", "seed", "basis")}
+        flag_values = {key: getattr(args, key) for key in _KEY_TYPES}
         cfg = build_config(file_values, flag_values)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

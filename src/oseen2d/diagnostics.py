@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .biot_savart import velocity_free_space
-from .errors import ConvergenceError, DomainError, MismatchError, ModeError
+from .errors import ConvergenceError, DomainError, MismatchError
 from .field import Grid, ScalarField, lp_norm, weighted_norm
 from .measure import FiniteMeasure, heat_smooth
 from .oseen import OseenVortex, gaussian_profile, oseen_vorticity, velocity_profile
@@ -106,14 +106,8 @@ class ContractionSeries:
         return self.running_max[-1]
 
 
-def _require_decomposed(run: SolverRun):
-    if run.mode != "decomposed" or run.decomposition is None:
-        raise ModeError("diagnostic needs a decomposed-mode run")
-
-
 def remainder_norms(run: SolverRun, m: float) -> ContractionSeries:
     """Running suprema of the attributed remainder norms along a run."""
-    _require_decomposed(run)
     grid = run.grid
     chis = partition_of_unity(grid, [v.z for v in run.backgrounds],
                               run.decomposition.d)
@@ -141,17 +135,12 @@ def _running(times, rows) -> ContractionSeries:
                              running_max=tuple(overall))
 
 
-def solution_distance(runA: SolverRun, runB: SolverRun, m: float,
-                      include_l1: bool = False) -> ContractionSeries:
+def solution_distance(runA: SolverRun, runB: SolverRun, m: float) -> ContractionSeries:
     """Running suprema of the per-part distances between two runs.
 
     The runs must share snapshot times and background centers.  A run on a
-    nested finer grid is restricted to the coarser one.  With
-    ``include_l1`` the diffuse part also carries the plain L^1 distance
-    (the variant used for continuity in the initial data).
+    nested finer grid is restricted to the coarser one.
     """
-    _require_decomposed(runA)
-    _require_decomposed(runB)
     ta, tb = runA.trajectory.times, runB.trajectory.times
     if len(ta) != len(tb) or any(abs(a - b) > 1e-10 * max(a, 1.0)
                                  for a, b in zip(ta, tb)):
@@ -172,8 +161,6 @@ def solution_distance(runA: SolverRun, runB: SolverRun, m: float,
     for t, wa, wb in zip(ta, frames(runA), frames(runB)):
         diff0 = ScalarField(coarse, chis[0] * (wa.values - wb.values))
         row = [t**0.25 * lp_norm(diff0, 4.0 / 3.0)]
-        if include_l1:
-            row[0] += lp_norm(ScalarField(coarse, wa.values - wb.values), 1)
         for chi, vA, vB in zip(chis[1:], runA.backgrounds, runB.backgrounds):
             pa = ScalarField(coarse, chi * wa.values / vA.alpha)
             pb = ScalarField(coarse, chi * wb.values / vB.alpha)

@@ -29,10 +29,6 @@ class DegenerateError(Oseen2dError):
     """A fit or measurement has no usable signal (noise floor, too few samples)."""
 
 
-class ModeError(Oseen2dError):
-    """A diagnostic was asked for on a run that lacks the required mode/data."""
-
-
 class MismatchError(Oseen2dError):
     """Two objects that must share grid/times/centers do not."""
 

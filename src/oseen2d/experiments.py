@@ -259,12 +259,12 @@ def s1_decay(cfg: ExperimentConfig, out=None) -> list[Assertion]:
     return records
 
 
-def spectrum(cfg: ExperimentConfig, out=None,
-             alphas=(0.0, 1.0, 10.0, 100.0)) -> list[Assertion]:
+def spectrum(cfg: ExperimentConfig, out=None) -> list[Assertion]:
     """A9: spectrum of the linearization about the Gaussian profile."""
     grid = cfg.grid()
+    alphas = (0.0, 1.0, 10.0, 100.0)
     if cfg.alpha not in alphas:
-        alphas = tuple(alphas) + (cfg.alpha,)
+        alphas += (cfg.alpha,)
     records = []
     reports = []
     rep0 = linearized_spectrum(0.0, cfg.basis, mean_zero=True, grid=grid)
@@ -402,8 +402,7 @@ def uniqueness_shadow(cfg: ExperimentConfig, out=None) -> list[Assertion]:
     runs = []
     for n, dt in levels:
         runs.append(solve_cauchy(mu, 0.1, t0, t_end, Grid(n, cfg.box_l),
-                                 StepperConfig.fixed(dt),
-                                 remainder_velocity="periodic"))
+                                 StepperConfig.fixed(dt)))
     d_coarse = solution_distance(runs[0], runs[1], cfg.m)
     d_fine = solution_distance(runs[1], runs[2], cfg.m)
     shrink = d_coarse.final / max(d_fine.final, 1e-300)

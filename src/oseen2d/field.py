@@ -333,18 +333,17 @@ def _interp_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:
     return D
 
 
-def resample_affine(f: ScalarField, scale: float, center: tuple[float, float] = (0.0, 0.0),
-                    out_grid: Grid | None = None) -> ScalarField:
+def resample_affine(f: ScalarField, scale: float,
+                    center: tuple[float, float] = (0.0, 0.0)) -> ScalarField:
     """Evaluate the trigonometric interpolant of f at scale*x + center.
 
-    Returns g with g(x) = f(scale * x + center), sampled on out_grid
-    (default: the grid of f), zero beyond the box of f.
+    Returns g with g(x) = f(scale * x + center), sampled on the grid of f,
+    zero beyond the box of f.
     """
-    out_grid = out_grid or f.grid
-    x = out_grid.coords()
+    x = f.grid.coords()
     Dx = _interp_matrix(f.grid, scale * x + center[0])
     Dy = _interp_matrix(f.grid, scale * x + center[1])
-    return ScalarField(out_grid, Dx @ f.values @ Dy.T)
+    return ScalarField(f.grid, Dx @ f.values @ Dy.T)
 
 
 def require_boundary_decay(f: ScalarField, what: str, tol: float = BOUNDARY_DECAY_TOL):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .field import Grid, ScalarField, VectorField, laplacian, require_boundary_decay
+from .field import Grid, ScalarField, VectorField
 
 # |xi| below which the velocity profile switches to its power series.
 SERIES_CUTOFF_SQ = 1e-8  # (1e-4)^2 on |xi|^2
@@ -41,12 +41,6 @@ class OseenVortex:
 def gaussian_profile(x1, x2):
     """G at the point(s) (x1, x2)."""
     return np.exp(-(np.asarray(x1) ** 2 + np.asarray(x2) ** 2) / 4.0) / (4.0 * np.pi)
-
-
-def gaussian_gradient(x1, x2):
-    """Analytic gradient of G: grad G = -(xi/2) G."""
-    g = gaussian_profile(x1, x2)
-    return -0.5 * np.asarray(x1) * g, -0.5 * np.asarray(x2) * g
 
 
 def _ring_factor(s):
@@ -93,15 +87,6 @@ def oseen_velocity(v: OseenVortex, t: float, x1, x2):
     return (v.alpha / rt) * u1, (v.alpha / rt) * u2
 
 
-def oseen_vorticity_gradient(v: OseenVortex, t: float, x1, x2):
-    """Analytic gradient of the vortex vorticity field."""
-    rt = np.sqrt(t)
-    g1, g2 = gaussian_gradient((np.asarray(x1) - v.z[0]) / rt,
-                               (np.asarray(x2) - v.z[1]) / rt)
-    c = v.alpha / t**1.5
-    return c * g1, c * g2
-
-
 def oseen_fields(v: OseenVortex, t: float, grid: Grid) -> tuple[ScalarField, VectorField]:
     """Sample the vortex vorticity and velocity on a grid."""
     xx, yy = grid.meshes()
@@ -113,28 +98,3 @@ def oseen_fields(v: OseenVortex, t: float, grid: Grid) -> tuple[ScalarField, Vec
 def oseen_max_speed(v: OseenVortex, t: float) -> float:
     """Exact maximum |u| of the vortex at time t."""
     return abs(v.alpha) / np.sqrt(t) * VELOCITY_PROFILE_MAX
-
-
-def oseen_residual(v: OseenVortex, t: float, grid: Grid) -> float:
-    """Max norm of d/dt omega - Lap(omega) + u . grad(omega) on the grid.
-
-    The time derivative and the advection term are analytic; the Laplacian
-    is spectral.  A near-zero residual certifies that the sampled
-    background solves the vorticity equation on this grid.
-    """
-    if not (t > 0):
-        raise DomainError(f"oseen_residual needs t > 0, got {t}")
-    xx, yy = grid.meshes()
-    w = ScalarField(grid, oseen_vorticity(v, t, xx, yy))
-    require_boundary_decay(w, "oseen_residual")
-    rt = np.sqrt(t)
-    xi1 = (xx - v.z[0]) / rt
-    xi2 = (yy - v.z[1]) / rt
-    g = gaussian_profile(xi1, xi2)
-    # d/dt [alpha/t G(x/sqrt t)] = -(alpha/t^2) G (1 - |xi|^2/4)
-    dt_w = -(v.alpha / t**2) * g * (1.0 - (xi1**2 + xi2**2) / 4.0)
-    lap = laplacian(w).values
-    u1, u2 = oseen_velocity(v, t, xx, yy)
-    gw1, gw2 = oseen_vorticity_gradient(v, t, xx, yy)
-    advection = u1 * gw1 + u2 * gw2
-    return float(np.max(np.abs(dt_w - lap + advection)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .field import (Grid, ScalarField, _fft2, _ifft2, _ksq, gradient, laplacian,
+from .field import (ScalarField, _fft2, _ifft2, _ksq, gradient,
                     require_boundary_decay, resample_affine)
 
 # Below this tau the quadrature kernel is thinner than the grid; the
@@ -52,51 +52,37 @@ class SelfSimilarFrame:
         return SelfSimilarFrame(center=center, tau=float(np.log(t)))
 
 
-def to_self_similar(omega: ScalarField, frame: SelfSimilarFrame,
-                    out_grid: Grid | None = None) -> ScalarField:
+def to_self_similar(omega: ScalarField, frame: SelfSimilarFrame) -> ScalarField:
     """w(xi) = t * omega(z + xi sqrt(t)) by trigonometric interpolation."""
     t = frame.t
     rt = np.sqrt(t)
-    out_grid = out_grid or omega.grid
-    _check_rescale_margin(omega, rt, frame.center, out_grid, "to_self_similar")
-    w = resample_affine(omega, rt, frame.center, out_grid)
+    _check_rescale_margin(omega, rt, frame.center, "to_self_similar")
+    w = resample_affine(omega, rt, frame.center)
     return t * w
 
 
-def from_self_similar(w: ScalarField, frame: SelfSimilarFrame,
-                      out_grid: Grid | None = None) -> ScalarField:
+def from_self_similar(w: ScalarField, frame: SelfSimilarFrame) -> ScalarField:
     """omega(x) = (1/t) w((x - z)/sqrt(t)), inverse of to_self_similar."""
     t = frame.t
     rt = np.sqrt(t)
-    out_grid = out_grid or w.grid
-    _check_rescale_margin(w, 1.0 / rt, (-frame.center[0] / rt, -frame.center[1] / rt),
-                          out_grid, "from_self_similar")
-    omega = resample_affine(w, 1.0 / rt, (-frame.center[0] / rt, -frame.center[1] / rt),
-                            out_grid)
+    center = (-frame.center[0] / rt, -frame.center[1] / rt)
+    _check_rescale_margin(w, 1.0 / rt, center, "from_self_similar")
+    omega = resample_affine(w, 1.0 / rt, center)
     return (1.0 / t) * omega
 
 
-def _check_rescale_margin(f: ScalarField, scale: float, center, out_grid: Grid, what: str):
+def _check_rescale_margin(f: ScalarField, scale: float, center, what: str):
     """The source must be negligible wherever the resampling cuts it off.
 
-    Resampling evaluates f at scale*x + center for x in the output box and
-    zero-extends beyond the source box.  If every evaluation point stays
-    inside the source box nothing is cut and no decay is needed; otherwise
-    the source must be negligible at its own boundary.
+    Resampling evaluates f at scale*x + center for x in the box of f and
+    zero-extends beyond it.  If every evaluation point stays inside the
+    box nothing is cut and no decay is needed; otherwise f must be
+    negligible at its boundary.
     """
-    reach = abs(scale) * 0.5 * out_grid.box_size + max(abs(center[0]), abs(center[1]))
+    reach = abs(scale) * 0.5 * f.grid.box_size + max(abs(center[0]), abs(center[1]))
     if reach <= 0.5 * f.grid.box_size:
         return
     require_boundary_decay(f, what)
-
-
-def apply_fokker_planck(w: ScalarField) -> ScalarField:
-    """Lap(w) + (xi/2) . grad(w) + w with spectral derivatives."""
-    require_boundary_decay(w, "apply_fokker_planck")
-    xx, yy = w.grid.meshes()
-    g = gradient(w)
-    drift = 0.5 * (xx * g.x.values + yy * g.y.values)
-    return ScalarField(w.grid, laplacian(w).values + drift + w.values)
 
 
 def _semigroup_quadrature(tau: float, f: ScalarField) -> ScalarField:

@@ -41,6 +41,7 @@ from .propagators import (StepperConfig, Trajectory, background_cfl_bound,
                           vortex_advection)
 
 L1_BOUND_REL_TOL = 1e-6
+SNAPSHOTS_PER_DECADE = 16
 
 # Stepper states near t0 carry aliasing-level ringing at the boundary
 # (the backgrounds are only marginally resolved there); it is orders of
@@ -104,15 +105,15 @@ def initialize_from_measure(mu: FiniteMeasure, epsilon: float, t0: float,
 # decomposed stepping
 # ---------------------------------------------------------------------
 
-def _remainder_velocity(wf: ScalarField, method: str):
-    """The one velocity router: by circulation unless a method is forced."""
-    if method == "free_space" or (method != "periodic"
-                                  and not circulation_is_negligible(wf)):
-        return velocity_free_space(wf, boundary_tol=SOLVER_BOUNDARY_TOL)
-    return velocity_periodic(wf)
+def _remainder_velocity(wf: ScalarField):
+    """The one velocity router: periodic inversion for a remainder of
+    negligible circulation, free-space convolution otherwise."""
+    if circulation_is_negligible(wf):
+        return velocity_periodic(wf)
+    return velocity_free_space(wf, boundary_tol=SOLVER_BOUNDARY_TOL)
 
 
-def _decomposed_stage(backgrounds, grid: Grid, velocity_method: str):
+def _decomposed_stage(backgrounds, grid: Grid):
     """Stage function of the remainder equation: the flux
     u w~ + sum_i (u - u_i) w_i and the speed of the remainder velocity.
 
@@ -124,7 +125,7 @@ def _decomposed_stage(backgrounds, grid: Grid, velocity_method: str):
     def stage(w, t):
         fields = background_fields(backgrounds, t, grid)
         if np.any(w):
-            ut = _remainder_velocity(ScalarField._owned(grid, w), velocity_method)
+            ut = _remainder_velocity(ScalarField._owned(grid, w))
             ut1, ut2, speed = ut.x.values, ut.y.values, ut.max_norm()
         else:
             ut1 = ut2 = np.zeros_like(w)
@@ -154,21 +155,17 @@ def decomposed_dt(sys: VortexSystem, cfg: StepperConfig, remainder_speed: float,
         cfl_bound(cfl, grid.h, remainder_speed)), room, sys.t / 50.0)
 
 
-def step_decomposed(sys: VortexSystem, cfg: StepperConfig, t_stop: float = np.inf,
-                    velocity_method: str = "auto") -> VortexSystem:
+def step_decomposed(sys: VortexSystem, cfg: StepperConfig,
+                    t_stop: float = np.inf) -> VortexSystem:
     """Advance the remainder by one integrating-factor RK4 step, ending no
     later than t_stop, with the step size from decomposed_dt.
 
     Backgrounds advance only through t -> t + dt inside their formulas.
     The remainder velocity routes by circulation (periodic inversion for
-    mean-zero remainders, free-space otherwise); "periodic" or
-    "free_space" force one method, and any other name than these and
-    "auto" raises DomainError.
+    mean-zero remainders, free-space otherwise).
     """
-    if velocity_method not in ("auto", "periodic", "free_space"):
-        raise DomainError(f"unknown velocity method {velocity_method!r}")
     grid = sys.remainder.grid
-    stage = _decomposed_stage(sys.backgrounds, grid, velocity_method)
+    stage = _decomposed_stage(sys.backgrounds, grid)
     remainder, t = lawson_step(
         sys.remainder, sys.t, t_stop, stage,
         lambda speed, room: decomposed_dt(sys, cfg, speed, room))
@@ -176,12 +173,11 @@ def step_decomposed(sys: VortexSystem, cfg: StepperConfig, t_stop: float = np.in
 
 
 def evolve_system(sys: VortexSystem, stops, cfg: StepperConfig,
-                  velocity_method: str = "auto", on_stop=None) -> VortexSystem:
+                  on_stop=None) -> VortexSystem:
     """March sys through each stop time in turn, one step_decomposed call
     per step; ``on_stop(t, remainder)`` sees the start and every stop."""
     def advance(w, t, stop):
-        nxt = step_decomposed(VortexSystem(sys.backgrounds, w, t), cfg, stop,
-                              velocity_method)
+        nxt = step_decomposed(VortexSystem(sys.backgrounds, w, t), cfg, stop)
         return nxt.remainder, nxt.t
 
     remainder, t = march(sys.remainder, sys.t, stops, advance, on_stop)
@@ -196,10 +192,9 @@ def evolve_system(sys: VortexSystem, stops, cfg: StepperConfig,
 class SolverRun:
     """A completed Cauchy-problem run with its snapshot trajectory."""
 
-    mode: str
     grid: Grid
     measure: FiniteMeasure
-    decomposition: AtomicDecomposition | None
+    decomposition: AtomicDecomposition
     epsilon: float
     t0: float
     t_end: float
@@ -214,7 +209,6 @@ class SolverRun:
     def write_manifest(self, directory) -> None:
         os.makedirs(directory, exist_ok=True)
         lines = {
-            "mode": self.mode,
             "grid_n": self.grid.n,
             "box_l": self.grid.box_size,
             "epsilon": self.epsilon,
@@ -238,10 +232,8 @@ def snapshot_schedule(t0: float, t_end: float, per_decade: int) -> list[float]:
 
 def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
                  grid: Grid, cfg: StepperConfig | None = None,
-                 snapshots_per_decade: int = 16,
-                 l1_check_tol: float = 1e-3,
-                 remainder_velocity: str = "auto") -> SolverRun:
-    """Decompose, initialize at t0, and march to t_end in decomposed mode.
+                 l1_check_tol: float = 1e-3) -> SolverRun:
+    """Decompose, initialize at t0, and march to t_end.
 
     Records remainder snapshots on a geometric schedule and checks the
     measure-data a priori bound |omega(t)|_L1 <= |mu| at every snapshot.
@@ -256,10 +248,10 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
     cfg = cfg or StepperConfig.courant()
     sys, dec = initialize_from_measure(mu, epsilon, t0, grid)
     tv = total_variation(mu)
-    schedule = snapshot_schedule(t0, t_end, snapshots_per_decade)
+    schedule = snapshot_schedule(t0, t_end, SNAPSHOTS_PER_DECADE)
     traj = Trajectory(time_label="t")
-    run = SolverRun(mode="decomposed", grid=grid, measure=mu,
-                    decomposition=dec, epsilon=epsilon, t0=t0, t_end=t_end,
+    run = SolverRun(grid=grid, measure=mu, decomposition=dec,
+                    epsilon=epsilon, t0=t0, t_end=t_end,
                     backgrounds=sys.backgrounds, trajectory=traj)
 
     def record(t: float, remainder: ScalarField):
@@ -278,7 +270,7 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
             "sqrt_t_umax": np.sqrt(t) * state.total_velocity().max_norm(),
         })
 
-    evolve_system(sys, schedule, cfg, remainder_velocity, record)
+    evolve_system(sys, schedule, cfg, record)
     return run
 
 

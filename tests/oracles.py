@@ -5,19 +5,25 @@ The frozen constants below were produced by these oracle functions; the
 cheap ones are re-derived at test time, the expensive 2D quadratures are
 frozen with the generating function kept here for regeneration.
 
-The last section holds the vector calculus that only tests call (curl,
-divergence, the 2/3 mask, the vortex Jacobian); it builds on the grid's
-own wavenumbers, mask and stencil, so the identities it checks are the
-ones the package relies on.
+The last two sections hold what only tests call: the vector calculus
+(curl, divergence, the 2/3 mask, the vortex Jacobian), which builds on the
+grid's own wavenumbers, mask and stencil, so the identities it checks are
+the ones the package relies on; and the checks built on the package's
+operators (the drift-diffusion generator, the vortex residual and the
+weighted velocity norm).
 """
 
 import numpy as np
 import scipy.linalg
 from scipy import integrate
 
-from oseen2d.field import (ScalarField, _dealias_mask, _deriv_wavenumbers,
-                           _fd_derivative)
-from oseen2d.oseen import SERIES_CUTOFF_SQ, _ring_factor
+from oseen2d.biot_savart import circulation_is_negligible, velocity_free_space
+from oseen2d.errors import DomainError
+from oseen2d.field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
+                           _fd_derivative, gradient, laplacian, lp_norm,
+                           require_boundary_decay)
+from oseen2d.oseen import (SERIES_CUTOFF_SQ, OseenVortex, _ring_factor,
+                           gaussian_profile, oseen_velocity, oseen_vorticity)
 
 
 def gaussian(r):
@@ -159,3 +165,79 @@ def velocity_jacobian(x1, x2):
     d1v2 = f + x1 * df * 2.0 * x1
     d2v2 = x1 * df * 2.0 * x2
     return d1v1, d2v1, d1v2, d2v2
+
+
+# ---------------------------------------------------------------------
+# checks that only tests use: the drift-diffusion generator, the residual
+# of a sampled vortex in the vorticity equation, and the weighted velocity
+# norm of the Biot-Savart inequalities
+# ---------------------------------------------------------------------
+
+def apply_fokker_planck(w: ScalarField) -> ScalarField:
+    """Lap(w) + (xi/2) . grad(w) + w with spectral derivatives."""
+    require_boundary_decay(w, "apply_fokker_planck")
+    xx, yy = w.grid.meshes()
+    g = gradient(w)
+    drift = 0.5 * (xx * g.x.values + yy * g.y.values)
+    return ScalarField(w.grid, laplacian(w).values + drift + w.values)
+
+
+def gaussian_gradient(x1, x2):
+    """Analytic gradient of G: grad G = -(xi/2) G."""
+    g = gaussian_profile(x1, x2)
+    return -0.5 * np.asarray(x1) * g, -0.5 * np.asarray(x2) * g
+
+
+def oseen_vorticity_gradient(v: OseenVortex, t: float, x1, x2):
+    """Analytic gradient of the vortex vorticity field."""
+    rt = np.sqrt(t)
+    g1, g2 = gaussian_gradient((np.asarray(x1) - v.z[0]) / rt,
+                               (np.asarray(x2) - v.z[1]) / rt)
+    c = v.alpha / t**1.5
+    return c * g1, c * g2
+
+
+def oseen_residual(v: OseenVortex, t: float, grid: Grid) -> float:
+    """Max norm of d/dt omega - Lap(omega) + u . grad(omega) on the grid.
+
+    The time derivative and the advection term are analytic; the Laplacian
+    is spectral.  A near-zero residual certifies that the sampled
+    background solves the vorticity equation on this grid.
+    """
+    if not (t > 0):
+        raise DomainError(f"oseen_residual needs t > 0, got {t}")
+    xx, yy = grid.meshes()
+    w = ScalarField(grid, oseen_vorticity(v, t, xx, yy))
+    require_boundary_decay(w, "oseen_residual")
+    rt = np.sqrt(t)
+    xi1 = (xx - v.z[0]) / rt
+    xi2 = (yy - v.z[1]) / rt
+    g = gaussian_profile(xi1, xi2)
+    # d/dt [alpha/t G(x/sqrt t)] = -(alpha/t^2) G (1 - |xi|^2/4)
+    dt_w = -(v.alpha / t**2) * g * (1.0 - (xi1**2 + xi2**2) / 4.0)
+    lap = laplacian(w).values
+    u1, u2 = oseen_velocity(v, t, xx, yy)
+    gw1, gw2 = oseen_vorticity_gradient(v, t, xx, yy)
+    advection = u1 * gw1 + u2 * gw2
+    return float(np.max(np.abs(dt_w - lap + advection)))
+
+
+def weighted_velocity_norm(omega: ScalarField, q: float, m: float) -> float:
+    """||b^(m - 2/q) u||_{L^q} with b = (1+|x|^2)^(1/2).
+
+    Admissible regimes: m in (0,1) for any omega, or m in (1,2) for
+    mean-zero omega.
+    """
+    if not (q > 2.0):
+        raise DomainError(f"weighted_velocity_norm needs q > 2, got {q}")
+    if not (0.0 < m < 2.0) or m == 1.0:
+        raise DomainError(f"weighted_velocity_norm needs m in (0,1) or (1,2), got {m}")
+    if m > 1.0 and not circulation_is_negligible(omega):
+        raise DomainError(
+            "weighted_velocity_norm with m in (1,2) needs mean-zero vorticity")
+    u = velocity_free_space(omega)
+    # the exponent m - 2/q may be negative (a decaying weight), so the
+    # plain weighted_norm precondition does not apply here
+    xx, yy = omega.grid.meshes()
+    w = (1.0 + xx**2 + yy**2) ** ((m - 2.0 / q) / 2.0)
+    return lp_norm(ScalarField(omega.grid, w * u.magnitude().values), q)

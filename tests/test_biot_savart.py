@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from oseen2d.biot_savart import (KERNEL_H4_CONSTANT, _free_space_multiplier,
                                  _periodic_multiplier, hls_ratio,
-                                 velocity_free_space, velocity_periodic,
-                                 weighted_velocity_norm)
+                                 velocity_free_space, velocity_periodic)
 from oseen2d.errors import CirculationError, DomainError, MarginError
 from oseen2d.field import (Grid, ScalarField, VectorField, _deriv_wavenumbers,
                            _irfft2, _ksq, _rfft2, divergence_local,
@@ -18,7 +17,7 @@ from oseen2d.solver import _remainder_velocity
 
 from oracles import (HLS_RATIO_GAUSSIAN_PLANE, WEIGHTED_VELOCITY_DX_GAUSSIAN,
                      curl, curl_local, divergence, padded_route,
-                     velocity_jacobian)
+                     velocity_jacobian, weighted_velocity_norm)
 
 # grid values at (n=256, L=40), pinned after the first oracle-checked run
 HLS_RATIO_GAUSSIAN_GRID = 0.31684475268865353
@@ -262,9 +261,9 @@ def test_far_field_truncation_order():
 
 def test_velocity_router(gauss256, dx_gauss256):
     # nonzero circulation routes to free space, mean-zero to periodic
-    u_free = _remainder_velocity(gauss256, "auto")
+    u_free = _remainder_velocity(gauss256)
     assert (u_free - velocity_free_space(gauss256)).max_norm() == 0.0
-    u_per = _remainder_velocity(dx_gauss256, "auto")
+    u_per = _remainder_velocity(dx_gauss256)
     assert (u_per - velocity_periodic(dx_gauss256)).max_norm() == 0.0
 
 

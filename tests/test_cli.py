@@ -76,13 +76,22 @@ def test_cli_nonfinite_flag_is_config_error():
                  "--basis", "16"]) == 1
 
 
-@pytest.mark.parametrize("flags", [
-    ["--basis", "8", "--grid-n", "64"], ["--grid-n", "0"], ["--grid-n", "-4"],
-    ["--grid-n", "63"], ["--box-l", "-40"]],
-    ids=["basis-8", "grid-n-0", "grid-n-neg4", "grid-n-63", "box-l-neg40"])
-def test_cli_out_of_range_is_config_error(flags, capsys):
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--basis", "8", "--grid-n", "64"], ["spectrum", "--grid-n", "0"],
+    ["spectrum", "--grid-n", "-4"], ["spectrum", "--grid-n", "63"],
+    ["spectrum", "--box-l", "-40"],
+    ["commutation", "--seed", "-1", "--grid-n", "16"],
+    ["two-vortex", "--epsilon", "-1", "--grid-n", "64"],
+    ["two-vortex", "--t0", "-1", "--grid-n", "64"],
+    ["s1-decay", "--dt", "-1", "--grid-n", "16"],
+    ["semigroup-kernel", "--m", "-1", "--grid-n", "16"],
+    ["oseen-exact", "--t-end", "0.001", "--grid-n", "64"]],
+    ids=["basis-8", "grid-n-0", "grid-n-neg4", "grid-n-63", "box-l-neg40",
+         "seed-neg1", "epsilon-neg1", "t0-neg1", "dt-neg1", "m-neg1",
+         "t-end-below-t0"])
+def test_cli_out_of_range_is_config_error(argv, capsys):
     # rejected while the config is built, before any experiment runs
-    assert main(["spectrum", *flags]) == 1
+    assert main(argv) == 1
     assert "numerical failure" not in capsys.readouterr().err
 
 

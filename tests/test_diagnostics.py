@@ -11,7 +11,7 @@ from oseen2d.diagnostics import (_assemble_coupling, bump,
                                  solution_distance, total_l1_difference,
                                  write_contraction_csv, write_oseen_distance_csv,
                                  write_plot_script, write_spectrum_csv)
-from oseen2d.errors import DomainError, MismatchError, ModeError
+from oseen2d.errors import DomainError, MismatchError
 from oseen2d.field import Grid, ScalarField
 from oseen2d.measure import FiniteMeasure
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
@@ -117,13 +117,6 @@ def test_remainder_norms_density_only(run_density):
     assert np.all(np.diff(series.running_max) >= 0.0)
 
 
-def test_remainder_norms_needs_decomposition(run_single):
-    import dataclasses
-    broken = dataclasses.replace(run_single, mode="direct")
-    with pytest.raises(ModeError):
-        remainder_norms(broken, 3.0)
-
-
 # -------------------------------------------------------- solution distance
 
 def test_solution_distance_self_is_zero(run_single):
@@ -146,7 +139,7 @@ def test_solution_distance_perturbed_density(grid128):
     pert = base + blob(grid128, 1e-3, (0.5, -0.5), 0.8)
     runB = solve_cauchy(FiniteMeasure(atoms=atoms, density=pert),
                         0.15, 0.05, 0.2, grid128)
-    series = solution_distance(runA, runB, 3.0, include_l1=True)
+    series = solution_distance(runA, runB, 3.0)
     assert 0.0 < series.final < 0.1
     diffs = total_l1_difference(runA, runB)
     assert np.max(diffs) < 10.0 * 1e-3    # response comparable to the input

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oseen2d.errors import DomainError, MarginError, MismatchError
 from oseen2d.field import (Grid, ScalarField, VectorField, _fft2, _ifft2,
@@ -253,6 +254,27 @@ def test_field_file_round_trip(tmp_path, gauss128):
     raw = path.read_bytes()
     assert raw[:4] == b"FLD2"
     assert len(raw) == 4 + 8 + 8 + 8 * 128 * 128
+
+
+def test_field_file_round_trip_property(tmp_path):
+    # any finite samples (signed zeros and subnormals included) and any
+    # admissible box come back bit for bit
+    path = tmp_path / "field.fld"
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(n=st.sampled_from([16, 32]),
+           L=st.floats(1e-3, 1e6, allow_subnormal=False),
+           data=st.data())
+    def check(n, L, data):
+        values = data.draw(arrays(np.float64, (n, n), elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+        f = ScalarField(Grid(n, L), values)
+        write_field(f, path)
+        back = read_field(path)
+        assert back.grid == f.grid
+        assert back.values.tobytes() == f.values.tobytes()
+
+    check()
 
 
 def test_read_field_rejects_truncated_or_trailing_bytes(tmp_path):

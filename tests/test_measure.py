@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oseen2d.errors import DomainError, MarginError, MismatchError
 from oseen2d.field import Grid, ScalarField, _ksq, lp_norm
@@ -239,6 +240,31 @@ def test_measure_file_round_trip(tmp_path, grid128):
     text = path.read_text().splitlines()
     assert text[0] == "measure v1"
     assert text[1].startswith("atom ")
+
+
+def test_measure_file_round_trip_property(tmp_path):
+    # atoms at distinct finite positions with finite nonzero masses, plus a
+    # density of finite samples, come back bit for bit
+    path = tmp_path / "mu.measure"
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    atom = st.tuples(st.tuples(finite, finite), finite.filter(bool))
+
+    def bits(atoms):
+        return np.array([(x, y, m) for (x, y), m in atoms]).tobytes()
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(atoms=st.lists(atom, max_size=6, unique_by=lambda a: a[0]),
+           values=arrays(np.float64, (16, 16), elements=finite))
+    def check(atoms, values):
+        mu = FiniteMeasure(atoms=tuple(atoms),
+                           density=ScalarField(Grid(16, 8.0), values))
+        write_measure(mu, path, density_path=tmp_path / "density.fld")
+        back = read_measure(path)
+        assert bits(back.atoms) == bits(mu.atoms)
+        assert back.density.grid == mu.density.grid
+        assert back.density.values.tobytes() == values.tobytes()
+
+    check()
 
 
 def test_measure_file_density_path_is_relative_to_file(tmp_path, grid128, monkeypatch):

@@ -3,11 +3,11 @@ import pytest
 
 from oseen2d.errors import DomainError
 from oseen2d.field import Grid
-from oseen2d.oseen import (OseenVortex, gaussian_gradient, gaussian_profile,
-                           oseen_fields, oseen_max_speed, oseen_residual,
-                           oseen_velocity, oseen_vorticity, velocity_profile)
+from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
+                           oseen_max_speed, oseen_velocity, oseen_vorticity,
+                           velocity_profile)
 
-from oracles import velocity_jacobian
+from oracles import gaussian_gradient, oseen_residual, velocity_jacobian
 
 
 def test_gaussian_profile_values():

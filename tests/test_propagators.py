@@ -308,7 +308,7 @@ def test_decomposed_step_matches_full_spectrum_reference(grid128):
     pert = ScalarField(grid128, 0.2 * gaussian_profile(xx - 1.5, yy - 0.5))
     sys = solver.VortexSystem(backgrounds, pert, 0.1)
     got = solver.step_decomposed(sys, StepperConfig.fixed(1e-3)).remainder.values
-    stage = solver._decomposed_stage(backgrounds, grid128, "auto")
+    stage = solver._decomposed_stage(backgrounds, grid128)
     want = _reference_lawson_step(pert, 0.1, stage, 1e-3)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
