@@ -260,10 +260,6 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(ScalarField(f.grid, gx), ScalarField(f.grid, gy))
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, _ifft2(-_ksq(f.grid) * _fft2(f.values)).real)
-
-
 def _fd_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """8th-order centered first derivative (local stencil, wraps at edges)."""
     def sh(k):

@@ -11,14 +11,12 @@ can resolve and should simply be folded into the density part or dropped.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, MarginError, MismatchError
-from .field import (Grid, ScalarField, _fft2, _ifft2, _ksq, lp_norm,
-                    read_field, write_field)
+from .field import Grid, ScalarField, _fft2, _ifft2, _ksq, lp_norm
 
 Point = tuple[float, float]
 
@@ -150,52 +148,6 @@ def heat_smooth(mu: FiniteMeasure, t: float, grid: Grid) -> ScalarField:
             raise MismatchError("density grid must match the target grid")
         vals += _ifft2(np.exp(-_ksq(grid) * t) * _fft2(mu.density.values)).real
     return ScalarField(grid, vals)
-
-
-# ---------------------------------------------------------------------
-# plain-text measure files
-# ---------------------------------------------------------------------
-
-def write_measure(mu: FiniteMeasure, path, density_path=None) -> None:
-    """Text format: 'measure v1', atom lines, density path relative to this file."""
-    lines = ["measure v1"]
-    for (x, y), m in mu.atoms:
-        lines.append(f"atom {format(x, '.17g')} {format(y, '.17g')} {format(m, '.17g')}")
-    if mu.density is not None:
-        if density_path is None:
-            raise DomainError("measure has a density: density_path is required")
-        write_field(mu.density, density_path)
-        base = os.path.dirname(os.path.abspath(path))
-        lines.append(f"density {os.path.relpath(density_path, base)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_measure(path) -> FiniteMeasure:
-    """Read a write_measure file; a relative density path (the rest of its
-    line, spaces kept) is taken from the measure file's directory."""
-    atoms = []
-    density = None
-    base = os.path.dirname(os.path.abspath(path))
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "measure v1":
-            raise DomainError(f"unsupported measure file header: {header!r}")
-        for line in fh:
-            parts = line.rstrip("\r\n").split(maxsplit=1)
-            if not parts:
-                continue
-            if parts[0] == "atom":
-                try:
-                    x, y, m = map(float, line.split()[1:])
-                except ValueError as exc:
-                    raise DomainError(f"malformed atom line: {line!r}") from exc
-                atoms.append(((x, y), m))
-            elif parts[0] == "density" and len(parts) > 1:
-                density = read_field(os.path.join(base, parts[1]))
-            else:
-                raise DomainError(f"unknown measure file line: {line!r}")
-    return FiniteMeasure(atoms=tuple(atoms), density=density)
 
 
 def measure_hash(mu: FiniteMeasure) -> str:

@@ -5,13 +5,16 @@ The frozen constants below were produced by these oracle functions; the
 cheap ones are re-derived at test time, the expensive 2D quadratures are
 frozen with the generating function kept here for regeneration.
 
-The last two sections hold what only tests call: the vector calculus
-(curl, divergence, the 2/3 mask, the vortex Jacobian), which builds on the
-grid's own wavenumbers, mask and stencil, so the identities it checks are
-the ones the package relies on; and the checks built on the package's
-operators (the drift-diffusion generator, the vortex residual and the
-weighted velocity norm).
+The last three sections hold what only tests call: the vector calculus
+(curl, divergence, the Laplacian, the 2/3 mask, the vortex Jacobian),
+which builds on the grid's own wavenumbers, mask and stencil, so the
+identities it checks are the ones the package relies on; the checks
+built on the package's operators (the drift-diffusion generator, the
+vortex residual, the weighted velocity norm and the per-vortex flux of
+the decomposed solver); and the plain-text measure files.
 """
+
+import os
 
 import numpy as np
 import scipy.linalg
@@ -20,8 +23,10 @@ from scipy import integrate
 from oseen2d.biot_savart import circulation_is_negligible, velocity_free_space
 from oseen2d.errors import DomainError
 from oseen2d.field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
-                           _fd_derivative, gradient, laplacian, lp_norm,
-                           require_boundary_decay)
+                           _fd_derivative, _fft2, _ifft2, _ksq, gradient,
+                           lp_norm, read_field, require_boundary_decay,
+                           write_field)
+from oseen2d.measure import FiniteMeasure
 from oseen2d.oseen import (SERIES_CUTOFF_SQ, OseenVortex, _ring_factor,
                            gaussian_profile, oseen_velocity, oseen_vorticity)
 
@@ -111,8 +116,13 @@ def minimal_prefix(masses, epsilon):
 
 # ---------------------------------------------------------------------
 # calculus that only tests use: the identities curl u = omega and
-# div u = 0, the 2/3 mask, and the closed-form vortex Jacobian
+# div u = 0, the spectral Laplacian, the 2/3 mask, and the closed-form
+# vortex Jacobian
 # ---------------------------------------------------------------------
+
+def laplacian(f: ScalarField) -> ScalarField:
+    return ScalarField(f.grid, _ifft2(-_ksq(f.grid) * _fft2(f.values)).real)
+
 
 def divergence(v):
     """Spectral divergence of a VectorField (Nyquist mode dropped)."""
@@ -169,8 +179,8 @@ def velocity_jacobian(x1, x2):
 
 # ---------------------------------------------------------------------
 # checks that only tests use: the drift-diffusion generator, the residual
-# of a sampled vortex in the vorticity equation, and the weighted velocity
-# norm of the Biot-Savart inequalities
+# of a sampled vortex in the vorticity equation, the weighted velocity
+# norm of the Biot-Savart inequalities, and the decomposed solver's flux
 # ---------------------------------------------------------------------
 
 def apply_fokker_planck(w: ScalarField) -> ScalarField:
@@ -241,3 +251,65 @@ def weighted_velocity_norm(omega: ScalarField, q: float, m: float) -> float:
     xx, yy = omega.grid.meshes()
     w = (1.0 + xx**2 + yy**2) ** ((m - 2.0 / q) / 2.0)
     return lp_norm(ScalarField(omega.grid, w * u.magnitude().values), q)
+
+
+def decomposed_flux(backgrounds, t: float, w: ScalarField, ut1, ut2):
+    """The remainder flux u w~ + sum_i (u - u_i) w_i of the decomposed
+    solver, with u = u~ + sum_j u_j, summed vortex by vortex from the
+    closed-form samples; (ut1, ut2) is the remainder velocity u~."""
+    xx, yy = w.grid.meshes()
+    samples = [(*oseen_velocity(v, t, xx, yy), oseen_vorticity(v, t, xx, yy))
+               for v in backgrounds]
+    u1 = ut1 + sum(s[0] for s in samples)
+    u2 = ut2 + sum(s[1] for s in samples)
+    f1, f2 = u1 * w.values, u2 * w.values
+    for b1, b2, wi in samples:
+        f1 = f1 + (u1 - b1) * wi
+        f2 = f2 + (u2 - b2) * wi
+    return f1, f2
+
+
+# ---------------------------------------------------------------------
+# plain-text measure files: atom lines and a density field file
+# ---------------------------------------------------------------------
+
+def write_measure(mu: FiniteMeasure, path, density_path=None) -> None:
+    """Text format: 'measure v1', atom lines, density path relative to this file."""
+    lines = ["measure v1"]
+    for (x, y), m in mu.atoms:
+        lines.append(f"atom {format(x, '.17g')} {format(y, '.17g')} {format(m, '.17g')}")
+    if mu.density is not None:
+        if density_path is None:
+            raise DomainError("measure has a density: density_path is required")
+        write_field(mu.density, density_path)
+        base = os.path.dirname(os.path.abspath(path))
+        lines.append(f"density {os.path.relpath(density_path, base)}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_measure(path) -> FiniteMeasure:
+    """Read a write_measure file; a relative density path (the rest of its
+    line, spaces kept) is taken from the measure file's directory."""
+    atoms = []
+    density = None
+    base = os.path.dirname(os.path.abspath(path))
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "measure v1":
+            raise DomainError(f"unsupported measure file header: {header!r}")
+        for line in fh:
+            parts = line.rstrip("\r\n").split(maxsplit=1)
+            if not parts:
+                continue
+            if parts[0] == "atom":
+                try:
+                    x, y, m = map(float, line.split()[1:])
+                except ValueError as exc:
+                    raise DomainError(f"malformed atom line: {line!r}") from exc
+                atoms.append(((x, y), m))
+            elif parts[0] == "density" and len(parts) > 1:
+                density = read_field(os.path.join(base, parts[1]))
+            else:
+                raise DomainError(f"unknown measure file line: {line!r}")
+    return FiniteMeasure(atoms=tuple(atoms), density=density)

@@ -8,13 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from oseen2d.errors import DomainError, MarginError, MismatchError
 from oseen2d.field import (Grid, ScalarField, VectorField, _fft2, _ifft2,
-                           gradient, laplacian, lp_norm, project_mean_zero,
-                           read_field, require_boundary_decay, resample_affine,
+                           gradient, lp_norm, project_mean_zero, read_field,
+                           require_boundary_decay, resample_affine,
                            weighted_norm, write_field, write_norms_csv)
 from oseen2d.oseen import gaussian_profile
 
 from oracles import (GAUSSIAN_L1, GAUSSIAN_L2, WEIGHTED_GAUSSIAN_L2_M3, curl,
-                     dealias, divergence, gaussian, radial_weighted_l2)
+                     dealias, divergence, gaussian, laplacian,
+                     radial_weighted_l2)
 
 
 def test_grid_validation():

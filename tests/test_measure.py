@@ -7,10 +7,9 @@ from hypothesis.extra.numpy import arrays
 from oseen2d.errors import DomainError, MarginError, MismatchError
 from oseen2d.field import Grid, ScalarField, _ksq, lp_norm
 from oseen2d.measure import (FiniteMeasure, atomic_norm, decompose,
-                             heat_smooth, measure_hash, read_measure,
-                             total_variation, write_measure)
+                             heat_smooth, measure_hash, total_variation)
 
-from oracles import GAUSSIAN_PEAK, minimal_prefix
+from oracles import GAUSSIAN_PEAK, minimal_prefix, read_measure, write_measure
 
 
 def blob(grid, mass, center, width):

@@ -10,7 +10,8 @@ from oseen2d.errors import DegenerateError, DomainError, StabilityError
 from oseen2d.field import (ScalarField, VectorField, _dealias_mask,
                            _deriv_wavenumbers, _ksq, lp_norm)
 from oseen2d.measure import FiniteMeasure, heat_smooth
-from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
+from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
+                           oseen_max_speed)
 from oseen2d.propagators import (CFL_DEFAULT, DecayFit, StepperConfig, Trajectory,
                                  _require_divergence_free, background_velocity,
                                  cfl_bound, evolve_S1, evolve_T_alpha,
@@ -161,20 +162,33 @@ def test_propagate_samples_each_stage_time_once(grid128, monkeypatch):
     assert len(set(times)) == len(times)
 
 
-def test_propagate_sums_backgrounds_once_per_time(grid128, monkeypatch):
-    # SN's stages read the summed background velocity and its max speed
-    # from a cache, so the stages that share a time share one sum: 4 steps
-    # build it at 9 distinct times, not once per stage (17 times)
-    times = []
-    real = propagators.background_fields
-    monkeypatch.setattr(propagators, "background_fields",
-                        lambda vs, t, grid: times.append(t) or real(vs, t, grid))
-    real.cache_clear()
-    propagators.background_sum.cache_clear()
-    propagate_SN([OseenVortex(1.0)], heat_kernel_field(grid128, 0.5), 1.0, 1.02,
+def test_propagate_sums_backgrounds_once_per_time(grid128):
+    # SN's stages read the summed background velocity from the cache, so
+    # the stages that share a time share one sum: the divergence check and
+    # 4 steps read it 17 times and build it at 9 times, whatever the
+    # vortex count
+    cache = propagators.background_fields
+    cache.cache_clear()
+    propagate_SN([OseenVortex(1.0), OseenVortex(-0.5, (3.0, 1.0))],
+                 heat_kernel_field(grid128, 0.5), 1.0, 1.02,
                  StepperConfig.fixed(5e-3))
-    assert len(times) == 9
-    assert len(set(times)) == len(times)
+    info = cache.cache_info()
+    assert info.misses == 9
+    assert info.hits + info.misses == 1 + 4 * 4
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(vortices=st.lists(
+           st.builds(OseenVortex, st.floats(-10.0, 10.0),
+                     st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))),
+           min_size=1, max_size=3, unique_by=lambda v: v.z),
+       t=st.floats(0.05, 2.0))
+def test_background_speed_below_analytic_bound(grid128, vortices, t):
+    # |sum_i u_i| <= sum_i max |u_i| pointwise, which is why SN's step rule
+    # reads only the analytic bound: the sampled speed never binds
+    speed = background_velocity(vortices, t, grid128).max_norm()
+    bound = sum(oseen_max_speed(v, t) for v in vortices)
+    assert speed <= bound * (1 + 1e-12)
 
 
 def test_propagate_requires_ordered_times(grid128, gauss128):

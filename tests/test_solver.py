@@ -16,6 +16,8 @@ from oseen2d.solver import (VortexSystem, evolve_rescaled_perturbation,
                             evolve_system, initialize_from_measure, restrict,
                             snapshot_schedule, solve_cauchy, step_decomposed)
 
+from oracles import decomposed_flux
+
 
 def blob(grid, mass, center, width):
     xx, yy = grid.meshes()
@@ -77,6 +79,35 @@ def test_single_background_remainder_stays_zero(grid128):
     for _ in range(5):
         sys = step_decomposed(sys, StepperConfig.fixed(2e-4))
     assert np.all(sys.remainder.values == 0.0)
+
+
+BACKGROUNDS = (OseenVortex(1.0, (0.0, 0.0)), OseenVortex(-0.6, (4.0, 1.0)),
+               OseenVortex(0.3, (-3.0, -2.5)))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+@pytest.mark.parametrize("with_blob", [False, True])
+def test_decomposed_stage_matches_per_vortex_flux(grid128, count, with_blob):
+    # the stage's (u~ + U)(w~ + W) - S equals the per-vortex sum
+    # u w~ + sum_i (u - u_i) w_i up to round-off
+    backgrounds, t = BACKGROUNDS[:count], 0.1
+    w = blob(grid128, 0.2, (1.5, 0.5), 1.0) if with_blob else grid128.zeros()
+    ut1 = ut2 = np.zeros((grid128.n, grid128.n))
+    if with_blob:
+        ut = solver._remainder_velocity(w)
+        ut1, ut2 = ut.x.values, ut.y.values
+    got, _ = solver._decomposed_stage(backgrounds, grid128)(w.values, t)
+    want = decomposed_flux(backgrounds, t, w, ut1, ut2)
+    scale = max(np.max(np.abs(c)) for c in want)
+    for g, c in zip(got, want):
+        assert np.max(np.abs(g - c)) <= 1e-13 * scale
+
+
+def test_decomposed_stage_single_vortex_flux_is_zero(grid128):
+    # U W - S cancels to the last bit, which keeps a pure vortex exact
+    stage = solver._decomposed_stage(BACKGROUNDS[:1], grid128)
+    (f1, f2), speed = stage(np.zeros((grid128.n, grid128.n)), 0.1)
+    assert np.all(f1 == 0.0) and np.all(f2 == 0.0) and speed == 0.0
 
 
 def test_two_background_remainder_growth_is_first_order(grid256):
