@@ -135,30 +135,42 @@ def _running(times, rows) -> ContractionSeries:
                              running_max=tuple(overall))
 
 
-def solution_distance(runA: SolverRun, runB: SolverRun, m: float) -> ContractionSeries:
-    """Running suprema of the per-part distances between two runs.
+def _shared_snapshots(runA: SolverRun, runB: SolverRun, frame):
+    """The coarser grid of two runs, and (t, frame(runA, i), frame(runB, i))
+    per shared snapshot i, each frame restricted to that grid.
 
-    The runs must share snapshot times and background centers.  A run on a
+    Raises MismatchError unless the runs share snapshot times; a run on a
     nested finer grid is restricted to the coarser one.
     """
     ta, tb = runA.trajectory.times, runB.trajectory.times
     if len(ta) != len(tb) or any(abs(a - b) > 1e-10 * max(a, 1.0)
                                  for a, b in zip(ta, tb)):
         raise MismatchError("runs do not share snapshot times")
+    coarse = runA.grid if runA.grid.n <= runB.grid.n else runB.grid
+
+    def on_coarse(w):
+        return w if w.grid == coarse else restrict(w, coarse)
+
+    return coarse, ((t, on_coarse(frame(runA, i)), on_coarse(frame(runB, i)))
+                    for i, t in enumerate(ta))
+
+
+def solution_distance(runA: SolverRun, runB: SolverRun, m: float) -> ContractionSeries:
+    """Running suprema of the per-part distances between two runs.
+
+    The runs must share snapshot times and background centers.  A run on a
+    nested finer grid is restricted to the coarser one.
+    """
+    coarse, snapshots = _shared_snapshots(
+        runA, runB, lambda run, i: run.trajectory.fields[i])
     za = [v.z for v in runA.backgrounds]
     zb = [v.z for v in runB.backgrounds]
     if za != zb:
         raise MismatchError("runs do not share background centers")
-    coarse = runA.grid if runA.grid.n <= runB.grid.n else runB.grid
-
-    def frames(run):
-        for w in run.trajectory.fields:
-            yield w if run.grid == coarse else restrict(w, coarse)
-
     chis = partition_of_unity(coarse, za,
                               min(runA.decomposition.d, runB.decomposition.d))
     rows = []
-    for t, wa, wb in zip(ta, frames(runA), frames(runB)):
+    for t, wa, wb in snapshots:
         diff0 = ScalarField(coarse, chis[0] * (wa.values - wb.values))
         row = [t**0.25 * lp_norm(diff0, 4.0 / 3.0)]
         for chi, vA, vB in zip(chis[1:], runA.backgrounds, runB.backgrounds):
@@ -168,27 +180,19 @@ def solution_distance(runA: SolverRun, runB: SolverRun, m: float) -> Contraction
             rb = to_self_similar(pb, SelfSimilarFrame.at_time(t, vB.z))
             row.append(weighted_norm(ra - rb, 2, m))
         rows.append(row)
-    return _running(ta, rows)
+    return _running(runA.trajectory.times, rows)
 
 
 def total_l1_difference(runA: SolverRun, runB: SolverRun) -> np.ndarray:
     """|omega_A(t) - omega_B(t)|_{L^1} per shared snapshot.
 
     For runs with identical backgrounds this is just the remainder
-    difference; otherwise the analytic backgrounds are included.
+    difference; otherwise the analytic backgrounds are included.  The runs
+    must share snapshot times (MismatchError otherwise); a run on a nested
+    finer grid is restricted to the coarser one.
     """
-    ta = runA.trajectory.times
-    coarse = runA.grid if runA.grid.n <= runB.grid.n else runB.grid
-    out = []
-    for i, t in enumerate(ta):
-        wa = runA.total_vorticity(i)
-        wb = runB.total_vorticity(i)
-        if wa.grid != coarse:
-            wa = restrict(wa, coarse)
-        if wb.grid != coarse:
-            wb = restrict(wb, coarse)
-        out.append(lp_norm(wa - wb, 1))
-    return np.asarray(out)
+    _, snapshots = _shared_snapshots(runA, runB, SolverRun.total_vorticity)
+    return np.asarray([lp_norm(wa - wb, 1) for _, wa, wb in snapshots])
 
 
 # ---------------------------------------------------------------------
@@ -375,14 +379,6 @@ def eigenvalue_multiplicity(report: SpectrumReport, value: complex,
 # ---------------------------------------------------------------------
 # CSV and plot-script output
 # ---------------------------------------------------------------------
-
-def write_oseen_distance_csv(rows, path) -> None:
-    """Columns t,p,value."""
-    with open(path, "w") as fh:
-        fh.write("t,p,value\n")
-        for t, p, value in rows:
-            fh.write(f"{format(t, '.17g')},{p},{format(value, '.17g')}\n")
-
 
 def write_contraction_csv(series: ContractionSeries, path,
                           label: str = "M") -> None:

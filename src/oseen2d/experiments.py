@@ -21,8 +21,8 @@ from .biot_savart import hls_ratio, velocity_free_space
 from .diagnostics import (eigenvalue_multiplicity, linearized_spectrum,
                           localized_diffuse_series, remainder_norms,
                           solution_distance, total_l1_difference,
-                          write_contraction_csv, write_oseen_distance_csv,
-                          write_plot_script, write_spectrum_csv)
+                          write_contraction_csv, write_plot_script,
+                          write_spectrum_csv)
 from .field import (Grid, ScalarField, divergence_local, lp_norm,
                     project_mean_zero, write_norms_csv)
 from .measure import FiniteMeasure, heat_smooth, total_variation
@@ -123,13 +123,14 @@ def oseen_exact(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         mu = FiniteMeasure.from_atoms(((0.0, 0.0), alpha))
         run = solve_cauchy(mu, cfg.epsilon_for(mu), cfg.t0, cfg.t_end, grid,
                            l1_check_tol=1e-6)
-        rem = max(s["remainder_l1"] for s in run.series)
-        records.append(_less(f"A1[alpha={alpha:g}]-remainder", rem, 1e-6))
+        norms = run.trajectory.norms(1)
+        records.append(_less(f"A1[alpha={alpha:g}]-remainder", max(norms), 1e-6))
         final = run.total_vorticity(len(run.trajectory.times) - 1)
         exact, _ = oseen_fields(OseenVortex(alpha), run.trajectory.times[-1], grid)
         rel = lp_norm(final - exact, 1) / lp_norm(exact, 1)
         records.append(_less(f"A1[alpha={alpha:g}]-profile", rel, 1e-6))
-        rows += [(s["t"], "remainder_l1", 1, 0, s["remainder_l1"]) for s in run.series]
+        rows += [(t, "remainder_l1", 1, 0, v)
+                 for t, v in zip(run.trajectory.times, norms)]
 
     dt = cfg.dt if cfg.dt is not None else 1e-3
     start = _gaussian_field(grid)
@@ -169,11 +170,10 @@ def asym_decay(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         records.append(Assertion(f"A3[p={p}]-rate",
                                  -0.65 <= fit.rate <= -0.35, fit.rate, -0.35, "<"))
     if out:
-        write_oseen_distance_csv([(t, p, v) for (t, _, p, _, v) in rows],
-                                 os.path.join(out, "oseen_distance.csv"))
+        write_norms_csv(rows, os.path.join(out, "oseen_distance.csv"))
         write_plot_script(os.path.join(out, "oseen_distance.csv"),
                           os.path.join(out, "oseen_distance.gp"),
-                          "1:3", "scaled distance to the vortex")
+                          "1:5", "scaled distance to the vortex")
     return records
 
 

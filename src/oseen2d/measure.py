@@ -96,18 +96,14 @@ def decompose(mu: FiniteMeasure, epsilon: float) -> AtomicDecomposition:
     """Split mu into its largest atoms and a remainder of atomic norm <= epsilon.
 
     The retained set is the minimal prefix of the canonically ordered atom
-    list such that the atomic mass left behind is at most epsilon.  The
-    greedy prefix rule is a deterministic choice among the many admissible
-    splits.
+    list such that the atomic mass left behind, summed as ``atomic_norm``
+    sums it, is at most epsilon.  The greedy prefix rule is a deterministic
+    choice among the many admissible splits.
     """
     if not (epsilon > 0):
         raise DomainError(f"decompose needs epsilon > 0, got {epsilon}")
     masses = [abs(m) for _, m in mu.atoms]
-    remaining = sum(masses)
-    k = 0
-    while remaining > epsilon and k < len(masses):
-        remaining -= masses[k]
-        k += 1
+    k = next(k for k in range(len(masses) + 1) if sum(masses[k:]) <= epsilon)
     retained = tuple((m, pos) for pos, m in mu.atoms[:k])
     remainder = FiniteMeasure(atoms=mu.atoms[k:], density=mu.density)
     centers = [z for _, z in retained]

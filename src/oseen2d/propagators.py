@@ -100,30 +100,17 @@ SERIES_COLUMNS = ("index", "time", "l1", "l2", "linf", "l2m15", "l2m30",
                   "circulation")
 
 
-def snapshot_diagnostics(w: ScalarField) -> dict[str, float]:
-    return {
-        "l1": lp_norm(w, 1),
-        "l2": lp_norm(w, 2),
-        "linf": lp_norm(w, np.inf),
-        "l2m15": weighted_norm(w, 2, 1.5),
-        "l2m30": weighted_norm(w, 2, 3.0),
-        "circulation": w.integral(),
-    }
-
-
 @dataclass
 class Trajectory:
-    """Time-stamped snapshots of one propagation run with cached norms."""
+    """Time-stamped snapshots of one propagation run; norms on demand."""
 
     time_label: str                      # "tau" or "t"
     times: list[float] = dc_field(default_factory=list)
     fields: list[ScalarField] = dc_field(default_factory=list)
-    diagnostics: list[dict[str, float]] = dc_field(default_factory=list)
 
     def record(self, time: float, w: ScalarField):
         self.times.append(float(time))
         self.fields.append(w)
-        self.diagnostics.append(snapshot_diagnostics(w))
 
     @property
     def final(self) -> ScalarField:
@@ -137,15 +124,19 @@ class Trajectory:
         return np.array([lp_norm(w, norm) for w in self.fields])
 
     def dump(self, directory) -> None:
+        """One field file per frame and series.csv, one row of SERIES_COLUMNS
+        per frame."""
         os.makedirs(directory, exist_ok=True)
-        for i, (time, w) in enumerate(zip(self.times, self.fields)):
+        for i, w in enumerate(self.fields):
             write_field(w, os.path.join(
                 directory, f"w_{self.time_label}_{i:04d}.fld"))
+        columns = [self.norms(1), self.norms(2), self.norms(np.inf),
+                   self.norms((2, 1.5)), self.norms((2, 3.0)),
+                   [w.integral() for w in self.fields]]
         with open(os.path.join(directory, "series.csv"), "w") as fh:
             fh.write(",".join(SERIES_COLUMNS) + "\n")
-            for i, (time, diag) in enumerate(zip(self.times, self.diagnostics)):
-                row = [str(i), format(time, ".17g")]
-                row += [format(diag[c], ".17g") for c in SERIES_COLUMNS[2:]]
+            for i, values in enumerate(zip(self.times, *columns)):
+                row = [str(i)] + [format(v, ".17g") for v in values]
                 fh.write(",".join(row) + "\n")
 
 

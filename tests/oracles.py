@@ -106,10 +106,10 @@ def unsplit_spectrum(modes, diag, coupling, alpha):
 
 
 def minimal_prefix(masses, epsilon):
-    """Brute-force oracle for the greedy atom-retention rule."""
-    total = sum(abs(m) for m in masses)
+    """Brute-force oracle for the greedy atom-retention rule: the fewest
+    leading atoms whose tail has atomic norm at most epsilon."""
     for k in range(len(masses) + 1):
-        if total - sum(abs(m) for m in masses[:k]) <= epsilon:
+        if sum(abs(m) for m in masses[k:]) <= epsilon:
             return k
     return len(masses)
 

@@ -9,8 +9,8 @@ from oseen2d.diagnostics import (_assemble_coupling, bump,
                                  oseen_distance,
                                  partition_of_unity, remainder_norms,
                                  solution_distance, total_l1_difference,
-                                 write_contraction_csv, write_oseen_distance_csv,
-                                 write_plot_script, write_spectrum_csv)
+                                 write_contraction_csv, write_plot_script,
+                                 write_spectrum_csv)
 from oseen2d.errors import DomainError, MismatchError
 from oseen2d.field import Grid, ScalarField
 from oseen2d.measure import FiniteMeasure
@@ -129,6 +129,18 @@ def test_solution_distance_mismatched_times(run_single, run_density, grid128):
     other = solve_cauchy(mu, 0.1, 0.05, 0.4, grid128)
     with pytest.raises(MismatchError):
         solution_distance(run_single, other, 3.0)
+
+
+def test_total_l1_difference_mismatched_times():
+    # runs with different snapshot times are rejected in either order, not
+    # compared frame by frame at different times or indexed out of range
+    grid = Grid(64, 16.0)
+    mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
+    longer = solve_cauchy(mu, 0.1, 0.1, 0.4, grid)
+    shorter = solve_cauchy(mu, 0.1, 0.1, 0.3, grid)
+    for runA, runB in ((longer, shorter), (shorter, longer)):
+        with pytest.raises(MismatchError, match="snapshot times"):
+            total_l1_difference(runA, runB)
 
 
 def test_solution_distance_perturbed_density(grid128):
@@ -277,11 +289,7 @@ def test_csv_writers(tmp_path, run_single):
     assert len(lines) == len(rep.eigenvalues) + 1
     assert any("translation" in line for line in lines)
 
-    opath = tmp_path / "oseen.csv"
-    write_oseen_distance_csv([(1.0, 2, 0.125)], opath)
-    assert opath.read_text().splitlines()[1] == "1,2,0.125"
-
     gpath = tmp_path / "plot.gp"
-    write_plot_script(opath, gpath, "1:3", "demo")
+    write_plot_script(path, gpath, "1:4", "demo")
     text = gpath.read_text()
-    assert "oseen.csv" in text and "plot" in text
+    assert "contraction.csv" in text and "plot" in text

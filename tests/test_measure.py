@@ -108,9 +108,14 @@ def test_decompose_matches_enumeration_oracle():
         atoms = tuple(((float(i), float(rng.integers(0, 3))),
                        float(rng.normal()) or 0.1) for i in range(count))
         cases.append((FiniteMeasure(atoms=atoms), float(rng.uniform(0.05, 2.0))))
-    # epsilon below the round-off residue 0.1 + 0.2 - 0.2 - 0.1 = 4e-17:
-    # every atom is retained
+    # epsilon below every atom: only the empty tail, of norm exactly 0, is
+    # small enough, so every atom is retained
     cases.append((FiniteMeasure.from_atoms(((0, 0), 0.1), ((1, 0), 0.2)), 1e-18))
+    # a rounding boundary: retaining two atoms leaves a tail of norm exactly
+    # 0.5 = epsilon, while subtracting the masses one at a time from their
+    # sum leaves 0.5000000000000001 and would retain all three
+    cases.append((FiniteMeasure.from_atoms(((0, 0), -1.0), ((1, 0), 0.5),
+                                           ((2, 0), 0.9321091853860287)), 0.5))
     for mu, eps in cases:
         dec = decompose(mu, eps)
         masses = [m for _, m in mu.atoms]

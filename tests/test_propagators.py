@@ -253,8 +253,8 @@ def test_mass_conservation_along_selfsim_flows(grid128, gauss128):
     start = 0.8 * gauss128
     traj = evolve_T_alpha(2.0, start, 1.0, StepperConfig.fixed(5e-3),
                           sample_every=0.5)
-    for diag in traj.diagnostics:
-        assert abs(diag["circulation"] - start.integral()) < 1e-13
+    for w in traj.fields:
+        assert abs(w.integral() - start.integral()) < 1e-13
 
 
 def test_selfsim_stability_bound(grid128, gauss128):
