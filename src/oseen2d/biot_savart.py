@@ -15,11 +15,10 @@ Each route applies one cached per-grid multiplier on the half spectrum,
 the x and y components stacked in one array, so each solve makes one
 forward and one (batched) inverse transform, all on ``numpy.fft`` with the
 complex passes in place.  The free-space route prunes its padded
-transforms: the forward pass transforms only the n data rows into a
-zero-filled buffer (the other n rows stay zero), and the inverse pass
-keeps only the n x n corner it returns, so it runs four 1-D passes
-(``rfft``, ``fft``, ``ifft``, ``irfft``) instead of two full 2n x 2n
-transforms.
+transforms to four 1-D passes (``rfft``, ``fft``, ``ifft``, ``irfft``)
+instead of two full 2n x 2n ones: the forward pass fills only the n data
+rows of one zero-filled (2, 2n, n + 1) buffer per solve, which then takes
+both products in place, and the inverse pass keeps the n x n corner.
 """
 
 from __future__ import annotations
@@ -133,15 +132,19 @@ def velocity_free_space(omega: ScalarField,
     pruned: rows n..2n-1 of the padded input are zero, so the forward
     ``rfft`` runs on the n data rows only, and only the n x n corner of the
     output is read, so the inverse ``irfft`` runs on the first n rows only.
+    One zero-filled (2, 2n, n + 1) buffer per call holds the input spectrum
+    in component 1, then the x and y products, and the inverse passes.
     """
     require_boundary_decay(omega, "velocity_free_space", tol=boundary_tol)
     grid, n = omega.grid, omega.grid.n
-    what = np.zeros((2 * n, n + 1), dtype=complex)
-    np.fft.rfft(omega.values, n=2 * n, axis=1, out=what[:n])
-    np.fft.fft(what, axis=0, out=what)
-    prod = _free_space_multiplier(grid) * what
-    np.fft.ifft(prod, axis=1, out=prod)
-    return _velocity(grid, np.fft.irfft(prod[:, :n], n=2 * n, axis=2)[:, :, :n])
+    m = _free_space_multiplier(grid)
+    buf = np.zeros((2, 2 * n, n + 1), dtype=complex)
+    np.fft.rfft(omega.values, n=2 * n, axis=1, out=buf[1, :n])
+    np.fft.fft(buf[1], axis=0, out=buf[1])
+    np.multiply(m[0], buf[1], out=buf[0])
+    np.multiply(m[1], buf[1], out=buf[1])
+    np.fft.ifft(buf, axis=1, out=buf)
+    return _velocity(grid, np.fft.irfft(buf[:, :n], n=2 * n, axis=2)[:, :, :n])
 
 
 def hls_ratio(omega: ScalarField, p: float) -> float:

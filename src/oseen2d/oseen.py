@@ -39,22 +39,26 @@ class OseenVortex:
 
 
 def gaussian_profile(x1, x2):
-    """G at the point(s) (x1, x2)."""
-    return np.exp(-(np.asarray(x1) ** 2 + np.asarray(x2) ** 2) / 4.0) / (4.0 * np.pi)
+    """G at the point(s) (x1, x2); exp runs only on arguments above -746 (it
+    is 0 below, where numpy's exp is ~10x slower), masked only when needed."""
+    arg = -(np.asarray(x1) ** 2 + np.asarray(x2) ** 2) / 4.0
+    under = arg <= -746.0
+    return (np.exp(arg, out=np.zeros_like(arg), where=~under) if under.any()
+            else np.exp(arg)) / (4.0 * np.pi)
 
 
 def _ring_factor(s):
     """(1 - exp(-s/4)) / (2 pi s) with the removable singularity filled in.
 
-    s = |xi|^2.  Below the cutoff the power series
-    (1/(8 pi)) (1 - s/8 + s^2/96) is exact to machine precision.
+    s = |xi|^2.  Below the cutoff, and only there, the power series
+    (1/(8 pi)) (1 - s/8 + s^2/96) is evaluated, exact to machine precision.
     """
     s = np.asarray(s, dtype=float)
     small = s < SERIES_CUTOFF_SQ
-    safe = np.where(small, 1.0, s)
-    full = -np.expm1(-safe / 4.0) / (2.0 * np.pi * safe)
-    series = (1.0 - s / 8.0 + s * s / 96.0) / (8.0 * np.pi)
-    return np.where(small, series, full)
+    safe = np.where(small, 1.0, s) if small.any() else s
+    out = np.asarray(-np.expm1(-safe / 4.0) / (2.0 * np.pi * safe))
+    out[small] = (1.0 - s[small] / 8.0 + s[small] ** 2 / 96.0) / (8.0 * np.pi)
+    return out[()]
 
 
 def velocity_profile(x1, x2):

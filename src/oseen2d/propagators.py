@@ -7,15 +7,15 @@ Every flow in the package has the form
 with the Laplacian handled exactly in spectral space (Lawson's
 integrating-factor RK4) and the flux F evaluated in physical space by a
 stage function of the flow.  Each flow supplies only its physics: the
-stage function and a stability bound ``bound(cfl)``.  This module owns
-the rest: ``lawson_step`` takes one step of any such flow (always
-dealiased by the 2/3 rule), ``march`` is the one loop that steps through
-a list of stop times, ``StepperConfig.step`` is the one step-size rule,
-and ``background_fields`` is the one sampler and the one sum of the
+stage function and a stability bound ``bound(cfl)``.  This module owns the
+rest: ``lawson_step`` takes one step of any such flow (always dealiased by
+the 2/3 rule; it asks the stage for a speed at stage 1 only), ``march`` is
+the one loop through a list of stop times, ``StepperConfig.step`` the one
+step-size rule, and ``background_fields`` the one sampler and sum of the
 analytic vortex backgrounds: per time it caches the summed velocity U,
-vorticity W and flux S = sum_i u_i w_i, so that consecutive steps share
-their samples and no caller sums per vortex.  It supplies the stage
-functions and bounds of
+vorticity W and flux S = sum_i u_i w_i (exp skipped where it underflows),
+so consecutive steps share samples and no caller sums per vortex.  It
+supplies the stage functions and bounds of
 
 * the frozen multi-vortex background propagator SN in physical time,
 * the one-vortex self-similar flow  dw/dtau + alpha v . grad w = L w,
@@ -154,11 +154,11 @@ class DecayFit:
 # the integrating-factor RK4 core: one step and one stop-time loop
 # ---------------------------------------------------------------------
 
-# A stage function maps (state samples, stage time) to the physical-space
-# flux F = (F1, F2) of dw/dt = Lap(w) - div F, summed over every advective
-# term (None when the flow has none), and the speed of the velocity it
-# solved for.
-Stage = Callable[[np.ndarray, float], tuple]
+# A stage function maps (state samples, stage time, with_speed) to the
+# physical-space flux F = (F1, F2) of dw/dt = Lap(w) - div F, summed over every
+# advective term (None if none), and the largest speed of the velocity it solved
+# for, which it may skip unless with_speed: lawson_step sets that at stage 1 only.
+Stage = Callable[[np.ndarray, float, bool], tuple]
 
 # Relative distance below which a time counts as having reached a stop.
 STOP_RTOL = 1e-12
@@ -203,9 +203,9 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
     # every caller passes a fresh w_hat, which the inverse transform overwrites
     def nonlinear(w_hat, stage_t):
         values = _irfft2(w_hat, grid.n)
-        return tendency(values, stage(values, stage_t)[0])
+        return tendency(values, stage(values, stage_t, False)[0])
 
-    flux, speed = stage(w.values, t)
+    flux, speed = stage(w.values, t, True)
     dt = pick_dt(speed, t_stop - t)
     eh = np.exp(-0.5 * dt * _ksq(grid)[:, :nh])
     ef = eh * eh
@@ -276,6 +276,11 @@ def _require_divergence_free(u: VectorField, tol: float = 1e-2):
             f"vs gradient scale {grad_scale:.3e}")
 
 
+@lru_cache(maxsize=8)
+def _no_backgrounds(grid: Grid) -> np.ndarray:
+    return np.broadcast_to(0.0, (5, grid.n, grid.n))     # read-only, no memory
+
+
 @lru_cache(maxsize=3)
 def background_fields(vortices: tuple[OseenVortex, ...], t: float,
                       grid: Grid) -> np.ndarray:
@@ -283,15 +288,17 @@ def background_fields(vortices: tuple[OseenVortex, ...], t: float,
 
     Returns the read-only (5, n, n) array (U1, U2, W, S1, S2) at time t,
     with U = sum_i u_i, W = sum_i w_i and S = sum_i u_i w_i over the
-    vortices, each sampled once; all zeros for no vortex.  One Lawson step
-    samples three stage times and its last is the next step's first, so
-    three entries leave two new stage times per step.
+    vortices, each sampled once on broadcast 1-D coordinates; one cached zero
+    array per grid for no vortex.  A Lawson step samples three stage times,
+    its last the next step's first: three entries leave two new per step.
     """
-    xx, yy = grid.meshes()
+    if not vortices:
+        return _no_backgrounds(grid)
+    x = grid.coords()[:, None]
     fields = np.zeros((5, grid.n, grid.n))
     for v in vortices:
-        u1, u2 = oseen_velocity(v, t, xx, yy)
-        w = oseen_vorticity(v, t, xx, yy)
+        u1, u2 = oseen_velocity(v, t, x, x.T)
+        w = oseen_vorticity(v, t, x, x.T)
         for total, sample in zip(fields, (u1, u2, w, u1 * w, u2 * w)):
             total += sample
     fields.flags.writeable = False
@@ -328,7 +335,7 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
     # |sum_i u_i| <= sum_i oseen_max_speed(v_i) pointwise, so the sampled
     # speed never binds: the stage reports 0 and the step reads only the
     # analytic bound
-    def stage(w, now):
+    def stage(w, now, with_speed):
         u1, u2 = background_fields(vortices, now, grid)[:2]
         return (u1 * w, u2 * w), 0.0
 
@@ -383,7 +390,7 @@ def evolve_S1(alpha: float, w0: ScalarField, tau_end: float, cfg: StepperConfig,
     """One-vortex self-similar flow d w/d tau + alpha v . grad w = L w."""
     a1, a2, advection_max = vortex_advection(w0.grid, alpha)
 
-    def stage(w, tau):
+    def stage(w, tau, with_speed):
         return ((a1 * w, a2 * w) if alpha != 0 else None), 0.0
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
@@ -403,7 +410,7 @@ def evolve_T_alpha(alpha: float, w0: ScalarField, tau_end: float,
     a1, a2, advection_max = vortex_advection(grid, alpha)
     g = gaussian_profile(*grid.meshes())
 
-    def stage(w, tau):
+    def stage(w, tau, with_speed):
         if alpha == 0:
             return None, 0.0
         vw = velocity_free_space(ScalarField._owned(grid, w))

@@ -116,12 +116,13 @@ def _decomposed_stage(backgrounds, grid: Grid):
     are dropped analytically (they vanish pointwise by radial symmetry):
     a single vortex with a zero remainder has the flux U W - S = 0 exactly.
     """
-    def stage(w, t):
+    def stage(w, t, with_speed):
         U1, U2, W, S1, S2 = background_fields(backgrounds, t, grid)
         u1, u2, speed = U1, U2, 0.0
         if np.any(w):
             ut = _remainder_velocity(ScalarField._owned(grid, w))
-            u1, u2, speed = ut.x.values + U1, ut.y.values + U2, ut.max_norm()
+            u1, u2 = ut.x.values + U1, ut.y.values + U2
+            speed = with_speed and ut.max_norm()
         total = w + W
         return (u1 * total - S1, u2 * total - S2), speed
     return stage
@@ -224,10 +225,11 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
 
     Records remainder snapshots on a geometric schedule and checks the
     measure-data a priori bound |omega(t)|_L1 <= |mu| at every snapshot:
-    a ratio above 1 + ``l1_check_tol`` raises.  The default tolerance is
-    loose because snapshots adjacent to t0 carry discretization noise when
-    the initial profiles are only marginally resolved (it decays within a
-    few multiples of t0); A1 tightens it to 1e-6.  Each snapshot's
+    a ratio above 1 + ``l1_check_tol`` raises (DomainError at t0, before
+    any step, where only a grid that under-resolves the data breaks it).
+    The tolerance is loose because snapshots near t0 carry discretization
+    noise when the initial profiles are only marginally resolved (it decays
+    within a few multiples of t0); A1 tightens it to 1e-6.  Each snapshot's
     remainder must also be negligible at the box boundary (MarginError
     otherwise): the periodic solves of a mean-zero remainder check no
     boundary, so for such a run this is the only boundary check.
@@ -254,6 +256,10 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
         state = VortexSystem(sys.backgrounds, remainder, t)
         l1 = lp_norm(state.total_vorticity(), 1)
         if tv > 0 and l1 > tv * (1.0 + l1_check_tol):
+            if t == t0:
+                raise DomainError(
+                    f"the samples at t0 break the L1 bound ({l1} > {tv}): "
+                    f"h={grid.h:.3g} under-resolves sqrt(t0)={t0**0.5:.3g}")
             raise Oseen2dError(
                 f"L1 bound violated at t={t}: |omega|_1 = {l1} > {tv}")
         require_boundary_decay(remainder, "solve_cauchy", tol=SOLVER_BOUNDARY_TOL)
@@ -290,12 +296,12 @@ def evolve_rescaled_perturbation(alpha: float, w0: ScalarField, tau_end: float,
     a1, a2, advection_max = vortex_advection(grid, alpha)
     g = gaussian_profile(*grid.meshes())
 
-    def stage(w, tau):
+    def stage(w, tau, with_speed):
         vt = velocity_free_space(ScalarField._owned(grid, w),
                                  boundary_tol=SOLVER_BOUNDARY_TOL)
         u1, u2 = vt.x.values, vt.y.values
         return ((a1 + u1) * w + alpha * u1 * g,
-                (a2 + u2) * w + alpha * u2 * g), vt.max_norm()
+                (a2 + u2) * w + alpha * u2 * g), with_speed and vt.max_norm()
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 

@@ -5,13 +5,14 @@ The frozen constants below were produced by these oracle functions; the
 cheap ones are re-derived at test time, the expensive 2D quadratures are
 frozen with the generating function kept here for regeneration.
 
-The last three sections hold what only tests call: the vector calculus
+The last four sections hold what only tests call: the vector calculus
 (curl, divergence, the Laplacian, the 2/3 mask, the vortex Jacobian),
 which builds on the grid's own wavenumbers, mask and stencil, so the
 identities it checks are the ones the package relies on; the checks
 built on the package's operators (the drift-diffusion generator, the
 vortex residual, the weighted velocity norm and the per-vortex flux of
-the decomposed solver); and the plain-text measure files.
+the decomposed solver); the full-grid forms of the vortex samplers; and
+the plain-text measure files.
 """
 
 import os
@@ -267,6 +268,43 @@ def decomposed_flux(backgrounds, t: float, w: ScalarField, ut1, ut2):
         f1 = f1 + (u1 - b1) * wi
         f2 = f2 + (u2 - b2) * wi
     return f1, f2
+
+
+# ---------------------------------------------------------------------
+# full-grid sampling: the vortex samplers with exp and the small-|xi|
+# series evaluated at every point of the (n, n) meshes, which the
+# package's masked samplers must equal bit for bit
+# ---------------------------------------------------------------------
+
+def gaussian_profile_full(x1, x2):
+    """oseen.gaussian_profile with exp evaluated at every point."""
+    return np.exp(-(np.asarray(x1) ** 2 + np.asarray(x2) ** 2) / 4.0) / (4.0 * np.pi)
+
+
+def ring_factor_full(s):
+    """oseen._ring_factor with both branches evaluated at every point."""
+    s = np.asarray(s, dtype=float)
+    small = s < SERIES_CUTOFF_SQ
+    safe = np.where(small, 1.0, s)
+    full = -np.expm1(-safe / 4.0) / (2.0 * np.pi * safe)
+    series = (1.0 - s / 8.0 + s * s / 96.0) / (8.0 * np.pi)
+    return np.where(small, series, full)
+
+
+def background_fields_full(vortices, t: float, grid: Grid) -> np.ndarray:
+    """propagators.background_fields sampled on the (n, n) coordinate
+    meshes with the full-grid profiles above."""
+    xx, yy = grid.meshes()
+    rt = np.sqrt(t)
+    fields = np.zeros((5, grid.n, grid.n))
+    for v in vortices:
+        x1, x2 = (xx - v.z[0]) / rt, (yy - v.z[1]) / rt
+        f = ring_factor_full(x1**2 + x2**2)
+        u1, u2 = (v.alpha / rt) * (-x2 * f), (v.alpha / rt) * (x1 * f)
+        w = (v.alpha / t) * gaussian_profile_full(x1, x2)
+        for total, sample in zip(fields, (u1, u2, w, u1 * w, u2 * w)):
+            total += sample
+    return fields
 
 
 # ---------------------------------------------------------------------

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oseen2d.errors import DomainError
 from oseen2d.field import Grid
-from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
-                           oseen_max_speed, oseen_velocity, oseen_vorticity,
-                           velocity_profile)
+from oseen2d.oseen import (OseenVortex, _ring_factor, gaussian_profile,
+                           oseen_fields, oseen_max_speed, oseen_velocity,
+                           oseen_vorticity, velocity_profile)
 
-from oracles import gaussian_gradient, oseen_residual, velocity_jacobian
+from oracles import (gaussian_gradient, gaussian_profile_full, oseen_residual,
+                     ring_factor_full, velocity_jacobian)
+
+# exp arguments across the underflow threshold (exp is 0 below -745.13),
+# in the subnormal band and in the normal range
+_EXP_ARGS = st.one_of(st.floats(-747.0, -745.0), st.floats(-745.2, -708.0),
+                      st.floats(-50.0, 0.0), st.just(-746.0))
 
 
 def test_gaussian_profile_values():
@@ -125,3 +133,31 @@ def test_oseen_residual_small(alpha, tol, grid256):
 
 def test_oseen_residual_zero_circulation(grid256):
     assert oseen_residual(OseenVortex(0.0), 1.0, grid256) == 0.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(args=st.lists(_EXP_ARGS, min_size=1, max_size=40),
+       angle=st.floats(0.0, 2 * np.pi))
+def test_gaussian_profile_bit_identical_to_full_grid(args, angle):
+    # skipping the underflowing exp arguments leaves every bit as it was,
+    # on arrays, on broadcast 1-D vectors and on scalars
+    r = np.sqrt(-4.0 * np.array(args))
+    x1, x2 = r * np.cos(angle), r * np.sin(angle)
+    assert np.array_equal(gaussian_profile(x1, x2), gaussian_profile_full(x1, x2))
+    col, row = x1[:, None], x2[None, :]
+    assert np.array_equal(gaussian_profile(col, row), gaussian_profile_full(col, row))
+    got = gaussian_profile(float(x1[0]), float(x2[0]))
+    assert np.ndim(got) == 0 and got == gaussian_profile_full(x1[0], x2[0])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(s=st.lists(st.one_of(st.just(0.0), st.just(1e-8), st.floats(0.0, 2e-8),
+                            st.floats(0.0, 100.0), st.floats(2832.0, 2981.0),
+                            st.floats(2980.0, 2990.0)),
+                  min_size=1, max_size=40))
+def test_ring_factor_bit_identical_to_full_grid(s):
+    # s = 0, the series cutoff s = 1e-8 and the underflow of exp(-s/4)
+    s = np.array(s)
+    assert np.array_equal(_ring_factor(s), ring_factor_full(s))
+    got = _ring_factor(float(s[0]))
+    assert np.ndim(got) == 0 and got == ring_factor_full(s[0])

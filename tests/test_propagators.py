@@ -7,18 +7,21 @@ from hypothesis import strategies as st
 
 from oseen2d import propagators, solver
 from oseen2d.errors import DegenerateError, DomainError, StabilityError
-from oseen2d.field import (ScalarField, VectorField, _dealias_mask,
+from oseen2d.field import (Grid, ScalarField, VectorField, _dealias_mask,
                            _deriv_wavenumbers, _ksq, lp_norm)
 from oseen2d.measure import FiniteMeasure, heat_smooth
 from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
                            oseen_max_speed)
 from oseen2d.propagators import (CFL_DEFAULT, DecayFit, StepperConfig, Trajectory,
-                                 _require_divergence_free, background_velocity,
+                                 _require_divergence_free, background_fields,
+                                 background_velocity,
                                  cfl_bound, evolve_S1, evolve_T_alpha,
                                  fit_decay, lawson_step, march, propagate_SN,
                                  vortex_advection)
 from oseen2d.rng import band_limited_field
 from oseen2d.selfsim import semigroup_apply
+
+from oracles import background_fields_full
 
 
 def heat_kernel_field(grid, t):
@@ -28,7 +31,7 @@ def heat_kernel_field(grid, t):
 
 def prescribed_step(w, velocity_fn, t, dt):
     """One fixed-dt lawson_step of dw/dt + div(U(t) w) = Lap(w)."""
-    def stage(values, s):
+    def stage(values, s, with_speed):
         u = velocity_fn(s)
         return (u.x.values * values, u.y.values * values), u.max_norm()
 
@@ -191,6 +194,30 @@ def test_background_speed_below_analytic_bound(grid128, vortices, t):
     assert speed <= bound * (1 + 1e-12)
 
 
+_GRID64 = Grid(64, 40.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(vortices=st.lists(
+           st.builds(OseenVortex, st.floats(-10.0, 10.0), st.tuples(
+               *[st.one_of(st.sampled_from(_GRID64.coords()[16:48]),
+                           st.floats(-10.0, 10.0))] * 2)),
+           min_size=1, max_size=3, unique_by=lambda v: v.z),
+       t=st.floats(1e-4, 2.0))
+def test_background_fields_bit_identical_to_full_grid(vortices, t):
+    # centers on grid nodes put s = 0 on the grid; small t puts most
+    # exp arguments below the underflow threshold
+    got = background_fields(tuple(vortices), t, _GRID64)
+    assert np.array_equal(got, background_fields_full(vortices, t, _GRID64))
+
+
+def test_background_fields_without_vortices_is_one_cached_zero(grid128):
+    zero = background_fields((), 0.1, grid128)
+    assert background_fields((), 0.2, grid128) is zero
+    assert not zero.flags.writeable
+    assert zero.shape == (5, 128, 128) and not np.any(zero)
+
+
 def test_propagate_requires_ordered_times(grid128, gauss128):
     with pytest.raises(DomainError):
         propagate_SN([], gauss128, 1.0, 0.5, StepperConfig.courant())
@@ -302,12 +329,12 @@ def _reference_lawson_step(w, t, stage, dt, dealias=True, drift=False):
 
     def nonlinear(w_hat, stage_t):
         values = np.fft.ifft2(w_hat).real
-        return tendency(values, stage(values, stage_t)[0])
+        return tendency(values, stage(values, stage_t, False)[0])
 
     eh = np.exp(-0.5 * dt * _ksq(grid))
     ef = eh * eh
     w_hat = np.fft.fft2(w.values)
-    n1 = tendency(w.values, stage(w.values, t)[0])
+    n1 = tendency(w.values, stage(w.values, t, True)[0])
     n2 = nonlinear(eh * (w_hat + 0.5 * dt * n1), t + 0.5 * dt)
     n3 = nonlinear(eh * w_hat + 0.5 * dt * n2, t + 0.5 * dt)
     n4 = nonlinear(ef * w_hat + dt * eh * n3, t + dt)
@@ -333,7 +360,7 @@ def test_drift_step_matches_full_spectrum_reference(grid128):
     xx, yy = grid128.meshes()
     f = ScalarField(grid128, f.values * np.exp(-(xx**2 + yy**2) / 8.0))
 
-    def stage(w, tau):
+    def stage(w, tau, with_speed):
         return (a1 * w, a2 * w), 0.0
 
     got, tau = lawson_step(f, 0.0, np.inf, stage, lambda speed, room: 5e-3,

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oseen2d import propagators, solver
-from oseen2d.errors import DomainError, MarginError, StabilityError
-from oseen2d.field import Grid, ScalarField, lp_norm, project_mean_zero
+from oseen2d.errors import DomainError, MarginError, Oseen2dError, StabilityError
+from oseen2d.field import (Grid, ScalarField, VectorField, lp_norm,
+                           project_mean_zero)
 from oseen2d.measure import FiniteMeasure, total_variation
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
 from oseen2d.propagators import StepperConfig
@@ -96,7 +97,7 @@ def test_decomposed_stage_matches_per_vortex_flux(grid128, count, with_blob):
     if with_blob:
         ut = solver._remainder_velocity(w)
         ut1, ut2 = ut.x.values, ut.y.values
-    got, _ = solver._decomposed_stage(backgrounds, grid128)(w.values, t)
+    got, _ = solver._decomposed_stage(backgrounds, grid128)(w.values, t, True)
     want = decomposed_flux(backgrounds, t, w, ut1, ut2)
     scale = max(np.max(np.abs(c)) for c in want)
     for g, c in zip(got, want):
@@ -106,7 +107,7 @@ def test_decomposed_stage_matches_per_vortex_flux(grid128, count, with_blob):
 def test_decomposed_stage_single_vortex_flux_is_zero(grid128):
     # U W - S cancels to the last bit, which keeps a pure vortex exact
     stage = solver._decomposed_stage(BACKGROUNDS[:1], grid128)
-    (f1, f2), speed = stage(np.zeros((grid128.n, grid128.n)), 0.1)
+    (f1, f2), speed = stage(np.zeros((grid128.n, grid128.n)), 0.1, True)
     assert np.all(f1 == 0.0) and np.all(f2 == 0.0) and speed == 0.0
 
 
@@ -143,6 +144,25 @@ def test_step_decomposed_solves_velocity_four_times(grid128, monkeypatch):
         sys = VortexSystem(backgrounds=(OseenVortex(1.0),), remainder=pert, t=0.1)
         step_decomposed(sys, cfg)
         assert len(calls) == 4
+
+
+def test_one_speed_per_step(grid128, monkeypatch):
+    # lawson_step asks for the speed only at stage 1, where it sizes the
+    # step: one max_norm per step of the solver and of the rescaled
+    # perturbation flow, not one per stage
+    speeds, steps = [], []
+    monkeypatch.setattr(VectorField, "max_norm",
+                        counted(speeds, VectorField.max_norm))
+    for module in (solver, propagators):
+        monkeypatch.setattr(module, "lawson_step",
+                            counted(steps, propagators.lawson_step))
+    pert = blob(grid128, 0.2, (1.5, 0.5), 1.0)
+    sys = VortexSystem(backgrounds=(OseenVortex(1.0),), remainder=pert, t=0.1)
+    for _ in range(3):
+        sys = step_decomposed(sys, StepperConfig.courant())
+    evolve_rescaled_perturbation(1.0, pert, 0.02, StepperConfig.fixed(5e-3))
+    assert len(steps) == 3 + 4
+    assert len(speeds) == len(steps)
 
 
 def test_step_decomposed_reuses_background_fields(grid128, monkeypatch):
@@ -267,6 +287,22 @@ def test_solve_cauchy_single_atom_bounds(grid128):
     for s in run.series:
         assert s["total_l1"] <= tv * (1 + 1e-6)
         assert abs(s["circulation"] - 1.0) < 1e-12
+
+
+def test_solve_cauchy_under_resolved_start_is_a_domain_error():
+    # h = 0.625 against a core of sqrt(t0) = 0.22: the samples at t0 break
+    # the L1 bound (ratio 1.026) before any step, so the input is at fault
+    mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
+    with pytest.raises(DomainError, match=r"h=0\.625 .* sqrt\(t0\)=0\.224"):
+        solve_cauchy(mu, 0.1, 0.05, 0.1, Grid(64, 40.0))
+
+
+def test_solve_cauchy_later_l1_violation_is_not_a_domain_error():
+    # the ratio is 1 + 6e-13 at t0 and 1 + 8e-5 at the next snapshot
+    mu = FiniteMeasure.from_atoms(((-2.0, 0.0), 1.0), ((2.0, 0.0), 1.0))
+    with pytest.raises(Oseen2dError, match="L1 bound violated at t=") as info:
+        solve_cauchy(mu, 0.1, 0.1, 0.3, Grid(64, 24.0), l1_check_tol=1e-5)
+    assert not isinstance(info.value, DomainError)
 
 
 def test_solve_cauchy_rejects_mean_zero_remainder_at_boundary():
