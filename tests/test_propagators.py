@@ -14,10 +14,9 @@ from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
                            oseen_max_speed)
 from oseen2d.propagators import (CFL_DEFAULT, DecayFit, StepperConfig, Trajectory,
                                  _require_divergence_free, background_fields,
-                                 background_velocity,
-                                 cfl_bound, evolve_S1, evolve_T_alpha,
-                                 fit_decay, lawson_step, march, propagate_SN,
-                                 vortex_advection)
+                                 background_velocity, cfl_bound, evolve_S1,
+                                 evolve_T_alpha, fit_decay, lawson_step, march,
+                                 propagate_SN, vortex_advection)
 from oseen2d.rng import band_limited_field
 from oseen2d.selfsim import semigroup_apply
 
