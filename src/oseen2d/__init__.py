@@ -8,7 +8,7 @@ from .measure import (AtomicDecomposition, FiniteMeasure, atomic_norm,
                       decompose, heat_smooth, total_variation)
 from .oseen import OseenVortex, oseen_fields
 from .propagators import StepperConfig, Trajectory, fit_decay
-from .selfsim import SelfSimilarFrame, semigroup_apply
+from .selfsim import semigroup_apply
 from .solver import SolverRun, VortexSystem, solve_cauchy
 
 __all__ = [
@@ -16,7 +16,7 @@ __all__ = [
     "FiniteMeasure", "AtomicDecomposition", "total_variation", "atomic_norm",
     "decompose", "heat_smooth",
     "OseenVortex", "oseen_fields",
-    "SelfSimilarFrame", "semigroup_apply",
+    "semigroup_apply",
     "StepperConfig", "Trajectory", "fit_decay",
     "VortexSystem", "SolverRun", "solve_cauchy",
     "Oseen2dError", "DomainError", "MarginError", "CirculationError",

@@ -24,7 +24,7 @@ from .errors import ConvergenceError, DomainError, MismatchError
 from .field import Grid, ScalarField, lp_norm, weighted_norm
 from .measure import FiniteMeasure, heat_smooth
 from .oseen import OseenVortex, gaussian_profile, oseen_vorticity, velocity_profile
-from .selfsim import SelfSimilarFrame, to_self_similar
+from .selfsim import to_self_similar
 from .solver import SolverRun, restrict
 
 
@@ -106,33 +106,30 @@ class ContractionSeries:
         return self.running_max[-1]
 
 
-def remainder_norms(run: SolverRun, m: float) -> ContractionSeries:
-    """Running suprema of the attributed remainder norms along a run."""
-    grid = run.grid
-    chis = partition_of_unity(grid, [v.z for v in run.backgrounds],
-                              run.decomposition.d)
-    rows = []
-    for t, w in zip(run.trajectory.times, run.trajectory.fields):
-        # [s^(1/4)|chi_0 w|_{4/3}, |rescaled chi_i w / alpha_i|_{L2(m)}, ...]
-        row = [t**0.25 * lp_norm(ScalarField(grid, chis[0] * w.values), 4.0 / 3.0)]
-        for chi, v in zip(chis[1:], run.backgrounds):
-            part = ScalarField(grid, chi * w.values / v.alpha)
-            rescaled = to_self_similar(part, SelfSimilarFrame.at_time(t, v.z))
-            row.append(weighted_norm(rescaled, 2, m))
-        rows.append(row)
-    return _running(run.trajectory.times, rows)
-
-
-def _running(times, rows) -> ContractionSeries:
-    sup_rows = []
-    current = [0.0] * len(rows[0])
-    overall = []
-    for row in rows:
-        current = [max(c, v) for c, v in zip(current, row)]
+def _contraction_norms(grid: Grid, backgrounds, d: float, times, fields,
+                       m: float) -> ContractionSeries:
+    """Running suprema of the contraction norm of the frames f at times t:
+    [t^(1/4)|chi_0 f|_{4/3}, |rescaled chi_i f / alpha_i|_{L2(m)}, ...],
+    with chi_i the partition of unity about the background centers."""
+    chis = partition_of_unity(grid, [v.z for v in backgrounds], d)
+    current = [0.0] * len(chis)
+    sup_rows, overall = [], []
+    for t, f in zip(times, fields):
+        row = [t**0.25 * lp_norm(ScalarField(grid, chis[0] * f.values), 4.0 / 3.0)]
+        for chi, v in zip(chis[1:], backgrounds):
+            part = ScalarField(grid, chi * f.values / v.alpha)
+            row.append(weighted_norm(to_self_similar(part, t, v.z), 2, m))
+        current = [max(c, r) for c, r in zip(current, row)]
         sup_rows.append(tuple(current))
         overall.append(max(current))
     return ContractionSeries(times=tuple(times), parts=tuple(sup_rows),
                              running_max=tuple(overall))
+
+
+def remainder_norms(run: SolverRun, m: float) -> ContractionSeries:
+    """Running suprema of the attributed remainder norms along a run."""
+    return _contraction_norms(run.grid, run.backgrounds, run.decomposition.d,
+                              run.trajectory.times, run.trajectory.fields, m)
 
 
 def _shared_snapshots(runA: SolverRun, runB: SolverRun, frame):
@@ -156,31 +153,21 @@ def _shared_snapshots(runA: SolverRun, runB: SolverRun, frame):
 
 
 def solution_distance(runA: SolverRun, runB: SolverRun, m: float) -> ContractionSeries:
-    """Running suprema of the per-part distances between two runs.
+    """Running suprema of the contraction norm of the difference of two runs.
 
-    The runs must share snapshot times and background centers.  A run on a
-    nested finer grid is restricted to the coarser one.
+    The runs must share snapshot times and backgrounds (circulations and
+    centers), so that their difference is the difference of their
+    remainders.  A run on a nested finer grid is restricted to the coarser
+    one.
     """
     coarse, snapshots = _shared_snapshots(
         runA, runB, lambda run, i: run.trajectory.fields[i])
-    za = [v.z for v in runA.backgrounds]
-    zb = [v.z for v in runB.backgrounds]
-    if za != zb:
-        raise MismatchError("runs do not share background centers")
-    chis = partition_of_unity(coarse, za,
-                              min(runA.decomposition.d, runB.decomposition.d))
-    rows = []
-    for t, wa, wb in snapshots:
-        diff0 = ScalarField(coarse, chis[0] * (wa.values - wb.values))
-        row = [t**0.25 * lp_norm(diff0, 4.0 / 3.0)]
-        for chi, vA, vB in zip(chis[1:], runA.backgrounds, runB.backgrounds):
-            pa = ScalarField(coarse, chi * wa.values / vA.alpha)
-            pb = ScalarField(coarse, chi * wb.values / vB.alpha)
-            ra = to_self_similar(pa, SelfSimilarFrame.at_time(t, vA.z))
-            rb = to_self_similar(pb, SelfSimilarFrame.at_time(t, vB.z))
-            row.append(weighted_norm(ra - rb, 2, m))
-        rows.append(row)
-    return _running(runA.trajectory.times, rows)
+    if runA.backgrounds != runB.backgrounds:
+        raise MismatchError("runs do not share backgrounds "
+                            "(circulations and centers)")
+    return _contraction_norms(coarse, runA.backgrounds, runA.decomposition.d,
+                              runA.trajectory.times,
+                              (wa - wb for _, wa, wb in snapshots), m)
 
 
 def total_l1_difference(runA: SolverRun, runB: SolverRun) -> np.ndarray:

@@ -4,10 +4,9 @@ Each experiment runs one scenario at pinned parameters, writes its
 artifacts (CSV series, field dumps, plot scripts) when given an output
 directory, and returns a list of assertion records
 
-    (criterion_id, passed, measured, threshold, direction)
+    (criterion_id, passed, measured, threshold)
 
-where direction is "<" or ">" describing the passing sense.  Thresholds
-are pinned here, not at call sites.
+Thresholds are pinned here, not at call sites.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class Assertion:
     passed: bool
     measured: float
     threshold: float
-    direction: str = "<"
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -75,17 +73,17 @@ class Assertion:
 
 def _less(criterion, measured, threshold) -> Assertion:
     return Assertion(criterion, bool(measured < threshold), float(measured),
-                     float(threshold), "<")
+                     float(threshold))
 
 
 def _greater(criterion, measured, threshold) -> Assertion:
     return Assertion(criterion, bool(measured > threshold), float(measured),
-                     float(threshold), ">")
+                     float(threshold))
 
 
 def _le(criterion, measured, threshold) -> Assertion:
     return Assertion(criterion, bool(measured <= threshold), float(measured),
-                     float(threshold), "<")
+                     float(threshold))
 
 
 def _gaussian_field(grid: Grid) -> ScalarField:
@@ -168,7 +166,7 @@ def asym_decay(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         records.append(_le(f"A3[p={p}]-monotone", worst_rise, 0.0))
         fit = fit_decay(traj, p, (2.0, 4.6))
         records.append(Assertion(f"A3[p={p}]-rate",
-                                 -0.65 <= fit.rate <= -0.35, fit.rate, -0.35, "<"))
+                                 -0.65 <= fit.rate <= -0.35, fit.rate, -0.35))
     if out:
         write_norms_csv(rows, os.path.join(out, "oseen_distance.csv"))
         write_plot_script(os.path.join(out, "oseen_distance.csv"),
@@ -285,7 +283,7 @@ def spectrum(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         records.append(_less(f"A9[alpha={alpha:g}]-translation", err, 1e-6))
         mult = eigenvalue_multiplicity(rep, -0.5, 1e-6)
         records.append(Assertion(f"A9[alpha={alpha:g}]-multiplicity",
-                                 mult >= 2, mult, 2, ">"))
+                                 mult >= 2, mult, 2))
         records.append(_le(f"A9[alpha={alpha:g}]-maxreal", rep.max_real,
                            -0.5 + 1e-3))
     if out:
@@ -311,7 +309,7 @@ def sn_gaussian_bound(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         outf = propagate_SN(vortices, f, s, s + gap, StepperConfig.courant())
         records.append(Assertion(f"A10[gap={gap:g}]-positive",
                                  float(outf.values.min()) > -1e-10,
-                                 float(outf.values.min()), -1e-10, ">"))
+                                 float(outf.values.min()), -1e-10))
         records.append(_less(f"A10[gap={gap:g}]-mass",
                              abs(outf.integral() - 1.0), 1e-8))
         envelope = np.exp(-((xx - y[0])**2 + (yy - y[1])**2) / (8.0 * gap))
@@ -381,7 +379,7 @@ def continuity(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         diffs = total_l1_difference(run_base, run_pert)
         ratios[delta] = float(np.max(diffs)) / delta
     spread = max(ratios.values()) / min(ratios.values())
-    records = [Assertion("A13-lipschitz-spread", spread <= 3.0, spread, 3.0, "<")]
+    records = [Assertion("A13-lipschitz-spread", spread <= 3.0, spread, 3.0)]
     if out:
         rows = [(d, "l1_response_ratio", 1, 0, r) for d, r in sorted(ratios.items())]
         write_norms_csv(rows, os.path.join(out, "continuity.csv"))

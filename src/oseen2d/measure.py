@@ -24,9 +24,12 @@ Point = tuple[float, float]
 def _canonical_atoms(atoms) -> tuple[tuple[Point, float], ...]:
     """Sort by descending |mass|, ties lexicographic by (x, y); drop zeros."""
     cleaned = []
-    for (pos, mass) in atoms:
-        x, y = float(pos[0]), float(pos[1])
-        mass = float(mass)
+    for atom in atoms:
+        try:
+            (x, y), mass = atom
+            x, y, mass = float(x), float(y), float(mass)
+        except (TypeError, ValueError):
+            raise DomainError(f"an atom is ((x, y), mass), got {atom!r}") from None
         if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(mass)):
             raise DomainError("atom positions and masses must be finite")
         if mass != 0.0:

@@ -354,6 +354,8 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
 
 def vortex_advection(grid: Grid, alpha: float):
     """alpha v on the grid, and its largest speed."""
+    if not np.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
     v1, v2 = velocity_profile(*grid.meshes())
     return alpha * v1, alpha * v2, abs(alpha) * float(np.max(np.hypot(v1, v2)))
 
@@ -367,6 +369,8 @@ def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
     Every step obeys the explicit-drift bound 4h/L and the CFL bound of
     ``advection_max`` plus the speed the stage solved for.
     """
+    if not 0 < tau_end < np.inf:
+        raise DomainError(f"tau_end must be positive and finite, got {tau_end}")
     if not sample_every > 0:
         raise DomainError(f"sample_every must be positive, got {sample_every}")
     h, drift_bound = w0.grid.h, 4.0 * w0.grid.h / w0.grid.box_size

@@ -17,8 +17,6 @@ point and gradients satisfy grad S(tau) = e^{tau/2} S(tau) grad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -30,59 +28,21 @@ from .field import (ScalarField, _fft2, _ifft2, _ksq, gradient,
 QUADRATURE_MIN_TAU = 0.25
 
 
-@dataclass(frozen=True)
-class SelfSimilarFrame:
-    """A scaling frame: center z and logarithmic time tau = log t."""
+def to_self_similar(omega: ScalarField, t: float, center) -> ScalarField:
+    """w(xi) = t * omega(center + xi sqrt(t)) by trigonometric interpolation.
 
-    center: tuple[float, float]
-    tau: float
-
-    def __post_init__(self):
-        if not all(np.isfinite(self.center)) or not np.isfinite(self.tau):
-            raise DomainError("frame parameters must be finite")
-
-    @property
-    def t(self) -> float:
-        return float(np.exp(self.tau))
-
-    @staticmethod
-    def at_time(t: float, center: tuple[float, float] = (0.0, 0.0)) -> "SelfSimilarFrame":
-        if not (t > 0):
-            raise DomainError(f"frame time must be positive, got {t}")
-        return SelfSimilarFrame(center=center, tau=float(np.log(t)))
-
-
-def to_self_similar(omega: ScalarField, frame: SelfSimilarFrame) -> ScalarField:
-    """w(xi) = t * omega(z + xi sqrt(t)) by trigonometric interpolation."""
-    t = frame.t
-    rt = np.sqrt(t)
-    _check_rescale_margin(omega, rt, frame.center, "to_self_similar")
-    w = resample_affine(omega, rt, frame.center)
-    return t * w
-
-
-def from_self_similar(w: ScalarField, frame: SelfSimilarFrame) -> ScalarField:
-    """omega(x) = (1/t) w((x - z)/sqrt(t)), inverse of to_self_similar."""
-    t = frame.t
-    rt = np.sqrt(t)
-    center = (-frame.center[0] / rt, -frame.center[1] / rt)
-    _check_rescale_margin(w, 1.0 / rt, center, "from_self_similar")
-    omega = resample_affine(w, 1.0 / rt, center)
-    return (1.0 / t) * omega
-
-
-def _check_rescale_margin(f: ScalarField, scale: float, center, what: str):
-    """The source must be negligible wherever the resampling cuts it off.
-
-    Resampling evaluates f at scale*x + center for x in the box of f and
-    zero-extends beyond it.  If every evaluation point stays inside the
-    box nothing is cut and no decay is needed; otherwise f must be
-    negligible at its boundary.
+    Resampling zero-extends beyond the box of omega, so wherever the
+    evaluation points leave it, omega must be negligible at its boundary.
     """
-    reach = abs(scale) * 0.5 * f.grid.box_size + max(abs(center[0]), abs(center[1]))
-    if reach <= 0.5 * f.grid.box_size:
-        return
-    require_boundary_decay(f, what)
+    if not (0 < t < np.inf):
+        raise DomainError(f"self-similar time must be positive and finite, got {t}")
+    if not all(np.isfinite(center)):
+        raise DomainError(f"self-similar center must be finite, got {center}")
+    rt = np.sqrt(t)
+    half = 0.5 * omega.grid.box_size
+    if rt * half + max(abs(center[0]), abs(center[1])) > half:
+        require_boundary_decay(omega, "to_self_similar")
+    return t * resample_affine(omega, rt, center)
 
 
 def _semigroup_quadrature(tau: float, f: ScalarField) -> ScalarField:

@@ -10,9 +10,10 @@ The last four sections hold what only tests call: the vector calculus
 which builds on the grid's own wavenumbers, mask and stencil, so the
 identities it checks are the ones the package relies on; the checks
 built on the package's operators (the drift-diffusion generator, the
-vortex residual, the weighted velocity norm and the per-vortex flux of
-the decomposed solver); the full-grid forms of the vortex samplers; and
-the plain-text measure files.
+vortex residual, the weighted velocity norm, the per-vortex flux of
+the decomposed solver and the distance of two runs rescaled run by
+run); the full-grid forms of the vortex samplers; and the plain-text
+measure files.
 """
 
 import os
@@ -22,14 +23,17 @@ import scipy.linalg
 from scipy import integrate
 
 from oseen2d.biot_savart import circulation_is_negligible, velocity_free_space
+from oseen2d.diagnostics import partition_of_unity
 from oseen2d.errors import DomainError
 from oseen2d.field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
                            _fd_derivative, _fft2, _ifft2, _ksq, gradient,
                            lp_norm, read_field, require_boundary_decay,
-                           write_field)
+                           weighted_norm, write_field)
 from oseen2d.measure import FiniteMeasure
 from oseen2d.oseen import (SERIES_CUTOFF_SQ, OseenVortex, _ring_factor,
                            gaussian_profile, oseen_velocity, oseen_vorticity)
+from oseen2d.selfsim import to_self_similar
+from oseen2d.solver import restrict
 
 
 def gaussian(r):
@@ -268,6 +272,37 @@ def decomposed_flux(backgrounds, t: float, w: ScalarField, ut1, ut2):
         f1 = f1 + (u1 - b1) * wi
         f2 = f2 + (u2 - b2) * wi
     return f1, f2
+
+
+def two_resample_distance(runA, runB, m: float) -> np.ndarray:
+    """Running suprema per part of the distance between two runs, with each
+    run's vortex parts rescaled on their own and then subtracted.
+
+    The oracle for ``diagnostics.solution_distance``, which rescales the
+    difference once: the map is linear, so the two agree to round-off.
+    Rows are the shared snapshot times, columns the parts (M0, M1, ...).
+    """
+    coarse = runA.grid if runA.grid.n <= runB.grid.n else runB.grid
+
+    def on_coarse(w):
+        return w if w.grid == coarse else restrict(w, coarse)
+
+    chis = partition_of_unity(coarse, [v.z for v in runA.backgrounds],
+                              min(runA.decomposition.d, runB.decomposition.d))
+    rows = []
+    for t, wa, wb in zip(runA.trajectory.times, runA.trajectory.fields,
+                         runB.trajectory.fields):
+        wa, wb = on_coarse(wa), on_coarse(wb)
+        diff0 = ScalarField(coarse, chis[0] * (wa.values - wb.values))
+        row = [t**0.25 * lp_norm(diff0, 4.0 / 3.0)]
+        for chi, vA, vB in zip(chis[1:], runA.backgrounds, runB.backgrounds):
+            ra = to_self_similar(ScalarField(coarse, chi * wa.values / vA.alpha),
+                                 t, vA.z)
+            rb = to_self_similar(ScalarField(coarse, chi * wb.values / vB.alpha),
+                                 t, vB.z)
+            row.append(weighted_norm(ra - rb, 2, m))
+        rows.append(row)
+    return np.maximum.accumulate(np.asarray(rows), axis=0)
 
 
 # ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ from oseen2d.measure import FiniteMeasure
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
 from oseen2d.solver import solve_cauchy
 
-from oracles import DX_GAUSSIAN_L2, unsplit_spectrum
+from oracles import DX_GAUSSIAN_L2, two_resample_distance, unsplit_spectrum
 
 
 def blob(grid, mass, center, width):
@@ -143,7 +143,8 @@ def test_total_l1_difference_mismatched_times():
             total_l1_difference(runA, runB)
 
 
-def test_solution_distance_perturbed_density(grid128):
+@pytest.fixture(scope="module")
+def perturbed_pair(grid128):
     base = blob(grid128, 0.2, (1.0, 0.5), 1.0)
     atoms = (((0.0, 0.0), 1.0),)
     runA = solve_cauchy(FiniteMeasure(atoms=atoms, density=base),
@@ -151,10 +152,35 @@ def test_solution_distance_perturbed_density(grid128):
     pert = base + blob(grid128, 1e-3, (0.5, -0.5), 0.8)
     runB = solve_cauchy(FiniteMeasure(atoms=atoms, density=pert),
                         0.15, 0.05, 0.2, grid128)
+    return runA, runB
+
+
+def test_solution_distance_perturbed_density(perturbed_pair):
+    runA, runB = perturbed_pair
     series = solution_distance(runA, runB, 3.0)
     assert 0.0 < series.final < 0.1
     diffs = total_l1_difference(runA, runB)
     assert np.max(diffs) < 10.0 * 1e-3    # response comparable to the input
+
+
+def test_solution_distance_matches_two_resample_oracle(perturbed_pair):
+    # rescaling the difference once equals rescaling each run and
+    # subtracting, up to round-off, part by part
+    series = solution_distance(*perturbed_pair, 3.0)
+    want = two_resample_distance(*perturbed_pair, 3.0)
+    got = np.asarray(series.parts)
+    assert got.shape == want.shape == (len(series.times), 2)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_solution_distance_rejects_different_circulations():
+    # the same center but circulation 1 against 2: the runs' remainders
+    # agree, their solutions do not, so there is no distance to report
+    grid = Grid(64, 24.0)
+    runs = [solve_cauchy(FiniteMeasure.from_atoms(((0.0, 0.0), alpha)),
+                         0.05, 0.1, 0.3, grid) for alpha in (1.0, 2.0)]
+    with pytest.raises(MismatchError, match="backgrounds"):
+        solution_distance(*runs, 3.0)
 
 
 # ---------------------------------------------------- localized diffuse part

@@ -38,6 +38,15 @@ def test_atoms_distinct_and_finite():
     assert len(mu.atoms) == 1
 
 
+@pytest.mark.parametrize("atom", [((0, 0), 1.0, 2.0), ((0, 0, 9), 1.0),
+                                  ((0,), 1.0), (1.0,), ((0, 0), "x")])
+def test_measure_rejects_malformed_atom(atom):
+    # an atom is ((x, y), mass): extra or missing entries are an error,
+    # never unpacked loosely or truncated to the first two coordinates
+    with pytest.raises(DomainError, match="atom"):
+        FiniteMeasure(atoms=(atom,))
+
+
 @pytest.mark.parametrize("density", [np.ones((128, 128)), [[1.0]], 1.0])
 def test_measure_rejects_density_that_is_not_a_field(density):
     with pytest.raises(DomainError):

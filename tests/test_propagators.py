@@ -288,6 +288,33 @@ def test_selfsim_stability_bound(grid128, gauss128):
         evolve_S1(0.0, gauss128, 0.1, StepperConfig.fixed(1.0))
 
 
+@pytest.mark.parametrize("tau_end", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
+                                  solver.evolve_rescaled_perturbation])
+def test_rescaled_flows_reject_bad_tau_end(flow, tau_end):
+    # checked before any step: no bare ValueError/OverflowError from the
+    # stop list, and no trajectory of zero length
+    grid = Grid(32, 40.0)
+    w0 = 0.1 * heat_kernel_field(grid, 1.0)
+    with pytest.raises(DomainError, match="tau_end"):
+        flow(1.0, w0, tau_end, StepperConfig.fixed(5e-3))
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("a step was taken before the inputs were checked")
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+@pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
+                                  solver.evolve_rescaled_perturbation])
+def test_rescaled_flows_reject_nonfinite_alpha(flow, alpha, monkeypatch):
+    grid = Grid(32, 40.0)
+    w0 = 0.1 * heat_kernel_field(grid, 1.0)
+    monkeypatch.setattr(propagators, "lawson_step", _no_step)
+    with pytest.raises(DomainError, match="alpha"):
+        flow(alpha, w0, 0.1, StepperConfig.fixed(5e-3))
+
+
 def test_evolve_s1_samples_at_stop_times(gauss128):
     traj = evolve_S1(1.0, gauss128, 0.35, StepperConfig.fixed(2e-2),
                      sample_every=0.1)

@@ -5,24 +5,26 @@ from hypothesis import strategies as st
 
 from oseen2d.errors import DomainError, MarginError
 from oseen2d.field import ScalarField, lp_norm, project_mean_zero, weighted_norm
-from oseen2d.oseen import gaussian_profile
+from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_vorticity
 from oseen2d.propagators import StepperConfig, evolve_S1
 from oseen2d.rng import band_limited_field
-from oseen2d.selfsim import (SelfSimilarFrame, commutation_residual,
-                             from_self_similar, semigroup_apply, to_self_similar,
-                             _semigroup_quadrature, _semigroup_spectral)
+from oseen2d.selfsim import (commutation_residual, semigroup_apply,
+                             to_self_similar, _semigroup_quadrature,
+                             _semigroup_spectral)
 
 from oracles import apply_fokker_planck
 
 
-def test_frame_consistency():
-    fr = SelfSimilarFrame.at_time(4.0, (1.0, 2.0))
-    assert abs(fr.t - 4.0) < 1e-14
-    assert abs(fr.tau - np.log(4.0)) < 1e-14
-    with pytest.raises(DomainError):
-        SelfSimilarFrame.at_time(0.0)
-    with pytest.raises(DomainError):
-        SelfSimilarFrame((np.nan, 0.0), 1.0)
+@pytest.mark.parametrize("t", [0.0, np.nan, np.inf, -1.0])
+def test_to_self_similar_rejects_bad_time(t, gauss128):
+    with pytest.raises(DomainError, match="time"):
+        to_self_similar(gauss128, t, (0.0, 0.0))
+
+
+def test_to_self_similar_rejects_nonfinite_center(gauss128):
+    for center in ((np.nan, 0.0), (0.0, np.inf)):
+        with pytest.raises(DomainError, match="center"):
+            to_self_similar(gauss128, 1.0, center)
 
 
 def test_to_self_similar_inverts_oseen(grid128, gauss128):
@@ -31,31 +33,39 @@ def test_to_self_similar_inverts_oseen(grid128, gauss128):
         xx, yy = grid128.meshes()
         rt = np.sqrt(t)
         omega = ScalarField(grid128, gaussian_profile(xx / rt, yy / rt) / t)
-        w = to_self_similar(omega, SelfSimilarFrame.at_time(t))
+        w = to_self_similar(omega, t, (0.0, 0.0))
         assert np.max(np.abs(w.values - gauss128.values)) < 1e-8
 
 
 def test_self_similar_round_trip(grid128, gauss128):
-    fr = SelfSimilarFrame.at_time(4.0)
-    back = to_self_similar(from_self_similar(gauss128, fr), fr)
+    # the map at (1/t, -z/sqrt t) undoes the map at (t, z)
+    t, z = 2.0, (1.0, -0.5)
+    rt = np.sqrt(t)
+    spread = to_self_similar(gauss128, 1.0 / t, (-z[0] / rt, -z[1] / rt))
+    back = to_self_similar(spread, t, z)
     assert np.max(np.abs(back.values - gauss128.values)) < 1e-8
-    assert np.all(to_self_similar(grid128.zeros(), fr).values == 0.0)
+    assert np.all(to_self_similar(grid128.zeros(), t, z).values == 0.0)
 
 
-def test_from_self_similar_peak(grid128, gauss128):
-    out = from_self_similar(gauss128, SelfSimilarFrame.at_time(4.0))
+def test_self_similar_peak(grid128, gauss128):
+    # spreading G to t = 4 divides its peak 1/(4 pi) by 4; t = 1 at the
+    # origin is the identity, and the map is linear
+    out = to_self_similar(gauss128, 0.25, (0.0, 0.0))
     assert abs(out.values.max() - 1.0 / (16 * np.pi)) < 1e-10
-    ident = from_self_similar(gauss128, SelfSimilarFrame.at_time(1.0))
+    ident = to_self_similar(gauss128, 1.0, (0.0, 0.0))
     assert np.max(np.abs(ident.values - gauss128.values)) < 1e-12
-    scaled = from_self_similar(3.0 * gauss128, SelfSimilarFrame.at_time(4.0))
+    scaled = to_self_similar(3.0 * gauss128, 0.25, (0.0, 0.0))
     assert np.max(np.abs(scaled.values - 3.0 * out.values)) < 1e-14
 
 
 def test_to_self_similar_conserves_mass(grid128, gauss128):
-    fr = SelfSimilarFrame.at_time(2.0, (0.5, 0.0))
-    omega = from_self_similar(gauss128, fr)
-    w = to_self_similar(omega, fr)
+    # a vortex at (0.5, 0) seen from its own center is the unit profile
+    t, z = 2.0, (0.5, 0.0)
+    omega = ScalarField(grid128, oseen_vorticity(OseenVortex(1.0, z), t,
+                                                 *grid128.meshes()))
+    w = to_self_similar(omega, t, z)
     assert abs(w.integral() - omega.integral()) < 1e-10
+    assert np.max(np.abs(w.values - gauss128.values)) < 1e-8
 
 
 def test_fokker_planck_kernel_and_first_mode(gauss128, dx_gauss128):
@@ -91,12 +101,6 @@ def test_semigroup_identity_and_domain(gauss128):
 def test_semigroup_rejects_nan_time(tau, gauss128):
     with pytest.raises(DomainError):
         semigroup_apply(tau, gauss128)
-
-
-@pytest.mark.parametrize("t", [np.nan, 0.0])
-def test_frame_at_time_rejects_nan_time(t):
-    with pytest.raises(DomainError):
-        SelfSimilarFrame.at_time(t)
 
 
 def test_semigroup_strong_continuity(grid128):
