@@ -261,7 +261,15 @@ def _hermite_tables(grid: Grid, count: int):
 @lru_cache(maxsize=4)
 def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     """Basis list, diagonal of L, the alpha-independent coupling matrix, and
-    the (even, odd) index arrays of the modes by the parity of a + b."""
+    the (even, odd) index arrays of the modes by the parity of a + b.
+
+    Only the columns of the modes (a, b) with a <= b are solved.  The
+    reflection x <-> y fixes the grid (both axes share its coordinates),
+    G, the weight and every psi table; it maps the mode (a, b) to (b, a)
+    and reverses the vortex.  So C[(c, d), (b, a)] = -C[(d, c), (a, b)],
+    and each column with a > b is filled from its partner: one free-space
+    solve and one projection per pair instead of two.
+    """
     modes = [(a, b) for a in range(basis_n) for b in range(basis_n)]
     if mean_zero:
         modes = [mode for mode in modes if mode != (0, 0)]
@@ -279,8 +287,11 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
 
     diag = np.array([-(a + b) / 2.0 for a, b in modes])
     coupling = np.zeros((nm, nm))
+    column = {mode: col for col, mode in enumerate(modes)}
     area = grid.cell_area
     for col, (a, b) in enumerate(modes):
+        if a > b:
+            continue                                  # filled from (b, a)
         field_ab = np.outer(phi[a], phi[b])
         # grad of the basis function: next-order factors
         dx = np.sqrt((a + 1) / 2.0) * np.outer(phi[a + 1], phi[b])
@@ -297,6 +308,8 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
         weighted = coupled * half_weight
         proj = psi @ weighted @ psi.T * area          # (basis_n+1)^2 block
         coupling[:, col] = proj[rows]
+        if a < b:
+            coupling[:, column[(b, a)]] = -proj.T[rows]
     return modes, diag, coupling, parts
 
 
@@ -308,7 +321,10 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     derivatives (the eigenbasis of L, which is exactly diagonal there);
     only the alpha-coupling needs grid quadrature.  The coupling velocity
     of each basis function is its free-space Biot-Savart field.  The
-    coupling matrix does not depend on alpha and is cached.
+    coupling matrix does not depend on alpha and is cached.  The
+    reflection x <-> y maps the mode (a, b) to (b, a) and reverses the
+    vortex, so only the modes with a <= b are solved and projected; each
+    column (b, a) is minus its partner's with the row indices swapped.
 
     The operator commutes with rotations about the vortex, and the
     rotation by pi multiplies the mode (a, b) by its Hermite parity
@@ -385,11 +401,14 @@ def write_spectrum_csv(reports, path) -> None:
     with open(path, "w") as fh:
         fh.write("alpha,re,im,label\n")
         for report in reports:
+            # a labeled value can be a multiple eigenvalue (at alpha = 0 the
+            # exact -1/2 is double): each label goes to its first row only
             labels = {}
             for name, ev in report.labeled_modes.items():
-                labels.setdefault(complex(ev), name)
+                labels.setdefault(complex(ev), []).append(name)
             for ev in report.eigenvalues:
-                label = labels.get(complex(ev), "")
+                names = labels.get(complex(ev))
+                label = names.pop(0) if names else ""
                 fh.write(f"{format(report.alpha, '.17g')},"
                          f"{format(ev.real, '.17g')},{format(ev.imag, '.17g')},"
                          f"{label}\n")

@@ -23,7 +23,7 @@ import scipy.linalg
 from scipy import integrate
 
 from oseen2d.biot_savart import circulation_is_negligible, velocity_free_space
-from oseen2d.diagnostics import partition_of_unity
+from oseen2d.diagnostics import _hermite_tables, partition_of_unity
 from oseen2d.errors import DomainError
 from oseen2d.field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
                            _fd_derivative, _fft2, _ifft2, _ksq, gradient,
@@ -31,7 +31,8 @@ from oseen2d.field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
                            weighted_norm, write_field)
 from oseen2d.measure import FiniteMeasure
 from oseen2d.oseen import (SERIES_CUTOFF_SQ, OseenVortex, _ring_factor,
-                           gaussian_profile, oseen_velocity, oseen_vorticity)
+                           gaussian_profile, oseen_velocity, oseen_vorticity,
+                           velocity_profile)
 from oseen2d.selfsim import to_self_similar
 from oseen2d.solver import restrict
 
@@ -82,6 +83,38 @@ def padded_route(multiplier, values, shape):
     transforms; rfft2 zero-pads values to shape."""
     what = np.fft.rfft2(values, s=shape)
     return [np.fft.irfft2(m * what, s=shape) for m in multiplier]
+
+
+def coupling_per_mode(basis_n, mean_zero, grid):
+    """The linearization's coupling matrix with one free-space solve and one
+    projection per mode (a, b), every column computed directly, in the
+    mode order of `diagnostics._assemble_coupling`."""
+    modes = [(a, b) for a in range(basis_n) for b in range(basis_n)]
+    if mean_zero:
+        modes = [mode for mode in modes if mode != (0, 0)]
+    rows = tuple(np.array(modes).T)
+    phi, psi = _hermite_tables(grid, basis_n + 1)
+    xx, yy = grid.meshes()
+    v1, v2 = velocity_profile(xx, yy)
+    g = gaussian_profile(xx, yy)
+    half_weight = np.exp((xx**2 + yy**2) / 8.0) * np.sqrt(4.0 * np.pi)
+    grad_g = (-0.5 * xx * g, -0.5 * yy * g)
+    coupling = np.zeros((len(modes), len(modes)))
+    for col, (a, b) in enumerate(modes):
+        field_ab = np.outer(phi[a], phi[b])
+        dx = np.sqrt((a + 1) / 2.0) * np.outer(phi[a + 1], phi[b])
+        dy = np.sqrt((b + 1) / 2.0) * np.outer(phi[a], phi[b + 1])
+        coupled = v1 * dx + v2 * dy
+        if (a, b) == (0, 0):
+            vw1, vw2 = v1, v2
+        else:
+            vw = velocity_free_space(ScalarField(grid, field_ab))
+            vw1, vw2 = vw.x.values, vw.y.values
+        coupled = coupled + vw1 * grad_g[0] + vw2 * grad_g[1]
+        weighted = coupled * half_weight
+        proj = psi @ weighted @ psi.T * grid.cell_area
+        coupling[:, col] = proj[rows]
+    return coupling
 
 
 def unsplit_spectrum(modes, diag, coupling, alpha):

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from oseen2d.cli import build_config, list_mapping, main, parse_config_file
 from oseen2d.cli import ConfigError
+from oseen2d import experiments
 from oseen2d.experiments import EXPERIMENTS, ExperimentConfig
 
 
@@ -145,3 +147,19 @@ def test_default_config_values():
     assert cfg.m == 3.0
     assert cfg.t0 == 1e-2
     assert cfg.seed == 42
+
+
+@pytest.mark.parametrize("rate, line", [
+    (-0.7, "FAIL A3[p=1]-rate -0.7 -0.65"),
+    (-0.6, "PASS A3[p=1]-rate -0.6 -0.65"),
+    (-0.5, "PASS A3[p=1]-rate -0.5 -0.35"),
+    (-0.3, "FAIL A3[p=1]-rate -0.3 -0.35"),
+])
+def test_rate_band_line_names_the_nearer_end(monkeypatch, rate, line):
+    # A3's rate must lie in [-0.65, -0.35]; the line prints the end of the
+    # band the rate is nearer to, so a failing line names the end it crossed
+    monkeypatch.setattr(experiments, "fit_decay",
+                        lambda traj, p, window: SimpleNamespace(rate=rate))
+    cfg = ExperimentConfig(grid_n=32, box_l=30.0, dt=0.25)
+    records = experiments.asym_decay(cfg)
+    assert [r.line() for r in records if r.criterion == "A3[p=1]-rate"] == [line]

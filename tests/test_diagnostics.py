@@ -3,6 +3,7 @@ import pytest
 
 from scipy.optimize import linear_sum_assignment
 
+from oseen2d import diagnostics
 from oseen2d.diagnostics import (_assemble_coupling, bump,
                                  eigenvalue_multiplicity,
                                  linearized_spectrum, localized_diffuse_series,
@@ -11,13 +12,15 @@ from oseen2d.diagnostics import (_assemble_coupling, bump,
                                  solution_distance, total_l1_difference,
                                  write_contraction_csv, write_plot_script,
                                  write_spectrum_csv)
+from oseen2d.biot_savart import velocity_free_space
 from oseen2d.errors import DomainError, MismatchError
 from oseen2d.field import Grid, ScalarField
 from oseen2d.measure import FiniteMeasure
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
 from oseen2d.solver import solve_cauchy
 
-from oracles import DX_GAUSSIAN_L2, two_resample_distance, unsplit_spectrum
+from oracles import (DX_GAUSSIAN_L2, coupling_per_mode, two_resample_distance,
+                     unsplit_spectrum)
 
 
 def blob(grid, mass, center, width):
@@ -297,6 +300,35 @@ def test_split_spectrum_matches_unsplit_oracle(spectrum_grid, mean_zero):
         assert abs(rep.labeled_modes["translation"] - translation) <= 1e-12
 
 
+@pytest.mark.parametrize("mean_zero", [True, False])
+def test_coupling_reflection_matches_per_mode_oracle(spectrum_grid, mean_zero):
+    # the reflection x <-> y maps mode (a, b) to (b, a) and reverses the
+    # vortex, so the columns with a > b are filled from their partners:
+    # exact up to the round-off of the partner's free-space solve
+    modes, _, coupling, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
+    expected = coupling_per_mode(16, mean_zero, spectrum_grid)
+    solved = np.array([a <= b for a, b in modes])
+    assert np.array_equal(coupling[:, solved], expected[:, solved])
+    assert (np.max(np.abs(coupling[:, ~solved] - expected[:, ~solved]))
+            <= 1e-15 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("mean_zero", [True, False])
+def test_coupling_solves_only_modes_with_a_le_b(monkeypatch, mean_zero):
+    calls = []
+
+    def counted(field):
+        calls.append(field)
+        return velocity_free_space(field)
+
+    monkeypatch.setattr(diagnostics, "velocity_free_space", counted)
+    # uncached, so the count does not depend on which tests ran before
+    _assemble_coupling.__wrapped__(16, mean_zero, Grid(64, 40.0))
+    # 16 * 17 / 2 modes with a <= b, less (0, 0), whose velocity is the
+    # vortex profile; every mode would be 255
+    assert len(calls) == 135
+
+
 # ------------------------------------------------------------------- output
 
 def test_csv_writers(tmp_path, run_single):
@@ -319,3 +351,18 @@ def test_csv_writers(tmp_path, run_single):
     write_plot_script(path, gpath, "1:4", "demo")
     text = gpath.read_text()
     assert "contraction.csv" in text and "plot" in text
+
+
+def test_spectrum_csv_labels_one_row_per_labeled_mode(tmp_path):
+    # at alpha = 0 the exact -1/2 (translation) is a double eigenvalue and
+    # the exact -1 (scaling) a triple one
+    rep = linearized_spectrum(0.0, 16, mean_zero=True, grid=Grid(128, 40.0))
+    assert rep.eigenvalues.count(-0.5) == 2 and rep.eigenvalues.count(-1.0) == 3
+    spath = tmp_path / "spectrum.csv"
+    write_spectrum_csv([rep], spath)
+    labels = [line.split(",")[3] for line in spath.read_text().splitlines()[1:]]
+    assert labels.count("translation") == 1 and labels.count("scaling") == 1
+    for name in ("translation", "scaling"):
+        row = labels.index(name)
+        assert rep.eigenvalues[row] == rep.labeled_modes[name]
+        assert rep.eigenvalues.index(rep.labeled_modes[name]) == row
