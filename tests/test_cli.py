@@ -5,9 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from oseen2d import experiments
 from oseen2d.cli import build_config, list_mapping, main, parse_config_file
 from oseen2d.cli import ConfigError
-from oseen2d import experiments
 from oseen2d.experiments import EXPERIMENTS, ExperimentConfig
 
 

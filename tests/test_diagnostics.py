@@ -4,6 +4,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from oseen2d import diagnostics
+from oseen2d.biot_savart import velocity_free_space
 from oseen2d.diagnostics import (_assemble_coupling, bump,
                                  eigenvalue_multiplicity,
                                  linearized_spectrum, localized_diffuse_series,
@@ -12,7 +13,6 @@ from oseen2d.diagnostics import (_assemble_coupling, bump,
                                  solution_distance, total_l1_difference,
                                  write_contraction_csv, write_plot_script,
                                  write_spectrum_csv)
-from oseen2d.biot_savart import velocity_free_space
 from oseen2d.errors import DomainError, MismatchError
 from oseen2d.field import Grid, ScalarField
 from oseen2d.measure import FiniteMeasure
