@@ -39,7 +39,7 @@ class ConfigError(Exception):
 def parse_config_file(path) -> dict:
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -48,7 +48,7 @@ def parse_config_file(path) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -59,7 +59,7 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
     updates = {}
     for key, value in merged.items():
         if key == "out":
-            continue
+            continue                    # the artifacts directory: main reads it
         if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key: {key}")
         try:
@@ -88,11 +88,14 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
 
 
 def write_manifest(cfg: ExperimentConfig, subcommand: str, out) -> None:
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "manifest.txt"), "w") as fh:
-        fh.write(f"subcommand = {subcommand}\n")
-        for f in dc_fields(ExperimentConfig):
-            fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
+    try:
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "manifest.txt"), "w") as fh:
+            fh.write(f"subcommand = {subcommand}\n")
+            for f in dc_fields(ExperimentConfig):
+                fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {out}: {exc}") from exc
 
 
 def list_mapping() -> str:
@@ -129,13 +132,13 @@ def main(argv=None) -> int:
         file_values = parse_config_file(args.config) if args.config else {}
         flag_values = {key: getattr(args, key) for key in _KEY_TYPES}
         cfg = build_config(file_values, flag_values)
+        out = args.out if args.out is not None else file_values.get("out")
+        if out:
+            write_manifest(cfg, args.subcommand, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out = args.out
-    if out:
-        write_manifest(cfg, args.subcommand, out)
     runner, _ = EXPERIMENTS[args.subcommand]
     try:
         records = runner(cfg, out)

@@ -257,11 +257,12 @@ def _hermite_tables(grid: Grid, count: int):
     return phi, psi
 
 
-# three keys in the test suite; 8 MB per key at basis 32
+# three keys in the test suite; per key at basis 32, 8 MB for the matrix
+# and 26 KB for the index arrays of the three rotation bases
 @lru_cache(maxsize=4)
 def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
-    """Basis list, diagonal of L, the alpha-independent coupling matrix, and
-    the (even, odd) index arrays of the modes by the parity of a + b.
+    """Basis list, diagonal of L, the alpha-independent coupling matrix C,
+    and the three symmetry-adapted bases of the rotation by pi/2.
 
     Only the columns of the modes (a, b) with a <= b are solved.  The
     reflection x <-> y fixes the grid (both axes share its coordinates),
@@ -269,14 +270,26 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     and reverses the vortex.  So C[(c, d), (b, a)] = -C[(d, c), (a, b)],
     and each column with a > b is filled from its partner: one free-space
     solve and one projection per pair instead of two.
+
+    The rotation by pi/2 maps the mode (a, b) to s (b, a), s = (-1)^a,
+    and keeps the vortex's sense, so it commutes with C; its square is
+    the parity (-1)^(a+b).  Each basis is a tuple (p, q, c, w) of arrays
+    over its vectors: vector k is (e_p[k] + c[k] e_q[k]) / sqrt(2) for a
+    pair, and e_p[k] (c[k] = 0, q[k] = p[k]) for a diagonal mode (a, a);
+    w[k] is its squared normalization, 1/2 or 1.  With a < b:
+      - rotation +1: (e_ab + s e_ba) / sqrt(2) and (a, a) with a even,
+        (0, 0) included without mean_zero;
+      - rotation -1: (e_ab - s e_ba) / sqrt(2) and (a, a) with a odd;
+      - rotation +i: (e_ab - i s e_ba) / sqrt(2) for a + b odd.
+    The -i vectors are the complex conjugates of the +i ones.
     """
     modes = [(a, b) for a in range(basis_n) for b in range(basis_n)]
     if mean_zero:
         modes = [mode for mode in modes if mode != (0, 0)]
     nm = len(modes)
     rows = tuple(np.array(modes).T)             # mode i's (a, b) at [i]
-    parity = (rows[0] + rows[1]) % 2
-    parts = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
+    index = np.zeros((basis_n, basis_n), dtype=int)
+    index[rows] = np.arange(nm)                 # (a, b)'s mode number
 
     phi, psi = _hermite_tables(grid, basis_n + 1)
     xx, yy = grid.meshes()
@@ -287,7 +300,6 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
 
     diag = np.array([-(a + b) / 2.0 for a, b in modes])
     coupling = np.zeros((nm, nm))
-    column = {mode: col for col, mode in enumerate(modes)}
     area = grid.cell_area
     for col, (a, b) in enumerate(modes):
         if a > b:
@@ -309,8 +321,24 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
         proj = psi @ weighted @ psi.T * area          # (basis_n+1)^2 block
         coupling[:, col] = proj[rows]
         if a < b:
-            coupling[:, column[(b, a)]] = -proj.T[rows]
-    return modes, diag, coupling, parts
+            coupling[:, index[b, a]] = -proj.T[rows]
+    return modes, diag, coupling, _rotation_bases(rows, index)
+
+
+def _rotation_bases(rows, index):
+    """The (p, q, c, w) bases of the rotation's eigenvalues +1, -1 and +i,
+    for the modes (rows[0][i], rows[1][i]) numbered by index[a, b]."""
+    a, b = rows
+    sign = 1.0 - 2.0 * (a % 2)
+    pair = (a < b) & ((a + b) % 2 == 0)
+
+    def basis(keep, c):
+        p = np.flatnonzero(keep)
+        return p, index[b[p], a[p]], c[p], np.where(a[p] == b[p], 1.0, 0.5)
+
+    return (basis(pair | ((a == b) & (sign > 0)), np.where(pair, sign, 0.0)),
+            basis(pair | ((a == b) & (sign < 0)), np.where(pair, -sign, 0.0)),
+            basis((a < b) & ((a + b) % 2 == 1), -1j * sign))
 
 
 def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
@@ -327,11 +355,17 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     column (b, a) is minus its partner's with the row indices swapped.
 
     The operator commutes with rotations about the vortex, and the
-    rotation by pi multiplies the mode (a, b) by its Hermite parity
-    (-1)^(a+b).  So the matrix splits into an even and an odd diagonal
-    block; the entries between them are quadrature error and are dropped.
-    Each block is solved on its own, and only the odd block, which holds
-    the translation modes (1, 0) and (0, 1), computes eigenvectors.
+    rotation by pi/2 maps the mode (a, b) to (-1)^a (b, a).  So the
+    matrix splits into the diagonal blocks of that rotation's eigenspaces
+    (see `_assemble_coupling`); the entries between them are quadrature
+    error and are dropped.  The blocks of the eigenvalues +1 and -1 are
+    real.  The block of -i is the complex conjugate of the block of +i,
+    because the matrix is real, so only the +i block is solved and its
+    eigenvalues are appended conjugated.  A real eigenvalue of that
+    complex block comes back with an imaginary part of round-off size
+    (~1e-16), as a conjugate pair.  Only the +i block, which holds the
+    translation modes (1, 0) and (0, 1) as one vector, computes
+    eigenvectors.
     """
     if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
         raise DomainError(f"alpha must be a finite number, got {alpha!r}")
@@ -344,27 +378,33 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     import scipy.linalg
 
     grid = grid or Grid(256, 40.0)
-    modes, diag, coupling, (even, odd) = _assemble_coupling(basis_n, mean_zero,
-                                                            grid)
+    modes, diag, coupling, (plus, minus, rotating) = _assemble_coupling(
+        basis_n, mean_zero, grid)
 
-    def block(idx):
-        return np.diag(diag[idx]) - alpha * coupling[np.ix_(idx, idx)]
+    def block(p, q, c, w):
+        # V^H (diag - alpha C) V for the basis V; entry (k, l) carries the
+        # norm sqrt(w[k] w[l]), exactly 1/2 between two pairs
+        adapted = (coupling[np.ix_(p, p)] + coupling[np.ix_(p, q)] * c
+                   + c.conj()[:, None] * (coupling[np.ix_(q, p)]
+                                          + coupling[np.ix_(q, q)] * c))
+        return np.diag(diag[p]) - alpha * (np.sqrt(np.outer(w, w)) * adapted)
 
     try:
-        even_vals = scipy.linalg.eig(block(even), right=False)
-        odd_vals, odd_vecs = scipy.linalg.eig(block(odd))
+        plus_vals = scipy.linalg.eig(block(*plus), right=False)
+        minus_vals = scipy.linalg.eig(block(*minus), right=False)
+        rot_vals, rot_vecs = scipy.linalg.eig(block(*rotating))
     except scipy.linalg.LinAlgError as exc:            # pragma: no cover
         raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
-    eigvals = np.concatenate([even_vals, odd_vals])
+    eigvals = np.concatenate([plus_vals, minus_vals, rot_vals, rot_vals.conj()])
     eigvals = eigvals[np.argsort(-eigvals.real)]
 
     labeled = {}
-    rows = [k for k, i in enumerate(odd) if modes[i] in ((1, 0), (0, 1))]
-    on_translation = (np.linalg.norm(odd_vecs[rows], axis=0)
-                      > 0.99 * np.linalg.norm(odd_vecs, axis=0))
+    row = rotating[0].tolist().index(modes.index((0, 1)))
+    on_translation = (np.abs(rot_vecs[row])
+                      > 0.99 * np.linalg.norm(rot_vecs, axis=0))
     if on_translation.any():
-        dist = np.where(on_translation, np.abs(odd_vals + 0.5), np.inf)
-        labeled["translation"] = complex(odd_vals[np.argmin(dist)])
+        dist = np.where(on_translation, np.abs(rot_vals + 0.5), np.inf)
+        labeled["translation"] = complex(rot_vals[np.argmin(dist)])
     j_scal = int(np.argmin(np.abs(eigvals + 1.0)))
     labeled["scaling"] = complex(eigvals[j_scal])
 

@@ -101,6 +101,42 @@ def test_cli_missing_config_file():
     assert main(["biot-savart-oracle", "/nonexistent/config"]) == 1
 
 
+def test_cli_non_utf8_config_file_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_bytes(b"grid_n = 64\n# caf\xe9\n")
+    assert main(["biot-savart-oracle", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "file-sub"])
+def test_cli_out_not_a_directory_is_config_error(tmp_path, capsys, sub):
+    # --out naming an existing file, or a path below one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = os.path.join(blocker, sub) if sub else str(blocker)
+    assert main(["spectrum", "--grid-n", "64", "--basis", "16",
+                 "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_cli_out_from_config_file(tmp_path, capsys):
+    # out = DIR in a config file writes the artifacts there, and --out
+    # overrides it, as for every other key; stdout does not depend on it
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"grid_n = 64\nout = {tmp_path / 'file-out'}\n")
+    assert main(["commutation", "--grid-n", "64"]) == 0
+    no_out = capsys.readouterr().out
+    assert main(["commutation", str(cfg)]) == 0
+    assert capsys.readouterr().out == no_out
+    assert (tmp_path / "file-out" / "manifest.txt").exists()
+    (tmp_path / "file-out" / "manifest.txt").unlink()
+    assert main(["commutation", str(cfg), "--out", str(tmp_path / "flag-out")]) == 0
+    assert capsys.readouterr().out == no_out
+    assert (tmp_path / "flag-out" / "manifest.txt").exists()
+    assert not (tmp_path / "file-out" / "manifest.txt").exists()
+
+
 def test_cli_requires_subcommand():
     assert main([]) == 1
 

@@ -271,19 +271,77 @@ def test_spectrum_rejects_noninteger_basis(basis_n):
         linearized_spectrum(1.0, basis_n, grid=Grid(64, 40.0))
 
 
+def _rotation(modes):
+    """The signed permutation Q of the rotation by pi/2 on the modes:
+    Q e_ab = (-1)^a e_ba."""
+    index = {mode: i for i, mode in enumerate(modes)}
+    q = np.zeros((len(modes), len(modes)))
+    for i, (a, b) in enumerate(modes):
+        q[index[(b, a)], i] = (-1.0) ** a
+    return q
+
+
+def _adapted_vectors(basis, nm):
+    """The columns (e_p + c e_q) sqrt(w) of a (p, q, c, w) basis."""
+    p, q, c, w = basis
+    vectors = np.zeros((nm, len(p)), dtype=complex)
+    cols = np.arange(len(p))
+    vectors[p, cols] = np.sqrt(w)
+    vectors[q, cols] += c * np.sqrt(w)
+    return vectors
+
+
 @pytest.mark.parametrize("mean_zero", [True, False])
-def test_coupling_splits_by_parity(spectrum_grid, mean_zero):
-    # rotation by pi maps the Hermite mode (a, b) to (-1)^(a+b) times itself
-    # and commutes with the linearization, so the entries between modes of
-    # opposite parity are quadrature error
-    modes, _, coupling, (even, odd) = _assemble_coupling(16, mean_zero,
-                                                         spectrum_grid)
-    parity = np.array([(a + b) % 2 for a, b in modes])
-    assert np.all(parity[even] == 0) and np.all(parity[odd] == 1)
-    assert sorted(np.concatenate([even, odd])) == list(range(len(modes)))
-    cross = max(np.max(np.abs(coupling[np.ix_(parity == p, parity != p)]))
-                for p in (0, 1))
-    assert cross <= 1e-12 * np.max(np.abs(coupling))
+def test_coupling_splits_by_quarter_turn(spectrum_grid, mean_zero):
+    # the rotation by pi/2 maps the Hermite mode (a, b) to (-1)^a (b, a)
+    # and commutes with the linearization, so the coupling between its
+    # eigenspaces +1, -1, +i and -i is quadrature error
+    modes, _, coupling, bases = _assemble_coupling(16, mean_zero, spectrum_grid)
+    nm = len(modes)
+    plus, minus, rotating = (_adapted_vectors(basis, nm) for basis in bases)
+    spaces = (plus, minus, rotating, rotating.conj())
+    # the four bases together are one orthonormal basis of all the modes
+    vectors = np.hstack(spaces)
+    assert vectors.shape == (nm, nm)
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(nm))) <= 1e-15
+    q = _rotation(modes)
+    for space, value in zip(spaces, (1, -1, 1j, -1j)):
+        assert np.max(np.abs(q @ space - value * space)) <= 1e-15
+    scale = np.max(np.abs(coupling))
+    for i, left in enumerate(spaces):
+        for right in spaces[:i] + spaces[i + 1:]:
+            cross = left.conj().T @ coupling @ right
+            assert np.max(np.abs(cross)) <= 1e-12 * scale
+
+
+def test_spectrum_makes_three_eigen_solves(spectrum_grid, monkeypatch):
+    import scipy.linalg
+    calls = []
+    real_eig = scipy.linalg.eig
+
+    def counted(a, *args, **kwargs):
+        calls.append((a.shape, np.iscomplexobj(a), kwargs.get("right", True)))
+        return real_eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", counted)
+    linearized_spectrum(1.0, 16, mean_zero=True, grid=spectrum_grid)
+    # the +1 and -1 blocks are real; the -i block is the conjugate of the
+    # +i block, which alone computes eigenvectors
+    assert calls == [((63, 63), False, False), ((64, 64), False, False),
+                     ((64, 64), True, True)]
+
+
+def test_spectrum_real_eigenvalues_as_conjugate_pairs(spectrum_grid):
+    # a real eigenvalue of the +i block comes back with an imaginary part of
+    # round-off size, and its conjugate from the -i block
+    for alpha in (1.0, 10.0):
+        rep = linearized_spectrum(alpha, 16, mean_zero=True, grid=spectrum_grid)
+        tiny = [ev for ev in rep.eigenvalues if 0 < abs(ev.imag) <= 1e-12]
+        assert tiny
+        assert sorted(tiny, key=lambda ev: (ev.real, ev.imag)) == sorted(
+            (ev.conjugate() for ev in tiny), key=lambda ev: (ev.real, ev.imag))
+        assert all(abs(ev.imag) <= 1e-12 or abs(ev.imag) > 1e-10
+                   for ev in rep.eigenvalues)
 
 
 @pytest.mark.parametrize("mean_zero", [True, False])
