@@ -7,7 +7,8 @@ Usage:
             [--m M] [--seed S] [--basis B]
 
 Config files are flat ``key = value`` text ('#' starts a comment); keys
-match the long flags with '-' replaced by '_'.  Flags override the file.
+match the long flags with '-' replaced by '_' (``out`` included).  Flags
+override the file.
 One summary line ``PASS|FAIL <criterion-id> <measured> <threshold>``
 is printed per assertion.  Exit status: 0 all pass, 1 config error,
 2 numerical failure, 3 criterion failure.
