@@ -10,8 +10,11 @@ Config files are flat ``key = value`` text ('#' starts a comment); keys
 match the long flags with '-' replaced by '_' (``out`` included).  Flags
 override the file.
 One summary line ``PASS|FAIL <criterion-id> <measured> <threshold>``
-is printed per assertion.  Exit status: 0 all pass, 1 config error,
-2 numerical failure, 3 criterion failure.
+is printed per assertion.  With an output directory, manifest.txt is
+written there before the run and the experiment's artifacts after it;
+this module is the only one that writes them.  Exit status: 0 all pass,
+1 config error (a file that cannot be written included), 2 numerical
+failure, 3 criterion failure.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import fields as dc_fields
 from .diagnostics import MIN_BASIS
 from .errors import DomainError, Oseen2dError
 from .experiments import EXPERIMENTS, ExperimentConfig
+from .field import ScalarField, write_field
 
 # every config key with the type its values parse to (the optional floats
 # dt and epsilon parse as float); one flag per key, in field order
@@ -88,15 +92,26 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
     return cfg
 
 
-def write_manifest(cfg: ExperimentConfig, subcommand: str, out) -> None:
-    try:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "manifest.txt"), "w") as fh:
-            fh.write(f"subcommand = {subcommand}\n")
-            for f in dc_fields(ExperimentConfig):
-                fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write to output directory {out}: {exc}") from exc
+def manifest(cfg: ExperimentConfig, subcommand: str) -> str:
+    lines = [f"subcommand = {subcommand}"]
+    lines += [f"{f.name} = {getattr(cfg, f.name)}" for f in dc_fields(ExperimentConfig)]
+    return "\n".join(lines) + "\n"
+
+
+def write_artifacts(out, artifacts: dict) -> None:
+    """Write each artifact at its relative path under the directory out:
+    text as is, a ScalarField as a field file.  ConfigError on failure."""
+    for rel, content in artifacts.items():
+        path = os.path.join(out, rel)
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            if isinstance(content, ScalarField):
+                write_field(content, path)
+            else:
+                with open(path, "w") as fh:
+                    fh.write(content)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def list_mapping() -> str:
@@ -135,19 +150,26 @@ def main(argv=None) -> int:
         cfg = build_config(file_values, flag_values)
         out = args.out if args.out is not None else file_values.get("out")
         if out:
-            write_manifest(cfg, args.subcommand, out)
+            # before the run, so an unusable directory fails at once
+            write_artifacts(out, {"manifest.txt": manifest(cfg, args.subcommand)})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     runner, _ = EXPERIMENTS[args.subcommand]
     try:
-        records = runner(cfg, out)
+        records, artifacts = runner(cfg)
     except Oseen2dError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     for record in records:
         print(record.line())
+    if out:
+        try:
+            write_artifacts(out, artifacts)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0 if all(r.passed for r in records) else 3
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -257,12 +256,14 @@ def _hermite_tables(grid: Grid, count: int):
     return phi, psi
 
 
-# three keys in the test suite; per key at basis 32, 8 MB for the matrix
-# and 26 KB for the index arrays of the three rotation bases
+# three keys in the test suite; per key at basis 32, 8 MB for the matrix,
+# 26 KB for the index arrays of the three rotation bases and 2.1 MB for
+# their adapted coupling blocks
 @lru_cache(maxsize=4)
 def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     """Basis list, diagonal of L, the alpha-independent coupling matrix C,
-    and the three symmetry-adapted bases of the rotation by pi/2.
+    the three symmetry-adapted bases of the rotation by pi/2, and per basis
+    the pair (diag on it, C on it): the block there is diag - alpha * C.
 
     Only the columns of the modes (a, b) with a <= b are solved.  The
     reflection x <-> y fixes the grid (both axes share its coordinates),
@@ -281,7 +282,9 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
         (0, 0) included without mean_zero;
       - rotation -1: (e_ab - s e_ba) / sqrt(2) and (a, a) with a odd;
       - rotation +i: (e_ab - i s e_ba) / sqrt(2) for a + b odd.
-    The -i vectors are the complex conjugates of the +i ones.
+    The -i vectors are the complex conjugates of the +i ones.  C on a
+    basis V is V^H C V; its entry (k, l) carries the norm sqrt(w[k] w[l]),
+    exactly 1/2 between two pairs.
     """
     modes = [(a, b) for a in range(basis_n) for b in range(basis_n)]
     if mean_zero:
@@ -322,7 +325,14 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
         coupling[:, col] = proj[rows]
         if a < b:
             coupling[:, index[b, a]] = -proj.T[rows]
-    return modes, diag, coupling, _rotation_bases(rows, index)
+    bases = _rotation_bases(rows, index)
+    blocks = []
+    for p, q, c, w in bases:
+        adapted = (coupling[np.ix_(p, p)] + coupling[np.ix_(p, q)] * c
+                   + c.conj()[:, None] * (coupling[np.ix_(q, p)]
+                                          + coupling[np.ix_(q, q)] * c))
+        blocks.append((diag[p], np.sqrt(np.outer(w, w)) * adapted))
+    return modes, diag, coupling, bases, tuple(blocks)
 
 
 def _rotation_bases(rows, index):
@@ -378,16 +388,11 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     import scipy.linalg
 
     grid = grid or Grid(256, 40.0)
-    modes, diag, coupling, (plus, minus, rotating) = _assemble_coupling(
+    modes, _, _, bases, (plus, minus, rotating) = _assemble_coupling(
         basis_n, mean_zero, grid)
 
-    def block(p, q, c, w):
-        # V^H (diag - alpha C) V for the basis V; entry (k, l) carries the
-        # norm sqrt(w[k] w[l]), exactly 1/2 between two pairs
-        adapted = (coupling[np.ix_(p, p)] + coupling[np.ix_(p, q)] * c
-                   + c.conj()[:, None] * (coupling[np.ix_(q, p)]
-                                          + coupling[np.ix_(q, q)] * c))
-        return np.diag(diag[p]) - alpha * (np.sqrt(np.outer(w, w)) * adapted)
+    def block(d, adapted):
+        return np.diag(d) - alpha * adapted
 
     try:
         plus_vals = scipy.linalg.eig(block(*plus), right=False)
@@ -399,7 +404,8 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     eigvals = eigvals[np.argsort(-eigvals.real)]
 
     labeled = {}
-    row = rotating[0].tolist().index(modes.index((0, 1)))
+    # rot_vecs' rows follow the +i basis's modes p
+    row = bases[2][0].tolist().index(modes.index((0, 1)))
     on_translation = (np.abs(rot_vecs[row])
                       > 0.99 * np.linalg.norm(rot_vecs, axis=0))
     if on_translation.any():
@@ -417,49 +423,3 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
 def eigenvalue_multiplicity(report: SpectrumReport, value: complex,
                             tol: float) -> int:
     return int(sum(abs(ev - value) <= tol for ev in report.eigenvalues))
-
-
-# ---------------------------------------------------------------------
-# CSV and plot-script output
-# ---------------------------------------------------------------------
-
-def write_contraction_csv(series: ContractionSeries, path,
-                          label: str = "M") -> None:
-    """Columns t,<label>0..<label>N,<label>."""
-    n_parts = len(series.parts[0])
-    with open(path, "w") as fh:
-        header = ["t"] + [f"{label}{i}" for i in range(n_parts)] + [label]
-        fh.write(",".join(header) + "\n")
-        for t, row, m in zip(series.times, series.parts, series.running_max):
-            cells = [format(t, ".17g")] + [format(v, ".17g") for v in row]
-            cells.append(format(m, ".17g"))
-            fh.write(",".join(cells) + "\n")
-
-
-def write_spectrum_csv(reports, path) -> None:
-    """Columns alpha,re,im,label."""
-    with open(path, "w") as fh:
-        fh.write("alpha,re,im,label\n")
-        for report in reports:
-            # a labeled value can be a multiple eigenvalue (at alpha = 0 the
-            # exact -1/2 is double): each label goes to its first row only
-            labels = {}
-            for name, ev in report.labeled_modes.items():
-                labels.setdefault(complex(ev), []).append(name)
-            for ev in report.eigenvalues:
-                names = labels.get(complex(ev))
-                label = names.pop(0) if names else ""
-                fh.write(f"{format(report.alpha, '.17g')},"
-                         f"{format(ev.real, '.17g')},{format(ev.imag, '.17g')},"
-                         f"{label}\n")
-
-
-def write_plot_script(csv_path, out_path, columns: str, title: str) -> None:
-    """Emit a minimal gnuplot script referencing a CSV produced above."""
-    base = os.path.basename(str(csv_path))
-    with open(out_path, "w") as fh:
-        fh.write("set datafile separator ','\n")
-        fh.write("set key autotitle columnhead\n")
-        fh.write("set logscale xy\n")
-        fh.write(f"set title '{title}'\n")
-        fh.write(f"plot '{base}' using {columns} with linespoints\n")

@@ -1,36 +1,37 @@
 """Named, reproducible experiments behind the CLI and the acceptance suite.
 
-Each experiment runs one scenario at pinned parameters, writes its
-artifacts (CSV series, field dumps, plot scripts) when given an output
-directory, and returns a list of assertion records
+Each experiment runs one scenario at pinned parameters and returns
+``(records, artifacts)``: a list of assertion records
 
     (criterion_id, passed, measured, threshold)
+
+and a dict from a path relative to the output directory to the artifact's
+text (CSV series, gnuplot scripts, run.json) or to a ScalarField (a field
+file).  Experiments do no I/O; the CLI writes the artifacts.
 
 Thresholds are pinned here, not at call sites.
 """
 
 from __future__ import annotations
 
-import os
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .biot_savart import hls_ratio, velocity_free_space
-from .diagnostics import (eigenvalue_multiplicity, linearized_spectrum,
-                          localized_diffuse_series, remainder_norms,
-                          solution_distance, total_l1_difference,
-                          write_contraction_csv, write_plot_script,
-                          write_spectrum_csv)
-from .field import (Grid, ScalarField, divergence_local, lp_norm,
-                    project_mean_zero, write_norms_csv)
-from .measure import FiniteMeasure, heat_smooth, total_variation
+from .diagnostics import (ContractionSeries, eigenvalue_multiplicity,
+                          linearized_spectrum, localized_diffuse_series,
+                          remainder_norms, solution_distance,
+                          total_l1_difference)
+from .field import Grid, ScalarField, divergence_local, lp_norm, project_mean_zero
+from .measure import FiniteMeasure, heat_smooth, measure_hash, total_variation
 from .oseen import OseenVortex, gaussian_profile, oseen_fields
 from .propagators import (StepperConfig, Trajectory, evolve_S1,
                           evolve_T_alpha, fit_decay, propagate_SN)
 from .rng import DEFAULT_SEED, band_limited_field
 from .selfsim import commutation_residual, semigroup_apply
-from .solver import (VortexSystem, evolve_rescaled_perturbation,
+from .solver import (SolverRun, VortexSystem, evolve_rescaled_perturbation,
                      evolve_system, solve_cauchy)
 
 
@@ -108,18 +109,92 @@ def _seeded_mean_zero(grid: Grid, seed: int) -> ScalarField:
     return project_mean_zero(band_limited_field(grid, seed=seed))
 
 
-def _blob_density(grid: Grid, mass: float, center, width: float) -> ScalarField:
-    xx, yy = grid.meshes()
-    vals = mass / (2.0 * np.pi * width**2) * np.exp(
-        -((xx - center[0])**2 + (yy - center[1])**2) / (2.0 * width**2))
-    return ScalarField(grid, vals)
+# ---------------------------------------------------------------------
+# artifacts
+# ---------------------------------------------------------------------
+
+_NORMS = ("t", "quantity", "p", "m", "value")
+_SERIES = ("index", "time", "l1", "l2", "linf", "l2m15", "l2m30", "circulation")
+
+
+def _csv(header, rows) -> str:
+    """CSV text: the header's names, then one line per row; ints and
+    labels as str, every other number as .17g (every bit of a float)."""
+    lines = [",".join(header)]
+    lines += [",".join(str(c) if isinstance(c, (str, int)) else format(c, ".17g")
+                       for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _plotted(name: str, csv: str, columns: str, title: str) -> dict:
+    """name.csv and a minimal gnuplot script name.gp plotting its columns."""
+    return {f"{name}.csv": csv,
+            f"{name}.gp": ("set datafile separator ','\n"
+                           "set key autotitle columnhead\n"
+                           "set logscale xy\n"
+                           f"set title '{title}'\n"
+                           f"plot '{name}.csv' using {columns} with linespoints\n")}
+
+
+def _contraction_csv(series: ContractionSeries, label: str = "M") -> str:
+    """Columns t,<label>0..<label>N,<label>."""
+    parts = [f"{label}{i}" for i in range(len(series.parts[0]))]
+    return _csv(["t", *parts, label],
+                ((t, *row, m) for t, row, m in zip(series.times, series.parts,
+                                                   series.running_max)))
+
+
+def _spectrum_csv(reports) -> str:
+    """Columns alpha,re,im,label."""
+    rows = []
+    for report in reports:
+        # a labeled value can be a multiple eigenvalue (at alpha = 0 the
+        # exact -1/2 is double): each label goes to its first row only
+        labels = {}
+        for name, ev in report.labeled_modes.items():
+            labels.setdefault(complex(ev), []).append(name)
+        for ev in report.eigenvalues:
+            names = labels.get(complex(ev))
+            rows.append((report.alpha, ev.real, ev.imag,
+                         names.pop(0) if names else ""))
+    return _csv(("alpha", "re", "im", "label"), rows)
+
+
+def _trajectory_artifacts(traj: Trajectory, directory: str) -> dict:
+    """One field per frame and series.csv, one row of _SERIES per frame,
+    under directory."""
+    artifacts = {f"{directory}/w_{traj.time_label}_{i:04d}.fld": w
+                 for i, w in enumerate(traj.fields)}
+    columns = [traj.norms(1), traj.norms(2), traj.norms(np.inf),
+               traj.norms((2, 1.5)), traj.norms((2, 3.0)),
+               [w.integral() for w in traj.fields]]
+    artifacts[f"{directory}/series.csv"] = _csv(
+        _SERIES, ((i, *values) for i, values in enumerate(zip(traj.times, *columns))))
+    return artifacts
+
+
+def _run_json(run: SolverRun) -> str:
+    """The run's grid, data, backgrounds and snapshot times as JSON."""
+    return json.dumps({
+        "grid_n": run.grid.n,
+        "box_l": run.grid.box_size,
+        "epsilon": run.epsilon,
+        "t0": run.t0,
+        "t_end": run.t_end,
+        "measure_hash": measure_hash(run.measure),
+        "backgrounds": [[v.alpha, list(v.z)] for v in run.backgrounds],
+        "snapshots": [format(t, ".17g") for t in run.trajectory.times],
+    }, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------
 
-def oseen_exact(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+Result = tuple[list[Assertion], dict]        # (records, artifacts)
+
+
+def oseen_exact(cfg: ExperimentConfig) -> Result:
     """A1/A2: background exactness of the decomposed solver, and the solver
     with no backgrounds (the direct equation) marching an exact vortex."""
     grid = cfg.grid()
@@ -147,12 +222,10 @@ def oseen_exact(cfg: ExperimentConfig, out=None) -> list[Assertion]:
     records.append(_less("A2-profile", rel, 1e-5))
     drift = abs(end.integral() - start.integral()) / abs(start.integral())
     records.append(_less("A2-circulation", drift, 1e-12))
-    if out:
-        write_norms_csv(rows, os.path.join(out, "oseen_exact.csv"))
-    return records
+    return records, {"oseen_exact.csv": _csv(_NORMS, rows)}
 
 
-def asym_decay(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def asym_decay(cfg: ExperimentConfig) -> Result:
     """A3: long-time approach to the self-similar vortex, measured in the
     rescaled frame where the scaled L^p distances are plain norms of the
     perturbation."""
@@ -174,15 +247,11 @@ def asym_decay(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         records.append(_le(f"A3[p={p}]-monotone", worst_rise, 0.0))
         fit = fit_decay(traj, p, (2.0, 4.6))
         records.append(_within(f"A3[p={p}]-rate", fit.rate, -0.65, -0.35))
-    if out:
-        write_norms_csv(rows, os.path.join(out, "oseen_distance.csv"))
-        write_plot_script(os.path.join(out, "oseen_distance.csv"),
-                          os.path.join(out, "oseen_distance.gp"),
-                          "1:5", "scaled distance to the vortex")
-    return records
+    return records, _plotted("oseen_distance", _csv(_NORMS, rows), "1:5",
+                             "scaled distance to the vortex")
 
 
-def semigroup_kernel(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def semigroup_kernel(cfg: ExperimentConfig) -> Result:
     """A4/A6: eigenmode action and semigroup law of the explicit kernel,
     and the mean-zero weighted decay rate."""
     grid = Grid(min(cfg.grid_n, 128), cfg.box_l)
@@ -204,14 +273,13 @@ def semigroup_kernel(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         traj.record(float(tau), semigroup_apply(float(tau), f))
     fit = fit_decay(traj, (2, cfg.m), (1.0, 3.0))
     records.append(_le("A6-weighted-rate", fit.rate, -0.45))
-    if out:
-        rows = [(tau, "l2m", 2, cfg.m, float(v))
-                for tau, v in zip(traj.times, traj.norms((2, cfg.m)))]
-        write_norms_csv(rows, os.path.join(out, "semigroup_decay.csv"))
-    return records
+    # m as its str ("3.0"), as manifest.txt writes it, not as .17g
+    rows = [(tau, "l2m", 2, str(cfg.m), float(v))
+            for tau, v in zip(traj.times, traj.norms((2, cfg.m)))]
+    return records, {"semigroup_decay.csv": _csv(_NORMS, rows)}
 
 
-def commutation(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def commutation(cfg: ExperimentConfig) -> Result:
     """A5: the gradient/semigroup commutation identity."""
     grid = Grid(min(cfg.grid_n, 128), cfg.box_l)
     from .field import gradient
@@ -223,23 +291,23 @@ def commutation(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         for tau in (0.5, 1.0):
             rel = commutation_residual(tau, f) / scale
             records.append(_less(f"A5[{name},tau={tau:g}]", rel, 1e-6))
-    return records
+    return records, {}
 
 
-def t_alpha_decay(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def t_alpha_decay(cfg: ExperimentConfig) -> Result:
     """A7: decay rate of the linearized flow and exactness of the
     translation eigenmode."""
     grid = Grid(min(cfg.grid_n, 128), cfg.box_l)
     dt = cfg.dt if cfg.dt is not None else 5e-3
     records = []
+    artifacts = {}
     w0 = _seeded_mean_zero(grid, cfg.seed)
     for alpha in (1.0, 10.0):
         traj = evolve_T_alpha(alpha, w0, 3.0, StepperConfig.fixed(dt),
                               sample_every=0.1)
         fit = fit_decay(traj, (2, cfg.m), (1.0, 3.0))
         records.append(_le(f"A7[alpha={alpha:g}]-rate", fit.rate, -0.45))
-        if out:
-            traj.dump(os.path.join(out, f"t_alpha_{alpha:g}"))
+        artifacts.update(_trajectory_artifacts(traj, f"t_alpha_{alpha:g}"))
     d1g = _dx_gaussian_field(grid)
     for alpha in (1.0, 10.0):
         traj = evolve_T_alpha(alpha, d1g, 1.0, StepperConfig.fixed(dt),
@@ -247,10 +315,10 @@ def t_alpha_decay(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         want = float(np.exp(-0.5)) * d1g
         rel = lp_norm(traj.final - want, 2) / lp_norm(want, 2)
         records.append(_less(f"A7[alpha={alpha:g}]-eigenmode", rel, 1e-5))
-    return records
+    return records, artifacts
 
 
-def s1_decay(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def s1_decay(cfg: ExperimentConfig) -> Result:
     """A8: decay of the one-vortex self-similar flow on mean-zero data."""
     grid = Grid(min(cfg.grid_n, 128), cfg.box_l)
     dt = cfg.dt if cfg.dt is not None else 5e-3
@@ -261,10 +329,10 @@ def s1_decay(cfg: ExperimentConfig, out=None) -> list[Assertion]:
                          sample_every=0.1)
         fit = fit_decay(traj, (2, cfg.m), (1.0, 3.0))
         records.append(_le(f"A8[alpha={alpha:g}]-rate", fit.rate, -0.40))
-    return records
+    return records, {}
 
 
-def spectrum(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def spectrum(cfg: ExperimentConfig) -> Result:
     """A9: spectrum of the linearization about the Gaussian profile."""
     grid = cfg.grid()
     alphas = (0.0, 1.0, 10.0, 100.0)
@@ -293,15 +361,11 @@ def spectrum(cfg: ExperimentConfig, out=None) -> list[Assertion]:
                                  mult >= 2, mult, 2))
         records.append(_le(f"A9[alpha={alpha:g}]-maxreal", rep.max_real,
                            -0.5 + 1e-3))
-    if out:
-        write_spectrum_csv(reports, os.path.join(out, "spectrum.csv"))
-        write_plot_script(os.path.join(out, "spectrum.csv"),
-                          os.path.join(out, "spectrum.gp"),
-                          "2:3", "linearization spectrum")
-    return records
+    return records, _plotted("spectrum", _spectrum_csv(reports), "2:3",
+                             "linearization spectrum")
 
 
-def sn_gaussian_bound(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def sn_gaussian_bound(cfg: ExperimentConfig) -> Result:
     """A10: positivity, mass conservation, and the Gaussian envelope of the
     frozen-background propagator acting on a mollified point mass."""
     grid = cfg.grid()
@@ -323,10 +387,10 @@ def sn_gaussian_bound(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         sel = outf.values > 1e-12 * outf.values.max()
         fitted_k = float(np.max(outf.values[sel] * gap / envelope[sel]))
         records.append(_less(f"A10[gap={gap:g}]-envelope", fitted_k, 10.0))
-    return records
+    return records, {}
 
 
-def two_vortex(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def two_vortex(cfg: ExperimentConfig) -> Result:
     """A11: two unit point vortices; contraction norms stay small and
     circulation is conserved."""
     grid = cfg.grid()
@@ -336,20 +400,18 @@ def two_vortex(cfg: ExperimentConfig, out=None) -> list[Assertion]:
     records = [_less("A11-contraction", series.final, 0.05)]
     drift = max(abs(s["circulation"] - 2.0) for s in run.series) / 2.0
     records.append(_less("A11-circulation", drift, 1e-10))
-    if out:
-        write_contraction_csv(series, os.path.join(out, "contraction.csv"))
-        write_plot_script(os.path.join(out, "contraction.csv"),
-                          os.path.join(out, "contraction.gp"),
-                          "1:4", "remainder contraction norms")
-        run.write_manifest(out)
-    return records
+    artifacts = _plotted("contraction", _contraction_csv(series), "1:4",
+                         "remainder contraction norms")
+    artifacts["run.json"] = _run_json(run)
+    return records, artifacts
 
 
-def diffuse_localized(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def diffuse_localized(cfg: ExperimentConfig) -> Result:
     """A12: localized norms of the heat-smoothed diffuse part vanish toward
     t = 0 at a vortex center carrying no diffuse atom."""
     grid = cfg.grid()
-    density = _blob_density(grid, 0.1, (3.0, 0.0), 0.5)
+    density = heat_smooth(FiniteMeasure.from_atoms(((3.0, 0.0), 0.1)),
+                          0.5**2 / 2, grid)
     mu0 = FiniteMeasure(density=density)
     t_values = np.geomspace(1e-3, 1e-1, 9)
     rows = localized_diffuse_series(mu0, (0.0, 0.0), t_values, p=4.0, q=4.0,
@@ -360,19 +422,19 @@ def diffuse_localized(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         _greater("A12-vorticity-decay", last_w / max(first_w, 1e-300), 5.0),
         _greater("A12-velocity-decay", last_u / max(first_u, 1e-300), 5.0),
     ]
-    if out:
-        csv_rows = [(t, "localized_w", 4, 0, wv) for t, wv, _ in rows]
-        csv_rows += [(t, "localized_u", 4, 0, uv) for t, _, uv in rows]
-        write_norms_csv(csv_rows, os.path.join(out, "diffuse_localized.csv"))
-    return records
+    csv_rows = [(t, "localized_w", 4, 0, wv) for t, wv, _ in rows]
+    csv_rows += [(t, "localized_u", 4, 0, uv) for t, _, uv in rows]
+    return records, {"diffuse_localized.csv": _csv(_NORMS, csv_rows)}
 
 
-def continuity(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def continuity(cfg: ExperimentConfig) -> Result:
     """A13: near-Lipschitz response of the solution to density
     perturbations of a two-vortex-plus-density measure."""
     grid = cfg.grid()
-    base_density = _blob_density(grid, 0.2, (-2.0, 1.0), 0.8)
-    bump_unit = _blob_density(grid, 1.0, (1.5, -1.0), 0.7)
+    base_density = heat_smooth(FiniteMeasure.from_atoms(((-2.0, 1.0), 0.2)),
+                               0.8**2 / 2, grid)
+    bump_unit = heat_smooth(FiniteMeasure.from_atoms(((1.5, -1.0), 1.0)),
+                            0.7**2 / 2, grid)
     atoms = (((0.0, 0.0), 1.0), ((4.0, 0.0), 1.0))
     mu_base = FiniteMeasure(atoms=atoms, density=base_density)
     eps = cfg.epsilon_for(mu_base)
@@ -387,13 +449,11 @@ def continuity(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         ratios[delta] = float(np.max(diffs)) / delta
     spread = max(ratios.values()) / min(ratios.values())
     records = [Assertion("A13-lipschitz-spread", spread <= 3.0, spread, 3.0)]
-    if out:
-        rows = [(d, "l1_response_ratio", 1, 0, r) for d, r in sorted(ratios.items())]
-        write_norms_csv(rows, os.path.join(out, "continuity.csv"))
-    return records
+    rows = [(d, "l1_response_ratio", 1, 0, r) for d, r in sorted(ratios.items())]
+    return records, {"continuity.csv": _csv(_NORMS, rows)}
 
 
-def uniqueness_shadow(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def uniqueness_shadow(cfg: ExperimentConfig) -> Result:
     """A14: the distance between successive (grid, dt) refinements of the
     same data shrinks, consistent with one continuum limit.
 
@@ -412,13 +472,10 @@ def uniqueness_shadow(cfg: ExperimentConfig, out=None) -> list[Assertion]:
     d_fine = solution_distance(runs[1], runs[2], cfg.m)
     shrink = d_coarse.final / max(d_fine.final, 1e-300)
     records = [_greater("A14-refinement-shrink", shrink, 4.0)]
-    if out:
-        write_contraction_csv(d_coarse, os.path.join(out, "contraction.csv"),
-                              label="D")
-    return records
+    return records, {"contraction.csv": _contraction_csv(d_coarse, label="D")}
 
 
-def biot_savart_oracle(cfg: ExperimentConfig, out=None) -> list[Assertion]:
+def biot_savart_oracle(cfg: ExperimentConfig) -> Result:
     """A15: free-space velocity against the closed-form vortex pair,
     interior divergence, and scale invariance of the velocity/vorticity
     norm ratio."""
@@ -438,11 +495,9 @@ def biot_savart_oracle(cfg: ExperimentConfig, out=None) -> list[Assertion]:
         ratios.append(hls_ratio(f, 4.0 / 3.0))
     spread = max(abs(r - ratios[0]) for r in ratios)
     records.append(_less("A15-hls-scale", spread, 1e-3))
-    if out:
-        rows = [(lam, "hls_ratio", 4.0 / 3.0, 0, r)
-                for lam, r in zip((1.0, 2.0, 4.0), ratios)]
-        write_norms_csv(rows, os.path.join(out, "biot_savart.csv"))
-    return records
+    rows = [(lam, "hls_ratio", 4.0 / 3.0, 0, r)
+            for lam, r in zip((1.0, 2.0, 4.0), ratios)]
+    return records, {"biot_savart.csv": _csv(_NORMS, rows)}
 
 
 EXPERIMENTS = {

@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -381,11 +381,3 @@ def read_field(path) -> ScalarField:
         raise DomainError(f"field file holds {int(np.sum(~np.isfinite(values)))} "
                           "non-finite samples")
     return ScalarField(Grid(n, L), values)
-
-
-def write_norms_csv(rows: Iterable[tuple], path) -> None:
-    """CSV with columns t,quantity,p,m,value."""
-    with open(path, "w") as fh:
-        fh.write("t,quantity,p,m,value\n")
-        for t, quantity, p, m, value in rows:
-            fh.write(f"{format(t, '.17g')},{quantity},{p},{m},{format(value, '.17g')}\n")

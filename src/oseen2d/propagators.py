@@ -33,7 +33,6 @@ the state is bit-exactly conserved.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -44,7 +43,7 @@ from .biot_savart import velocity_free_space
 from .errors import DegenerateError, DomainError, StabilityError
 from .field import (Grid, ScalarField, VectorField, _dealias_mask,
                     _deriv_wavenumbers, _fd_derivative, _irfft2, _ksq, _rfft2,
-                    divergence_local, lp_norm, weighted_norm, write_field)
+                    divergence_local, lp_norm, weighted_norm)
 from .oseen import (OseenVortex, gaussian_profile, oseen_max_speed,
                     oseen_velocity, oseen_vorticity, velocity_profile)
 
@@ -96,10 +95,6 @@ def cfl_bound(cfl: float, h: float, speed: float) -> float:
     return np.inf if speed == 0 else cfl * h / speed
 
 
-SERIES_COLUMNS = ("index", "time", "l1", "l2", "linf", "l2m15", "l2m30",
-                  "circulation")
-
-
 @dataclass
 class Trajectory:
     """Time-stamped snapshots of one propagation run; norms on demand."""
@@ -122,22 +117,6 @@ class Trajectory:
             q, m = norm
             return np.array([weighted_norm(w, q, m) for w in self.fields])
         return np.array([lp_norm(w, norm) for w in self.fields])
-
-    def dump(self, directory) -> None:
-        """One field file per frame and series.csv, one row of SERIES_COLUMNS
-        per frame."""
-        os.makedirs(directory, exist_ok=True)
-        for i, w in enumerate(self.fields):
-            write_field(w, os.path.join(
-                directory, f"w_{self.time_label}_{i:04d}.fld"))
-        columns = [self.norms(1), self.norms(2), self.norms(np.inf),
-                   self.norms((2, 1.5)), self.norms((2, 3.0)),
-                   [w.integral() for w in self.fields]]
-        with open(os.path.join(directory, "series.csv"), "w") as fh:
-            fh.write(",".join(SERIES_COLUMNS) + "\n")
-            for i, values in enumerate(zip(self.times, *columns)):
-                row = [str(i)] + [format(v, ".17g") for v in values]
-                fh.write(",".join(row) + "\n")
 
 
 @dataclass(frozen=True)

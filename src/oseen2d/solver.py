@@ -22,8 +22,6 @@ in ``propagators``.
 
 from __future__ import annotations
 
-import json
-import os
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -34,7 +32,7 @@ from .biot_savart import (circulation_is_negligible, velocity_free_space,
 from .errors import DomainError, MarginError, Oseen2dError
 from .field import Grid, ScalarField, lp_norm, require_boundary_decay
 from .measure import (AtomicDecomposition, FiniteMeasure, decompose,
-                      heat_smooth, measure_hash, total_variation)
+                      heat_smooth, total_variation)
 from .oseen import OseenVortex, gaussian_profile
 from .propagators import (StepperConfig, Trajectory, background_cfl_bound,
                           background_fields, cfl_bound, evolve_rescaled,
@@ -193,21 +191,6 @@ class SolverRun:
     def total_vorticity(self, index: int) -> ScalarField:
         return VortexSystem(self.backgrounds, self.trajectory.fields[index],
                             self.trajectory.times[index]).total_vorticity()
-
-    def write_manifest(self, directory) -> None:
-        os.makedirs(directory, exist_ok=True)
-        lines = {
-            "grid_n": self.grid.n,
-            "box_l": self.grid.box_size,
-            "epsilon": self.epsilon,
-            "t0": self.t0,
-            "t_end": self.t_end,
-            "measure_hash": measure_hash(self.measure),
-            "backgrounds": [[v.alpha, list(v.z)] for v in self.backgrounds],
-            "snapshots": [format(t, ".17g") for t in self.trajectory.times],
-        }
-        with open(os.path.join(directory, "run.json"), "w") as fh:
-            json.dump(lines, fh, indent=1, sort_keys=True)
 
 
 def snapshot_schedule(t0: float, t_end: float, per_decade: int) -> list[float]:

@@ -32,7 +32,8 @@ def values():
     """(criterion, measured) per acceptance record, in the table's order."""
     cfg = ex.ExperimentConfig()
     for runner, _ in ex.EXPERIMENTS.values():
-        for record in runner(cfg):
+        records, _ = runner(cfg)
+        for record in records:
             yield record.criterion, record.measured
 
 

@@ -4,9 +4,12 @@ Each test runs the same experiment code the CLI exposes, prints one
 ``PASS|FAIL <criterion> <measured> <threshold>`` line per assertion, and
 fails if any assertion fails.  Reference resolution is n = 256, L = 40
 unless an experiment pins its own (stated in the experiment docstring).
+The last test checks the shape of every experiment's artifacts.
 """
 
 import functools
+import re
+from pathlib import PurePosixPath
 
 from oseen2d import experiments as ex
 
@@ -15,13 +18,14 @@ CFG = ex.ExperimentConfig()
 
 @functools.lru_cache(maxsize=None)
 def run(name):
+    """(records, artifacts) of one experiment at the pinned config."""
     runner, _ = ex.EXPERIMENTS[name]
     return runner(CFG)
 
 
-def check(records, prefix=None):
-    selected = [r for r in records
-                if prefix is None or r.criterion.startswith(prefix)]
+def check(name, prefix):
+    records, _ = run(name)
+    selected = [r for r in records if r.criterion.startswith(prefix)]
     assert selected, f"no assertions matched prefix {prefix}"
     for record in selected:
         print(record.line())
@@ -30,60 +34,77 @@ def check(records, prefix=None):
 
 
 def test_A1_oseen_background_exactness():
-    check(run("oseen-exact"), "A1")
+    check("oseen-exact", "A1")
 
 
 def test_A2_direct_solver_oseen():
-    check(run("oseen-exact"), "A2")
+    check("oseen-exact", "A2")
 
 
 def test_A3_long_time_asymptotics():
-    check(run("asym-decay"), "A3")
+    check("asym-decay", "A3")
 
 
 def test_A4_semigroup_kernel():
-    check(run("semigroup-kernel"), "A4")
+    check("semigroup-kernel", "A4")
 
 
 def test_A5_commutation_identity():
-    check(run("commutation"), "A5")
+    check("commutation", "A5")
 
 
 def test_A6_weighted_mean_zero_decay():
-    check(run("semigroup-kernel"), "A6")
+    check("semigroup-kernel", "A6")
 
 
 def test_A7_linearized_semigroup_decay():
-    check(run("t-alpha-decay"), "A7")
+    check("t-alpha-decay", "A7")
 
 
 def test_A8_one_vortex_selfsim_decay():
-    check(run("s1-decay"), "A8")
+    check("s1-decay", "A8")
 
 
 def test_A9_linearization_spectrum():
-    check(run("spectrum"), "A9")
+    check("spectrum", "A9")
 
 
 def test_A10_fundamental_solution_bounds():
-    check(run("sn-gaussian-bound"), "A10")
+    check("sn-gaussian-bound", "A10")
 
 
 def test_A11_two_vortex_contraction():
-    check(run("two-vortex"), "A11")
+    check("two-vortex", "A11")
 
 
 def test_A12_diffuse_localized_decay():
-    check(run("diffuse-localized"), "A12")
+    check("diffuse-localized", "A12")
 
 
 def test_A13_continuity_in_data():
-    check(run("continuity"), "A13")
+    check("continuity", "A13")
 
 
 def test_A14_uniqueness_shadow():
-    check(run("uniqueness-shadow"), "A14")
+    check("uniqueness-shadow", "A14")
 
 
 def test_A15_biot_savart_oracle():
-    check(run("biot-savart-oracle"), "A15")
+    check("biot-savart-oracle", "A15")
+
+
+def test_artifact_shapes():
+    # after the tests above, so every run comes from the cache
+    for name in ex.EXPERIMENTS:
+        _, artifacts = run(name)
+        for path, content in artifacts.items():
+            rel = PurePosixPath(path)
+            assert not rel.is_absolute() and ".." not in rel.parts, (name, path)
+            if path.endswith(".gp"):
+                plotted = re.search(r"^plot '([^']+)'", content, re.M).group(1)
+                assert str(rel.with_name(plotted)) in artifacts, (name, path)
+            if path.endswith(".csv"):
+                header, *rows = content.splitlines()
+                width = len(header.split(","))
+                assert all(header.split(",")), (name, path)
+                assert all(len(row.split(",")) == width for row in rows), (name, path)

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from oseen2d import experiments
-from oseen2d.cli import build_config, list_mapping, main, parse_config_file
+from oseen2d.cli import (build_config, list_mapping, main, parse_config_file,
+                         write_artifacts)
 from oseen2d.cli import ConfigError
 from oseen2d.experiments import EXPERIMENTS, ExperimentConfig
 
@@ -120,6 +121,23 @@ def test_cli_out_not_a_directory_is_config_error(tmp_path, capsys, sub):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_cli_unwritable_artifact_is_a_config_error(tmp_path, capsys):
+    # the lines of the run still print; then a directory where
+    # biot_savart.csv goes is a config error naming the file
+    (tmp_path / "biot_savart.csv").mkdir()
+    assert main(["biot-savart-oracle", "--grid-n", "64",
+                 "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 3 and all(line.startswith(("PASS ", "FAIL ")) for line in lines)
+    assert captured.err.startswith("error: cannot write ")
+    assert "biot_savart.csv" in captured.err
+    # the same path for a file where A7's t_alpha_1/ directory goes
+    (tmp_path / "t_alpha_1").write_text("")
+    with pytest.raises(ConfigError, match="cannot write .*t_alpha_1"):
+        write_artifacts(tmp_path, {"t_alpha_1/series.csv": "t\n"})
+
+
 def test_cli_out_from_config_file(tmp_path, capsys):
     # out = DIR in a config file writes the artifacts there, and --out
     # overrides it, as for every other key; stdout does not depend on it
@@ -197,5 +215,5 @@ def test_rate_band_line_names_the_nearer_end(monkeypatch, rate, line):
     monkeypatch.setattr(experiments, "fit_decay",
                         lambda traj, p, window: SimpleNamespace(rate=rate))
     cfg = ExperimentConfig(grid_n=32, box_l=30.0, dt=0.25)
-    records = experiments.asym_decay(cfg)
+    records, _ = experiments.asym_decay(cfg)
     assert [r.line() for r in records if r.criterion == "A3[p=1]-rate"] == [line]

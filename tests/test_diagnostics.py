@@ -3,7 +3,7 @@ import pytest
 
 from scipy.optimize import linear_sum_assignment
 
-from oseen2d import diagnostics
+from oseen2d import diagnostics, experiments
 from oseen2d.biot_savart import velocity_free_space
 from oseen2d.diagnostics import (_assemble_coupling, bump,
                                  eigenvalue_multiplicity,
@@ -11,8 +11,7 @@ from oseen2d.diagnostics import (_assemble_coupling, bump,
                                  oseen_distance,
                                  partition_of_unity, remainder_norms,
                                  solution_distance, total_l1_difference,
-                                 write_contraction_csv, write_plot_script,
-                                 write_spectrum_csv)
+)
 from oseen2d.errors import DomainError, MismatchError
 from oseen2d.field import Grid, ScalarField
 from oseen2d.measure import FiniteMeasure
@@ -296,7 +295,7 @@ def test_coupling_splits_by_quarter_turn(spectrum_grid, mean_zero):
     # the rotation by pi/2 maps the Hermite mode (a, b) to (-1)^a (b, a)
     # and commutes with the linearization, so the coupling between its
     # eigenspaces +1, -1, +i and -i is quadrature error
-    modes, _, coupling, bases = _assemble_coupling(16, mean_zero, spectrum_grid)
+    modes, _, coupling, bases, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
     nm = len(modes)
     plus, minus, rotating = (_adapted_vectors(basis, nm) for basis in bases)
     spaces = (plus, minus, rotating, rotating.conj())
@@ -346,7 +345,7 @@ def test_spectrum_real_eigenvalues_as_conjugate_pairs(spectrum_grid):
 
 @pytest.mark.parametrize("mean_zero", [True, False])
 def test_split_spectrum_matches_unsplit_oracle(spectrum_grid, mean_zero):
-    modes, diag, coupling, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
+    modes, diag, coupling, _, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
     for alpha in (1.0, 10.0):
         rep = linearized_spectrum(alpha, 16, mean_zero=mean_zero,
                                   grid=spectrum_grid)
@@ -363,7 +362,7 @@ def test_coupling_reflection_matches_per_mode_oracle(spectrum_grid, mean_zero):
     # the reflection x <-> y maps mode (a, b) to (b, a) and reverses the
     # vortex, so the columns with a > b are filled from their partners:
     # exact up to the round-off of the partner's free-space solve
-    modes, _, coupling, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
+    modes, _, coupling, _, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
     expected = coupling_per_mode(16, mean_zero, spectrum_grid)
     solved = np.array([a <= b for a, b in modes])
     assert np.array_equal(coupling[:, solved], expected[:, solved])
@@ -389,36 +388,30 @@ def test_coupling_solves_only_modes_with_a_le_b(monkeypatch, mean_zero):
 
 # ------------------------------------------------------------------- output
 
-def test_csv_writers(tmp_path, run_single):
+def test_csv_writers(run_single):
     series = remainder_norms(run_single, 3.0)
-    path = tmp_path / "contraction.csv"
-    write_contraction_csv(series, path)
-    lines = path.read_text().splitlines()
+    csv = experiments._contraction_csv(series)
+    lines = csv.splitlines()
     assert lines[0] == "t,M0,M1,M"
     assert len(lines) == len(series.times) + 1
 
     rep = linearized_spectrum(0.0, 16, mean_zero=True, grid=Grid(128, 40.0))
-    spath = tmp_path / "spectrum.csv"
-    write_spectrum_csv([rep], spath)
-    lines = spath.read_text().splitlines()
+    lines = experiments._spectrum_csv([rep]).splitlines()
     assert lines[0] == "alpha,re,im,label"
     assert len(lines) == len(rep.eigenvalues) + 1
     assert any("translation" in line for line in lines)
 
-    gpath = tmp_path / "plot.gp"
-    write_plot_script(path, gpath, "1:4", "demo")
-    text = gpath.read_text()
+    text = experiments._plotted("contraction", csv, "1:4", "demo")["contraction.gp"]
     assert "contraction.csv" in text and "plot" in text
 
 
-def test_spectrum_csv_labels_one_row_per_labeled_mode(tmp_path):
+def test_spectrum_csv_labels_one_row_per_labeled_mode():
     # at alpha = 0 the exact -1/2 (translation) is a double eigenvalue and
     # the exact -1 (scaling) a triple one
     rep = linearized_spectrum(0.0, 16, mean_zero=True, grid=Grid(128, 40.0))
     assert rep.eigenvalues.count(-0.5) == 2 and rep.eigenvalues.count(-1.0) == 3
-    spath = tmp_path / "spectrum.csv"
-    write_spectrum_csv([rep], spath)
-    labels = [line.split(",")[3] for line in spath.read_text().splitlines()[1:]]
+    csv = experiments._spectrum_csv([rep])
+    labels = [line.split(",")[3] for line in csv.splitlines()[1:]]
     assert labels.count("translation") == 1 and labels.count("scaling") == 1
     for name in ("translation", "scaling"):
         row = labels.index(name)

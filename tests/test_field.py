@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oseen2d import experiments
 from oseen2d.errors import DomainError, MarginError, MismatchError
 from oseen2d.field import (Grid, ScalarField, VectorField, _fft2, _ifft2,
                            gradient, lp_norm, project_mean_zero, read_field,
                            require_boundary_decay, resample_affine,
-                           weighted_norm, write_field, write_norms_csv)
+                           weighted_norm, write_field)
 from oseen2d.oseen import gaussian_profile
 
 from oracles import (GAUSSIAN_L1, GAUSSIAN_L2, WEIGHTED_GAUSSIAN_L2_M3, curl,
@@ -315,9 +316,7 @@ def test_read_field_rejects_nonfinite_payload(tmp_path, bad):
         read_field(path)
 
 
-def test_norms_csv(tmp_path):
-    path = tmp_path / "norms.csv"
-    write_norms_csv([(0.5, "l1", 1, 0, 2.25)], path)
-    text = path.read_text().splitlines()
+def test_norms_csv():
+    text = experiments._csv(experiments._NORMS, [(0.5, "l1", 1, 0, 2.25)]).splitlines()
     assert text[0] == "t,quantity,p,m,value"
     assert text[1] == "0.5,l1,1,0,2.25"

@@ -1,11 +1,9 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oseen2d import propagators, solver
+from oseen2d import experiments, propagators, solver
 from oseen2d.errors import DegenerateError, DomainError, StabilityError
 from oseen2d.field import (Grid, ScalarField, VectorField, _dealias_mask,
                            _deriv_wavenumbers, _ksq, lp_norm)
@@ -426,13 +424,13 @@ def test_fit_decay_degenerate(grid128, gauss128):
         fit_decay(noise, 2, (0.0, 1.0))
 
 
-def test_trajectory_dump(tmp_path, grid128, gauss128):
+def test_trajectory_dump(grid128, gauss128):
     traj = Trajectory(time_label="tau")
     traj.record(0.0, gauss128)
     traj.record(0.5, 0.5 * gauss128)
-    traj.dump(tmp_path / "run")
-    files = sorted(os.listdir(tmp_path / "run"))
-    assert files == ["series.csv", "w_tau_0000.fld", "w_tau_0001.fld"]
-    lines = (tmp_path / "run" / "series.csv").read_text().splitlines()
+    artifacts = experiments._trajectory_artifacts(traj, "run")
+    files = sorted(artifacts)
+    assert files == ["run/series.csv", "run/w_tau_0000.fld", "run/w_tau_0001.fld"]
+    lines = artifacts["run/series.csv"].splitlines()
     assert lines[0] == "index,time,l1,l2,linf,l2m15,l2m30,circulation"
     assert len(lines) == 3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oseen2d import propagators, solver
+from oseen2d import experiments, propagators, solver
 from oseen2d.errors import DomainError, MarginError, Oseen2dError, StabilityError
 from oseen2d.field import (Grid, ScalarField, VectorField, lp_norm,
                            project_mean_zero)
@@ -360,11 +360,10 @@ def test_restrict_nested(grid128):
         restrict(f, Grid(96, 40.0))
 
 
-def test_run_manifest(tmp_path, grid128):
+def test_run_manifest(grid128):
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
     run = solve_cauchy(mu, 0.1, 0.05, 0.1, grid128)
-    run.write_manifest(tmp_path)
-    data = json.loads((tmp_path / "run.json").read_text())
+    data = json.loads(experiments._run_json(run))
     assert data["grid_n"] == 128
     assert data["backgrounds"] == [[1.0, [0.0, 0.0]]]
     assert len(data["snapshots"]) == len(run.trajectory.times)
