@@ -15,6 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -215,6 +216,9 @@ def localized_diffuse_series(mu0: FiniteMeasure, z, t_values, p: float,
 # ---------------------------------------------------------------------
 
 MIN_BASIS = 16      # smallest Hermite basis per axis linearized_spectrum takes
+# the inverse-iteration shift of the translation label: near its exact -1/2,
+# which at alpha = 0 is an exact diagonal entry, so not on it
+TRANSLATION_SHIFT = -0.5 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -256,21 +260,15 @@ def _hermite_tables(grid: Grid, count: int):
     return phi, psi
 
 
-# three keys in the test suite; per key at basis 32, 8 MB for the matrix,
-# 26 KB for the index arrays of the three rotation bases and 2.1 MB for
-# their adapted coupling blocks
+# three keys in the test suite; per key at basis 32, 26 KB for the index
+# arrays of the three rotation bases and 2.1 MB for their adapted blocks
 @lru_cache(maxsize=4)
 def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
-    """Basis list, diagonal of L, the alpha-independent coupling matrix C,
-    the three symmetry-adapted bases of the rotation by pi/2, and per basis
-    the pair (diag on it, C on it): the block there is diag - alpha * C.
-
-    Only the columns of the modes (a, b) with a <= b are solved.  The
-    reflection x <-> y fixes the grid (both axes share its coordinates),
-    G, the weight and every psi table; it maps the mode (a, b) to (b, a)
-    and reverses the vortex.  So C[(c, d), (b, a)] = -C[(d, c), (a, b)],
-    and each column with a > b is filled from its partner: one free-space
-    solve and one projection per pair instead of two.
+    """Modes, the three symmetry-adapted bases of the rotation by pi/2, and
+    per basis the pair (diag of L on it, coupling C on it): the block
+    there is diag - alpha * C.  Only these are cached; the two halves of
+    C that `_coupling_halves` assembles are dropped once the blocks are
+    formed.
 
     The rotation by pi/2 maps the mode (a, b) to s (b, a), s = (-1)^a,
     and keeps the vortex's sense, so it commutes with C; its square is
@@ -282,17 +280,72 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
         (0, 0) included without mean_zero;
       - rotation -1: (e_ab - s e_ba) / sqrt(2) and (a, a) with a odd;
       - rotation +i: (e_ab - i s e_ba) / sqrt(2) for a + b odd.
-    The -i vectors are the complex conjugates of the +i ones.  C on a
-    basis V is V^H C V; its entry (k, l) carries the norm sqrt(w[k] w[l]),
-    exactly 1/2 between two pairs.
+    The -i vectors are the complex conjugates of the +i ones.  The +1 and
+    -1 bases span the even half of the modes (a + b even), the +i basis
+    the odd half.  C on a basis V is V^H C V; its entry (k, l) carries
+    the norm sqrt(w[k] w[l]), exactly 1/2 between two pairs.
+    """
+    modes, members, halves = _coupling_halves(basis_n, mean_zero, grid)
+    rows = tuple(np.array(modes).T)
+    index = np.zeros((basis_n, basis_n), dtype=int)
+    index[rows] = np.arange(len(modes))
+    local = np.empty(len(modes), dtype=int)     # a mode's place in its half
+    for member in members:
+        local[member] = np.arange(len(member))
+    diag = -(rows[0] + rows[1]) / 2.0
+    bases = _rotation_bases(rows, index)
+    blocks = []
+    for (p, q, c, w), half in zip(bases, (halves[0], halves[0], halves[1])):
+        lp, lq = local[p], local[q]
+        adapted = (half[np.ix_(lp, lp)] + half[np.ix_(lp, lq)] * c
+                   + c.conj()[:, None] * (half[np.ix_(lq, lp)]
+                                          + half[np.ix_(lq, lq)] * c))
+        blocks.append((diag[p], np.sqrt(np.outer(w, w)) * adapted))
+    return modes, bases, tuple(blocks)
+
+
+def _coupling_halves(basis_n: int, mean_zero: bool, grid: Grid):
+    """The alpha-independent coupling matrix C in its two total-parity
+    halves: (modes, members, halves), where members[t] holds the numbers
+    of the modes (a, b) with a + b = t mod 2, in order, and halves[t] is
+    C restricted to them.  The rotation by pi, (-1)^(a+b), commutes with
+    C, so the entries between the halves are quadrature error; they are
+    not computed.
+
+    The reflection x -> -x maps the mode (a, b) to (-1)^a (a, b) and
+    reverses the vortex, so it anticommutes with C, and so does y -> -y
+    with (-1)^b.  The image v . grad e_ab + v_ab . grad G of the mode
+    (a, b) therefore lies on the rows of axis parity ((a + 1) % 2,
+    (b + 1) % 2); elsewhere it holds only quadrature error (the grid has a
+    node at -L/2 but none at +L/2), about 1.5e-17 of C's largest entry
+    at basis 16 and 32 on Grid(128, 40).
+    Two modes of the same total parity and opposite axis parities, (even,
+    even) with (odd, odd) or (even, odd) with (odd, even), have their
+    images on disjoint rows: one free-space solve and one projection of
+    their summed field serve both, and each mode's column is the
+    projection on its own rows, exactly zero on the others.
+
+    The reflection x <-> y fixes the grid (both axes share its
+    coordinates), G, the weight and every psi table; it maps the mode
+    (a, b) to (b, a) and reverses the vortex.  So C[(c, d), (b, a)] =
+    -C[(d, c), (a, b)], and only the modes with a <= b are solved; each
+    column with a > b is filled from its partner.  The mode (0, 0) is G
+    itself: its velocity is the vortex profile, so it needs no solve.
     """
     modes = [(a, b) for a in range(basis_n) for b in range(basis_n)]
     if mean_zero:
         modes = [mode for mode in modes if mode != (0, 0)]
-    nm = len(modes)
-    rows = tuple(np.array(modes).T)             # mode i's (a, b) at [i]
-    index = np.zeros((basis_n, basis_n), dtype=int)
-    index[rows] = np.arange(nm)                 # (a, b)'s mode number
+    members = [np.array([i for i, (a, b) in enumerate(modes)
+                         if (a + b) % 2 == t]) for t in (0, 1)]
+    local = {modes[i]: k for member in members for k, i in enumerate(member)}
+    # per axis parity (pa, pb): the places in its half of the modes with
+    # that parity, and their (c, d)
+    targets = {}
+    for pa in (0, 1):
+        for pb in (0, 1):
+            on = [(c, d) for c, d in modes if (c % 2, d % 2) == (pa, pb)]
+            targets[pa, pb] = (np.array([local[mode] for mode in on]),
+                               tuple(np.array(on).T))
 
     phi, psi = _hermite_tables(grid, basis_n + 1)
     xx, yy = grid.meshes()
@@ -300,39 +353,44 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     g = gaussian_profile(xx, yy)
     half_weight = np.exp((xx**2 + yy**2) / 8.0) * np.sqrt(4.0 * np.pi)
     grad_g = (-0.5 * xx * g, -0.5 * yy * g)
-
-    diag = np.array([-(a + b) / 2.0 for a, b in modes])
-    coupling = np.zeros((nm, nm))
+    halves = [np.zeros((len(member), len(member))) for member in members]
     area = grid.cell_area
-    for col, (a, b) in enumerate(modes):
-        if a > b:
-            continue                                  # filled from (b, a)
-        field_ab = np.outer(phi[a], phi[b])
-        # grad of the basis function: next-order factors
-        dx = np.sqrt((a + 1) / 2.0) * np.outer(phi[a + 1], phi[b])
-        dy = np.sqrt((b + 1) / 2.0) * np.outer(phi[a], phi[b + 1])
+
+    def solved(pa, pb):
+        return [(a, b) for a, b in modes
+                if a <= b and (a % 2, b % 2) == (pa, pb) and (a, b) != (0, 0)]
+
+    groups = [[mode for mode in pair if mode is not None]
+              for first, second in (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+              for pair in zip_longest(solved(*first), solved(*second))]
+    if not mean_zero:
+        groups.append([(0, 0)])
+    for group in groups:
+        field = sum(np.outer(phi[a], phi[b]) for a, b in group)
+        # grad of the basis functions: next-order factors
+        dx = sum(np.sqrt((a + 1) / 2.0) * np.outer(phi[a + 1], phi[b])
+                 for a, b in group)
+        dy = sum(np.sqrt((b + 1) / 2.0) * np.outer(phi[a], phi[b + 1])
+                 for a, b in group)
         coupled = v1 * dx + v2 * dy
-        if (a, b) == (0, 0):
+        if group == [(0, 0)]:
             # its own velocity is the vortex profile; the coupling term
             # v . grad G vanishes pointwise by perpendicularity
             vw1, vw2 = v1, v2
         else:
-            vw = velocity_free_space(ScalarField._owned(grid, field_ab))
+            vw = velocity_free_space(ScalarField._owned(grid, field))
             vw1, vw2 = vw.x.values, vw.y.values
         coupled = coupled + vw1 * grad_g[0] + vw2 * grad_g[1]
         weighted = coupled * half_weight
         proj = psi @ weighted @ psi.T * area          # (basis_n+1)^2 block
-        coupling[:, col] = proj[rows]
-        if a < b:
-            coupling[:, index[b, a]] = -proj.T[rows]
-    bases = _rotation_bases(rows, index)
-    blocks = []
-    for p, q, c, w in bases:
-        adapted = (coupling[np.ix_(p, p)] + coupling[np.ix_(p, q)] * c
-                   + c.conj()[:, None] * (coupling[np.ix_(q, p)]
-                                          + coupling[np.ix_(q, q)] * c))
-        blocks.append((diag[p], np.sqrt(np.outer(w, w)) * adapted))
-    return modes, diag, coupling, bases, tuple(blocks)
+        for a, b in group:
+            half = halves[(a + b) % 2]
+            at, (c, d) = targets[(a + 1) % 2, (b + 1) % 2]
+            half[at, local[a, b]] = proj[c, d]
+            if a < b:
+                at, (c, d) = targets[(b + 1) % 2, (a + 1) % 2]
+                half[at, local[b, a]] = -proj[d, c]
+    return modes, members, halves
 
 
 def _rotation_bases(rows, index):
@@ -359,10 +417,13 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     derivatives (the eigenbasis of L, which is exactly diagonal there);
     only the alpha-coupling needs grid quadrature.  The coupling velocity
     of each basis function is its free-space Biot-Savart field.  The
-    coupling matrix does not depend on alpha and is cached.  The
+    coupling does not depend on alpha and is cached.  Three symmetries
+    of the Hermite basis cut the assembly (see `_coupling_halves`): the
     reflection x <-> y maps the mode (a, b) to (b, a) and reverses the
-    vortex, so only the modes with a <= b are solved and projected; each
-    column (b, a) is minus its partner's with the row indices swapped.
+    vortex, so only the modes with a <= b are solved; and the reflections
+    x -> -x and y -> -y put the image of each mode on the rows of one axis
+    parity, so one free-space solve and one projection serve two modes of
+    opposite axis parities.
 
     The operator commutes with rotations about the vortex, and the
     rotation by pi/2 maps the mode (a, b) to (-1)^a (b, a).  So the
@@ -373,9 +434,12 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     because the matrix is real, so only the +i block is solved and its
     eigenvalues are appended conjugated.  A real eigenvalue of that
     complex block comes back with an imaginary part of round-off size
-    (~1e-16), as a conjugate pair.  Only the +i block, which holds the
-    translation modes (1, 0) and (0, 1) as one vector, computes
-    eigenvectors.
+    (~1e-16), as a conjugate pair.  All three eigen-solves compute
+    eigenvalues only.  The translation label comes from one step of
+    inverse iteration on the +i block, shifted near -1/2 and started
+    from the basis vector of the mode (0, 1): if the result keeps more
+    than 0.99 of its norm on that vector, the block's eigenvalue nearest
+    -1/2 is the translation mode.
     """
     if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
         raise DomainError(f"alpha must be a finite number, got {alpha!r}")
@@ -388,29 +452,32 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     import scipy.linalg
 
     grid = grid or Grid(256, 40.0)
-    modes, _, _, bases, (plus, minus, rotating) = _assemble_coupling(
+    modes, bases, (plus, minus, rotating) = _assemble_coupling(
         basis_n, mean_zero, grid)
 
     def block(d, adapted):
         return np.diag(d) - alpha * adapted
 
+    # the +i basis vector of the mode (0, 1), which holds both translations
+    row = bases[2][0].tolist().index(modes.index((0, 1)))
+    start = np.zeros(len(rotating[0]))
+    start[row] = 1.0
+    rot_block = block(*rotating)
     try:
         plus_vals = scipy.linalg.eig(block(*plus), right=False)
         minus_vals = scipy.linalg.eig(block(*minus), right=False)
-        rot_vals, rot_vecs = scipy.linalg.eig(block(*rotating))
+        rot_vals = scipy.linalg.eig(rot_block, right=False)
+        near = scipy.linalg.solve(
+            rot_block - TRANSLATION_SHIFT * np.eye(len(start)), start)
     except scipy.linalg.LinAlgError as exc:            # pragma: no cover
         raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
     eigvals = np.concatenate([plus_vals, minus_vals, rot_vals, rot_vals.conj()])
     eigvals = eigvals[np.argsort(-eigvals.real)]
 
     labeled = {}
-    # rot_vecs' rows follow the +i basis's modes p
-    row = bases[2][0].tolist().index(modes.index((0, 1)))
-    on_translation = (np.abs(rot_vecs[row])
-                      > 0.99 * np.linalg.norm(rot_vecs, axis=0))
-    if on_translation.any():
-        dist = np.where(on_translation, np.abs(rot_vals + 0.5), np.inf)
-        labeled["translation"] = complex(rot_vals[np.argmin(dist)])
+    if np.abs(near[row]) > 0.99 * np.linalg.norm(near):
+        labeled["translation"] = complex(
+            rot_vals[np.argmin(np.abs(rot_vals + 0.5))])
     j_scal = int(np.argmin(np.abs(eigvals + 1.0)))
     labeled["scaling"] = complex(eigvals[j_scal])
 

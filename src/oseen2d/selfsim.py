@@ -23,11 +23,6 @@ from .errors import DomainError
 from .field import (ScalarField, _fft2, _ifft2, _ksq, gradient,
                     require_boundary_decay, resample_affine)
 
-# Below this tau the quadrature kernel is thinner than the grid; the
-# dilation + exact-diffusion route stays uniformly accurate down to 0.
-QUADRATURE_MIN_TAU = 0.25
-
-
 def to_self_similar(omega: ScalarField, t: float, center) -> ScalarField:
     """w(xi) = t * omega(center + xi sqrt(t)) by trigonometric interpolation.
 
@@ -72,16 +67,18 @@ def _semigroup_spectral(tau: float, f: ScalarField) -> ScalarField:
 def semigroup_apply(tau: float, f: ScalarField) -> ScalarField:
     """Apply the explicit rescaled-heat semigroup at time tau >= 0.
 
-    tau = 0 returns f itself.  Small tau (kernel thinner than the grid)
-    uses the dilation + exact-diffusion route; larger tau uses direct
-    kernel quadrature, which needs no interpolation at all.
+    tau = 0 returns f itself.  The route follows the kernel's width
+    sqrt(1 - e^-tau) in cells of the grid: at least one cell uses direct
+    kernel quadrature, which needs no interpolation and is at round-off
+    there; a thinner kernel is under-sampled, so the dilation +
+    exact-diffusion route, uniformly accurate down to tau = 0, takes it.
     """
     if not (tau >= 0):
         raise DomainError(f"semigroup time must be >= 0, got {tau}")
     if tau == 0.0:
         return ScalarField(f.grid, f.values)
     require_boundary_decay(f, "semigroup_apply")
-    if tau < QUADRATURE_MIN_TAU:
+    if np.sqrt(-np.expm1(-tau)) < f.grid.h:
         return _semigroup_spectral(tau, f)
     return _semigroup_quadrature(tau, f)
 

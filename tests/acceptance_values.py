@@ -14,6 +14,13 @@ With ``--compare FILE`` it reads a saved listing instead, reruns, and
 prints ``criterion before after`` for each value that moved by more than
 ``1e-11 * max(1, |before|)``.  It exits 1 when a value moved or when the
 criteria differ from the saved ones, and 0 otherwise.
+
+``--only NAME[,NAME]`` runs just the named experiments (keys of
+``experiments.EXPERIMENTS``, such as ``spectrum``).  With ``--compare``
+their values are checked against the matching lines of a full saved
+listing, so A9 is re-checked in seconds:
+
+    python3 tests/acceptance_values.py --only spectrum --compare FILE
 """
 
 import argparse
@@ -28,10 +35,13 @@ from oseen2d import experiments as ex  # noqa: E402
 REL_TOL = 1e-11
 
 
-def values():
-    """(criterion, measured) per acceptance record, in the table's order."""
+def values(names=None):
+    """(criterion, measured) per acceptance record, in the table's order;
+    only the experiments in ``names`` unless it is None."""
     cfg = ex.ExperimentConfig()
-    for runner, _ in ex.EXPERIMENTS.values():
+    for name, (runner, _) in ex.EXPERIMENTS.items():
+        if names is not None and name not in names:
+            continue
         records, _ = runner(cfg)
         for record in records:
             yield record.criterion, record.measured
@@ -45,6 +55,13 @@ def read_listing(lines):
             criterion, value = line.split()
             pairs.append((criterion, float(value)))
     return pairs
+
+
+def matching(before, after):
+    """The lines of the saved listing ``before`` whose criteria ``after``
+    names, in their saved order."""
+    names = {criterion for criterion, _ in after}
+    return [(c, v) for c, v in before if c in names]
 
 
 def moved(before, after):
@@ -66,14 +83,26 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--compare", metavar="FILE",
                         help="a saved listing to compare the rerun against")
+    parser.add_argument("--only", metavar="NAME[,NAME]",
+                        help="run only these experiments (keys of "
+                             "experiments.EXPERIMENTS)")
     args = parser.parse_args()
+    names = None
+    if args.only is not None:
+        names = args.only.split(",")
+        unknown = [name for name in names if name not in ex.EXPERIMENTS]
+        if unknown:
+            parser.error(f"unknown experiment(s): {', '.join(unknown)}; "
+                         f"choose from {', '.join(ex.EXPERIMENTS)}")
     if args.compare is None:
-        for criterion, measured in values():
+        for criterion, measured in values(names):
             print(criterion, repr(measured), flush=True)
         return 0
     with open(args.compare) as fh:
         before = read_listing(fh)
-    after = [(criterion, float(measured)) for criterion, measured in values()]
+    after = [(criterion, float(measured)) for criterion, measured in values(names)]
+    if names is not None:
+        before = matching(before, after)
     try:
         lines = moved(before, after)
     except ValueError as exc:

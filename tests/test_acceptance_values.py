@@ -3,7 +3,7 @@ without rerunning the experiments."""
 
 import pytest
 
-from acceptance_values import moved, read_listing
+from acceptance_values import matching, moved, read_listing
 
 
 def test_acceptance_values_compare():
@@ -19,3 +19,17 @@ def test_acceptance_values_compare():
     assert moved([("A-nan", float("nan"))], [("A-nan", float("nan"))]) == []
     with pytest.raises(ValueError, match="criteria differ"):
         moved(before, before[:2])
+
+
+def test_acceptance_values_only_matches_saved_lines():
+    # --only compares a partial rerun against the lines of a full listing
+    # that name its criteria, in their saved order
+    before = read_listing(["A8-r 1.0\n", "A9[alpha=1]-t 2.0\n",
+                           "A9[alpha=1]-m 2\n", "A10-p 3.0\n"])
+    after = [("A9[alpha=1]-t", 2.0), ("A9[alpha=1]-m", 2.0)]
+    assert matching(before, after) == after
+    assert moved(matching(before, after), after) == []
+    # a criterion the listing lacks makes the criteria differ
+    with pytest.raises(ValueError, match="criteria differ"):
+        moved(matching(before, after + [("A9-new", 0.0)]),
+              after + [("A9-new", 0.0)])

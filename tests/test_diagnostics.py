@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 from oseen2d import diagnostics, experiments
 from oseen2d.biot_savart import velocity_free_space
-from oseen2d.diagnostics import (_assemble_coupling, bump,
+from oseen2d.diagnostics import (_assemble_coupling, _coupling_halves, bump,
                                  eigenvalue_multiplicity,
                                  linearized_spectrum, localized_diffuse_series,
                                  oseen_distance,
@@ -207,6 +209,11 @@ def spectrum_grid():
     return Grid(128, 40.0)
 
 
+# the full coupling matrix, one solve per mode; the package caches only
+# the blocks of the spectrum, so the tests that read the matrix take it here
+per_mode_coupling = lru_cache(maxsize=None)(coupling_per_mode)
+
+
 def test_spectrum_alpha_zero_exact(spectrum_grid):
     rep = linearized_spectrum(0.0, 16, mean_zero=True, grid=spectrum_grid)
     exact = sorted((-(a + b) / 2.0 for a in range(16) for b in range(16)
@@ -295,7 +302,8 @@ def test_coupling_splits_by_quarter_turn(spectrum_grid, mean_zero):
     # the rotation by pi/2 maps the Hermite mode (a, b) to (-1)^a (b, a)
     # and commutes with the linearization, so the coupling between its
     # eigenspaces +1, -1, +i and -i is quadrature error
-    modes, _, coupling, bases, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
+    modes, bases, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
+    coupling = per_mode_coupling(16, mean_zero, spectrum_grid)
     nm = len(modes)
     plus, minus, rotating = (_adapted_vectors(basis, nm) for basis in bases)
     spaces = (plus, minus, rotating, rotating.conj())
@@ -323,11 +331,16 @@ def test_spectrum_makes_three_eigen_solves(spectrum_grid, monkeypatch):
         return real_eig(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eig", counted)
-    linearized_spectrum(1.0, 16, mean_zero=True, grid=spectrum_grid)
     # the +1 and -1 blocks are real; the -i block is the conjugate of the
-    # +i block, which alone computes eigenvectors
-    assert calls == [((63, 63), False, False), ((64, 64), False, False),
-                     ((64, 64), True, True)]
+    # +i block; no block computes eigenvectors (the translation label takes
+    # one linear solve instead)
+    for basis_n, (plus, minus, rotating) in ((16, (63, 64, 64)),
+                                            (32, (255, 256, 256))):
+        calls.clear()
+        linearized_spectrum(1.0, basis_n, mean_zero=True, grid=spectrum_grid)
+        assert calls == [((plus, plus), False, False),
+                         ((minus, minus), False, False),
+                         ((rotating, rotating), True, False)]
 
 
 def test_spectrum_real_eigenvalues_as_conjugate_pairs(spectrum_grid):
@@ -345,7 +358,9 @@ def test_spectrum_real_eigenvalues_as_conjugate_pairs(spectrum_grid):
 
 @pytest.mark.parametrize("mean_zero", [True, False])
 def test_split_spectrum_matches_unsplit_oracle(spectrum_grid, mean_zero):
-    modes, diag, coupling, _, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
+    modes, _, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
+    diag = np.array([-(a + b) / 2.0 for a, b in modes])
+    coupling = per_mode_coupling(16, mean_zero, spectrum_grid)
     for alpha in (1.0, 10.0):
         rep = linearized_spectrum(alpha, 16, mean_zero=mean_zero,
                                   grid=spectrum_grid)
@@ -359,19 +374,28 @@ def test_split_spectrum_matches_unsplit_oracle(spectrum_grid, mean_zero):
 
 @pytest.mark.parametrize("mean_zero", [True, False])
 def test_coupling_reflection_matches_per_mode_oracle(spectrum_grid, mean_zero):
-    # the reflection x <-> y maps mode (a, b) to (b, a) and reverses the
-    # vortex, so the columns with a > b are filled from their partners:
-    # exact up to the round-off of the partner's free-space solve
-    modes, _, coupling, _, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
-    expected = coupling_per_mode(16, mean_zero, spectrum_grid)
-    solved = np.array([a <= b for a, b in modes])
-    assert np.array_equal(coupling[:, solved], expected[:, solved])
-    assert (np.max(np.abs(coupling[:, ~solved] - expected[:, ~solved]))
-            <= 1e-15 * np.max(np.abs(expected)))
+    # the columns with a > b are filled from their partners by the
+    # reflection x <-> y, and two modes share one solve: each column is the
+    # per-mode one up to the round-off of the paired free-space solve, on
+    # its own axis parity's rows; it is exactly zero on every other row
+    for basis_n in (16, 32):
+        modes, members, halves = _coupling_halves(basis_n, mean_zero,
+                                                  spectrum_grid)
+        expected = per_mode_coupling(basis_n, mean_zero, spectrum_grid)
+        coupling = np.zeros_like(expected)
+        for member, half in zip(members, halves):
+            coupling[np.ix_(member, member)] = half
+        a, b = np.array(modes).T
+        same_total = (a + b)[:, None] % 2 == (a + b)[None, :] % 2
+        image_rows = (((a[:, None] - a[None, :]) % 2 == 1)
+                      & ((b[:, None] - b[None, :]) % 2 == 1))
+        assert (np.max(np.abs(coupling - expected)[same_total])
+                <= 1e-15 * np.max(np.abs(expected)))
+        assert not np.any(coupling[~image_rows])
 
 
 @pytest.mark.parametrize("mean_zero", [True, False])
-def test_coupling_solves_only_modes_with_a_le_b(monkeypatch, mean_zero):
+def test_coupling_pairs_solves_by_axis_parity(monkeypatch, mean_zero):
     calls = []
 
     def counted(field):
@@ -379,11 +403,16 @@ def test_coupling_solves_only_modes_with_a_le_b(monkeypatch, mean_zero):
         return velocity_free_space(field)
 
     monkeypatch.setattr(diagnostics, "velocity_free_space", counted)
-    # uncached, so the count does not depend on which tests ran before
-    _assemble_coupling.__wrapped__(16, mean_zero, Grid(64, 40.0))
     # 16 * 17 / 2 modes with a <= b, less (0, 0), whose velocity is the
-    # vortex profile; every mode would be 255
-    assert len(calls) == 135
+    # vortex profile: 135 at basis 16 (every mode would be 255).  Paired by
+    # axis parity, the 35 (even, even) modes go with the 36 (odd, odd) ones,
+    # and the 36 (even, odd) modes with a < b with the 28 (odd, even) ones:
+    # 36 + 36 solves.  At basis 32: 136 + 136 of 527.
+    for basis_n, solves in ((16, 72), (32, 272)):
+        calls.clear()
+        # uncached, so the count does not depend on which tests ran before
+        _coupling_halves(basis_n, mean_zero, Grid(64, 40.0))
+        assert len(calls) == solves
 
 
 # ------------------------------------------------------------------- output

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oseen2d.errors import DomainError, MarginError
-from oseen2d.field import ScalarField, lp_norm, project_mean_zero, weighted_norm
+from oseen2d.field import Grid, ScalarField, lp_norm, project_mean_zero, weighted_norm
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_vorticity
 from oseen2d.propagators import StepperConfig, evolve_S1
 from oseen2d.rng import band_limited_field
@@ -90,6 +90,20 @@ def test_semigroup_eigenmode(dx_gauss128):
         assert rel < 1e-8
 
 
+def test_semigroup_route_follows_kernel_width():
+    # on Grid(64, 40), h = 0.625: at tau = 0.25 the kernel's width
+    # sqrt(1 - e^-tau) = 0.47 is under one cell, where the quadrature of the
+    # sampled kernel errs by 1.7e-9 and the spectral route by 6e-12
+    grid = Grid(64, 40.0)
+    xx, yy = grid.meshes()
+    dx_gauss = ScalarField(grid, -0.5 * xx * gaussian_profile(xx, yy))
+    tau = 0.25
+    out = semigroup_apply(tau, dx_gauss)
+    want = np.exp(-tau / 2) * dx_gauss.values
+    assert (np.max(np.abs(out.values - want))
+            <= 1e-10 * np.max(np.abs(want)))
+
+
 def test_semigroup_identity_and_domain(gauss128):
     out = semigroup_apply(0.0, gauss128)
     assert np.array_equal(out.values, gauss128.values)
@@ -124,8 +138,9 @@ def test_semigroup_law(grid128):
     assert lp_norm(lhs - rhs, 2) < 1e-6 * lp_norm(rhs, 2)
 
 
-# both routes of semigroup_apply: the spectral one below tau = 0.25, where
-# the full-spectrum transforms run, and the quadrature one above
+# both routes of semigroup_apply: on grid128 (h = 0.3125) the spectral one
+# below tau = 0.103, where the kernel is thinner than a cell and the
+# full-spectrum transforms run, and the quadrature one above
 _SEMIGROUP_TAUS = st.sampled_from((0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2, 2.0))
 
 
