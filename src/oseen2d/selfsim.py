@@ -68,9 +68,9 @@ def semigroup_apply(tau: float, f: ScalarField) -> ScalarField:
     """Apply the explicit rescaled-heat semigroup at time tau >= 0.
 
     tau = 0 returns f itself.  The route follows the kernel's width
-    sqrt(1 - e^-tau) in cells of the grid: at least one cell uses direct
-    kernel quadrature, which needs no interpolation and is at round-off
-    there; a thinner kernel is under-sampled, so the dilation +
+    sqrt(1 - e^-tau): a kernel at least one grid cell wide is applied by
+    direct quadrature, which needs no interpolation and is at round-off
+    there; a thinner one is under-sampled, so the dilation +
     exact-diffusion route, uniformly accurate down to tau = 0, takes it.
     """
     if not (tau >= 0):

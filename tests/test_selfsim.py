@@ -93,7 +93,7 @@ def test_semigroup_eigenmode(dx_gauss128):
 def test_semigroup_route_follows_kernel_width():
     # on Grid(64, 40), h = 0.625: at tau = 0.25 the kernel's width
     # sqrt(1 - e^-tau) = 0.47 is under one cell, where the quadrature of the
-    # sampled kernel errs by 1.7e-9 and the spectral route by 6e-12
+    # sampled kernel errs by 2.0e-9 and the spectral route by 7.0e-12
     grid = Grid(64, 40.0)
     xx, yy = grid.meshes()
     dx_gauss = ScalarField(grid, -0.5 * xx * gaussian_profile(xx, yy))
