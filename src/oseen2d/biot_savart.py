@@ -81,9 +81,9 @@ def velocity_periodic(omega: ScalarField) -> VectorField:
             f"integral = {omega.integral():.3e}")
     grid = omega.grid
     u = _irfft2(_periodic_multiplier(grid) * _rfft2(omega.values), grid.n)
-    xx, yy = grid.meshes()
-    p1 = float(np.sum(xx * omega.values)) * grid.cell_area
-    p2 = float(np.sum(yy * omega.values)) * grid.cell_area
+    x = grid.coords()
+    p1 = float(np.sum(x[:, None] * omega.values)) * grid.cell_area
+    p2 = float(np.sum(x[None, :] * omega.values)) * grid.cell_area
     c = 1.0 / (2.0 * grid.box_size**2)
     u[0] += c * p2
     u[1] -= c * p1

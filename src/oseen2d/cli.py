@@ -121,6 +121,13 @@ def list_mapping() -> str:
     return "\n".join(lines)
 
 
+def _print(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:     # the reader stopped early: drop the rest, keep the run
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="oseen2d", description="vorticity-solver experiment runner")
@@ -138,7 +145,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
 
     if args.list:
-        print(list_mapping())
+        _print(list_mapping())
         return 0
     if args.subcommand is None:
         print("error: a subcommand (or --list) is required", file=sys.stderr)
@@ -163,7 +170,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     for record in records:
-        print(record.line())
+        _print(record.line())
     if out:
         try:
             write_artifacts(out, artifacts)

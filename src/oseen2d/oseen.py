@@ -24,6 +24,7 @@ from .field import Grid, ScalarField, VectorField
 
 # |xi| below which the velocity profile switches to its power series.
 SERIES_CUTOFF_SQ = 1e-8  # (1e-4)^2 on |xi|^2
+EXP_UNDERFLOW = -746.0  # numpy's exp is exactly 0 at and below this argument
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,10 @@ class OseenVortex:
 
 
 def gaussian_profile(x1, x2):
-    """G at the point(s) (x1, x2); exp runs only on arguments above -746 (it
-    is 0 below, where numpy's exp is ~10x slower), masked only when needed."""
+    """G at the point(s) (x1, x2); exp runs only above EXP_UNDERFLOW (it is
+    0 below, where numpy's exp is ~10x slower), masked only when needed."""
     arg = -(np.asarray(x1) ** 2 + np.asarray(x2) ** 2) / 4.0
-    under = arg <= -746.0
+    under = arg <= EXP_UNDERFLOW
     return (np.exp(arg, out=np.zeros_like(arg), where=~under) if under.any()
             else np.exp(arg)) / (4.0 * np.pi)
 
@@ -50,13 +51,15 @@ def gaussian_profile(x1, x2):
 def _ring_factor(s):
     """(1 - exp(-s/4)) / (2 pi s) with the removable singularity filled in.
 
-    s = |xi|^2.  Below the cutoff, and only there, the power series
-    (1/(8 pi)) (1 - s/8 + s^2/96) is evaluated, exact to machine precision.
+    s = |xi|^2.  expm1 runs only where -s/4 > EXP_UNDERFLOW (the factor is
+    1/(2 pi s) elsewhere), the exact power series only below the cutoff.
     """
     s = np.asarray(s, dtype=float)
     small = s < SERIES_CUTOFF_SQ
     safe = np.where(small, 1.0, s) if small.any() else s
-    out = np.asarray(-np.expm1(-safe / 4.0) / (2.0 * np.pi * safe))
+    out = np.asarray(1.0 / (2.0 * np.pi * safe))
+    ring = safe < -4.0 * EXP_UNDERFLOW
+    out[ring] = -np.expm1(-safe[ring] / 4.0) / (2.0 * np.pi * safe[ring])
     out[small] = (1.0 - s[small] / 8.0 + s[small] ** 2 / 96.0) / (8.0 * np.pi)
     return out[()]
 

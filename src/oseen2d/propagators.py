@@ -44,7 +44,7 @@ from .errors import DegenerateError, DomainError, StabilityError
 from .field import (Grid, ScalarField, VectorField, _dealias_mask,
                     _deriv_wavenumbers, _fd_derivative, _irfft2, _ksq, _rfft2,
                     divergence_local, lp_norm, weighted_norm)
-from .oseen import (OseenVortex, gaussian_profile, oseen_max_speed,
+from .oseen import (EXP_UNDERFLOW, OseenVortex, gaussian_profile, oseen_max_speed,
                     oseen_velocity, oseen_vorticity, velocity_profile)
 
 CFL_DEFAULT = 0.5
@@ -133,9 +133,9 @@ class DecayFit:
 # the integrating-factor RK4 core: one step and one stop-time loop
 # ---------------------------------------------------------------------
 
-# A stage function maps (state samples, stage time, with_speed) to the
-# physical-space flux F = (F1, F2) of dw/dt = Lap(w) - div F, summed over every
-# advective term (None if none), and the largest speed of the velocity it solved
+# A stage function maps (state samples, stage time, with_speed) to the flux F
+# of dw/dt = Lap(w) - div F, summed over every advective term, as one float
+# (2, n, n) array (None if none), and the largest speed of the velocity it solved
 # for, which it may skip unless with_speed: lawson_step sets that at stage 1 only.
 Stage = Callable[[np.ndarray, float, bool], tuple]
 
@@ -163,20 +163,24 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
     grid = w.grid
     nh = grid.n // 2 + 1                   # columns of the half spectrum
     kd = _deriv_wavenumbers(grid)
-    kx, ky = kd[:, None], kd[None, :nh]
+    ikx, iky = 1j * kd[:, None], 1j * kd[None, :nh]
     mask = _dealias_mask(grid)[:, :nh]
-    xx, yy = grid.meshes() if drift else (None, None)
+    x = 0.5 * grid.coords()                 # xi / 2 along either axis
+    half_xi = np.stack(np.broadcast_arrays(x[:, None], x[None, :])) if drift else None
 
-    def div_hat(f1, f2):
-        fh = _rfft2(np.stack((f1, f2)))
-        return 1j * kx * fh[0] + 1j * ky * fh[1]
+    def div_hat(f):
+        fh = _rfft2(f)
+        out = ikx * fh[0]
+        out += iky * fh[1]
+        return out
 
     def tendency(values, flux):
         out = 0.0
         if flux is not None:
-            out = -div_hat(*flux) * mask
+            out = div_hat(flux)
+            np.multiply(np.negative(out, out=out), mask, out=out)
         if drift:
-            out = out + div_hat(0.5 * xx * values, 0.5 * yy * values)
+            out = out + div_hat(half_xi * values)
         return out
 
     # every caller passes a fresh w_hat, which the inverse transform overwrites
@@ -267,18 +271,23 @@ def background_fields(vortices: tuple[OseenVortex, ...], t: float,
 
     Returns the read-only (5, n, n) array (U1, U2, W, S1, S2) at time t,
     with U = sum_i u_i, W = sum_i w_i and S = sum_i u_i w_i over the
-    vortices, each sampled once on broadcast 1-D coordinates; one cached zero
-    array per grid for no vortex.  A Lawson step samples three stage times,
-    its last the next step's first: three entries leave two new per step.
+    vortices, each sampled once on broadcast 1-D coordinates, w_i only on the
+    rows x columns where -((c - z_i)/sqrt(t))^2/4 > EXP_UNDERFLOW (outside, it
+    and u_i w_i are zeros that change no bit of W or S); one cached zero array
+    per grid for no vortex.  A Lawson step samples three stage times, its
+    last the next step's first: three entries leave two new per step.
     """
     if not vortices:
         return _no_backgrounds(grid)
-    x = grid.coords()[:, None]
+    x = grid.coords()
     fields = np.zeros((5, grid.n, grid.n))
     for v in vortices:
-        u1, u2 = oseen_velocity(v, t, x, x.T)
-        w = oseen_vorticity(v, t, x, x.T)
-        for total, sample in zip(fields, (u1, u2, w, u1 * w, u2 * w)):
+        u1, u2 = oseen_velocity(v, t, x[:, None], x[None, :])
+        near = [((x - z) / np.sqrt(t)) ** 2 < -4.0 * EXP_UNDERFLOW for z in v.z]
+        r, c = (slice(m.argmax(), m.argmax() + m.sum()) for m in near)  # one run each
+        w = oseen_vorticity(v, t, x[r, None], x[None, c])
+        for total, sample in zip((fields[0], fields[1], *fields[2:, r, c]),
+                                 (u1, u2, w, u1[r, c] * w, u2[r, c] * w)):
             total += sample
     fields.flags.writeable = False
     return fields
@@ -315,8 +324,7 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
     # speed never binds: the stage reports 0 and the step reads only the
     # analytic bound
     def stage(w, now, with_speed):
-        u1, u2 = background_fields(vortices, now, grid)[:2]
-        return (u1 * w, u2 * w), 0.0
+        return background_fields(vortices, now, grid)[:2] * w, 0.0
 
     def advance(w, now, stop):
         def pick_dt(speed, room):
@@ -332,11 +340,11 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
 # ---------------------------------------------------------------------
 
 def vortex_advection(grid: Grid, alpha: float):
-    """alpha v on the grid, and its largest speed."""
+    """alpha v on the grid as one (2, n, n) array, and its largest speed."""
     if not np.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
-    v1, v2 = velocity_profile(*grid.meshes())
-    return alpha * v1, alpha * v2, abs(alpha) * float(np.max(np.hypot(v1, v2)))
+    v = np.stack(velocity_profile(*grid.meshes()))
+    return alpha * v, abs(alpha) * float(np.max(np.hypot(*v)))
 
 
 def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
@@ -371,10 +379,10 @@ def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
 def evolve_S1(alpha: float, w0: ScalarField, tau_end: float, cfg: StepperConfig,
               sample_every: float = 0.05) -> Trajectory:
     """One-vortex self-similar flow d w/d tau + alpha v . grad w = L w."""
-    a1, a2, advection_max = vortex_advection(w0.grid, alpha)
+    a, advection_max = vortex_advection(w0.grid, alpha)
 
     def stage(w, tau, with_speed):
-        return ((a1 * w, a2 * w) if alpha != 0 else None), 0.0
+        return (a * w if alpha != 0 else None), 0.0
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 
@@ -390,15 +398,17 @@ def evolve_T_alpha(alpha: float, w0: ScalarField, tau_end: float,
     advects only G, so the step bound sees alpha v alone.
     """
     grid = w0.grid
-    a1, a2, advection_max = vortex_advection(grid, alpha)
+    a, advection_max = vortex_advection(grid, alpha)
     g = gaussian_profile(*grid.meshes())
 
     def stage(w, tau, with_speed):
         if alpha == 0:
             return None, 0.0
         vw = velocity_free_space(ScalarField._owned(grid, w))
-        return (a1 * w + alpha * vw.x.values * g,
-                a2 * w + alpha * vw.y.values * g), 0.0
+        flux = a * w
+        for f, u in zip(flux, (vw.x.values, vw.y.values)):
+            f += alpha * u * g
+        return flux, 0.0
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 

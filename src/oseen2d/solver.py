@@ -115,14 +115,15 @@ def _decomposed_stage(backgrounds, grid: Grid):
     a single vortex with a zero remainder has the flux U W - S = 0 exactly.
     """
     def stage(w, t, with_speed):
-        U1, U2, W, S1, S2 = background_fields(backgrounds, t, grid)
-        u1, u2, speed = U1, U2, 0.0
-        if np.any(w):
-            ut = _remainder_velocity(ScalarField._owned(grid, w))
-            u1, u2 = ut.x.values + U1, ut.y.values + U2
-            speed = with_speed and ut.max_norm()
-        total = w + W
-        return (u1 * total - S1, u2 * total - S2), speed
+        bg = background_fields(backgrounds, t, grid)
+        ut = _remainder_velocity(ScalarField._owned(grid, w)) if np.any(w) else None
+        u = (0.0, 0.0) if ut is None else (ut.x.values, ut.y.values)
+        flux = np.empty((2, grid.n, grid.n))     # after the solve, for the peak memory
+        for f, uk, Uk in zip(flux, u, bg):
+            np.add(uk, Uk, out=f)                # U is never -0.0, so 0.0 + U is U
+        flux *= w + bg[2]
+        flux -= bg[3:]
+        return flux, (0.0 if ut is None else with_speed and ut.max_norm())
     return stage
 
 
@@ -276,15 +277,17 @@ def evolve_rescaled_perturbation(alpha: float, w0: ScalarField, tau_end: float,
     """
     grid = w0.grid
     require_boundary_decay(w0, "evolve_rescaled_perturbation")
-    a1, a2, advection_max = vortex_advection(grid, alpha)
+    a, advection_max = vortex_advection(grid, alpha)
     g = gaussian_profile(*grid.meshes())
 
     def stage(w, tau, with_speed):
         vt = velocity_free_space(ScalarField._owned(grid, w),
                                  boundary_tol=SOLVER_BOUNDARY_TOL)
-        u1, u2 = vt.x.values, vt.y.values
-        return ((a1 + u1) * w + alpha * u1 * g,
-                (a2 + u2) * w + alpha * u2 * g), with_speed and vt.max_norm()
+        flux = np.empty_like(a)
+        for f, ak, u in zip(flux, a, (vt.x.values, vt.y.values)):
+            np.multiply(np.add(ak, u, out=f), w, out=f)
+            f += alpha * u * g
+        return flux, with_speed and vt.max_norm()
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 

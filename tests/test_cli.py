@@ -167,6 +167,27 @@ def test_cli_list_exit_zero():
     assert main(["--list"]) == 0
 
 
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_cli_list_into_closed_pipe(lines_read):
+    # `oseen2d --list | head -n 1`: the reader closes the pipe after one line
+    # (or, to hit the closed pipe on every write, before the first); the
+    # run prints no traceback and exits with its own status, 0 for --list
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "oseen2d.cli", "--list"],
+                            stdout=write_end, stderr=subprocess.PIPE, text=True,
+                            env=env)
+    os.close(write_end)
+    with os.fdopen(read_end) as reader:
+        lines = [reader.readline() for _ in range(lines_read)]
+    stderr = proc.communicate(timeout=120)[1]
+    assert lines == list_mapping().splitlines(keepends=True)[:lines_read]
+    assert stderr == ""
+    assert proc.returncode == 0
+
+
 def test_cli_end_to_end_and_deterministic(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"

@@ -153,11 +153,14 @@ def test_gaussian_profile_bit_identical_to_full_grid(args, angle):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(s=st.lists(st.one_of(st.just(0.0), st.just(1e-8), st.floats(0.0, 2e-8),
                             st.floats(0.0, 100.0), st.floats(2832.0, 2981.0),
-                            st.floats(2980.0, 2990.0)),
+                            st.floats(100.0, 3000.0), st.floats(2980.0, 2990.0),
+                            st.just(2984.0), st.floats(2990.0, 1e8)),
                   min_size=1, max_size=40))
 def test_ring_factor_bit_identical_to_full_grid(s):
-    # s = 0, the series cutoff s = 1e-8 and the underflow of exp(-s/4)
+    # s = 0, the series cutoff s = 1e-8, the underflow of exp(-s/4) at
+    # s = 2984, past which only 1/(2 pi s) is evaluated, and s up to 1e8;
+    # bytes, so a signed zero would count
     s = np.array(s)
-    assert np.array_equal(_ring_factor(s), ring_factor_full(s))
+    assert _ring_factor(s).tobytes() == ring_factor_full(s).tobytes()
     got = _ring_factor(float(s[0]))
-    assert np.ndim(got) == 0 and got == ring_factor_full(s[0])
+    assert np.ndim(got) == 0 and got.tobytes() == ring_factor_full(s[0]).tobytes()

@@ -102,6 +102,11 @@ def test_decomposed_stage_matches_per_vortex_flux(grid128, count, with_blob):
     scale = max(np.max(np.abs(c)) for c in want)
     for g, c in zip(got, want):
         assert np.max(np.abs(g - c)) <= 1e-13 * scale
+    # and it is, byte for byte, the identity formed out of place
+    U1, U2, W, S1, S2 = propagators.background_fields(backgrounds, t, grid128)
+    total = w.values + W
+    u1, u2 = (ut1 + U1, ut2 + U2) if with_blob else (U1, U2)
+    assert got.tobytes() == np.stack((u1 * total - S1, u2 * total - S2)).tobytes()
 
 
 def test_decomposed_stage_single_vortex_flux_is_zero(grid128):
