@@ -57,9 +57,10 @@ def _ring_factor(s):
     s = np.asarray(s, dtype=float)
     small = s < SERIES_CUTOFF_SQ
     safe = np.where(small, 1.0, s) if small.any() else s
-    out = np.asarray(1.0 / (2.0 * np.pi * safe))
     ring = safe < -4.0 * EXP_UNDERFLOW
-    out[ring] = -np.expm1(-safe[ring] / 4.0) / (2.0 * np.pi * safe[ring])
+    sr = safe[ring]
+    out = np.asarray(1.0 / (2.0 * np.pi * safe))
+    out[ring] = -np.expm1(-sr / 4.0) / (2.0 * np.pi * sr)
     out[small] = (1.0 - s[small] / 8.0 + s[small] ** 2 / 96.0) / (8.0 * np.pi)
     return out[()]
 
