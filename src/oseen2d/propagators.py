@@ -7,15 +7,15 @@ Every flow in the package has the form
 with the Laplacian handled exactly in spectral space (Lawson's
 integrating-factor RK4) and the flux F evaluated in physical space by a
 stage function of the flow.  Each flow supplies only its physics: the
-stage function and a stability bound ``bound(cfl)``.  This module owns the
-rest: ``lawson_step`` takes one step of any such flow (always dealiased by
-the 2/3 rule; it asks the stage for a speed at stage 1 only), ``march`` is
-the one loop through a list of stop times, ``StepperConfig.step`` the one
-step-size rule, and ``background_fields`` the one sampler and sum of the
-analytic vortex backgrounds: per time it caches the summed velocity U,
-vorticity W and flux S = sum_i u_i w_i (exp skipped where it underflows),
-so consecutive steps share samples and no caller sums per vortex.  It
-supplies the stage functions and bounds of
+stage function and its stability bound at the one CFL number ``CFL``.
+This module owns the rest: ``lawson_step`` takes one step of any such flow
+(always dealiased by the 2/3 rule; it reads the speed of stage 1's velocity
+only), ``march`` is the one loop through a list of stop times,
+``StepperConfig.step`` the one step-size rule, and ``background_fields``
+the one sampler and sum of the analytic vortex backgrounds: per time it
+caches the summed velocity U, vorticity W and flux S = sum_i u_i w_i (exp
+skipped where it underflows), so consecutive steps share samples and no
+caller sums per vortex.  It supplies the stage functions and bounds of
 
 * the frozen multi-vortex background propagator SN in physical time,
 * the one-vortex self-similar flow  dw/dtau + alpha v . grad w = L w,
@@ -47,52 +47,44 @@ from .field import (Grid, ScalarField, VectorField, _dealias_mask,
 from .oseen import (EXP_UNDERFLOW, OseenVortex, gaussian_profile, oseen_max_speed,
                     oseen_velocity, oseen_vorticity, velocity_profile)
 
-CFL_DEFAULT = 0.5
+CFL = 0.5
 
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-step control: exactly one of a fixed dt or a CFL number."""
+    """Time-step control: a fixed dt, or None for the CFL rule."""
 
     dt: float | None = None
-    cfl: float | None = None
 
     def __post_init__(self):
-        if (self.dt is None) == (self.cfl is None):
-            raise DomainError("set exactly one of dt and cfl")
-        if self.dt is not None and not (self.dt > 0):
-            raise DomainError(f"dt must be positive, got {self.dt}")
-        if self.cfl is not None and not (self.cfl > 0):
-            raise DomainError(f"cfl must be positive, got {self.cfl}")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
 
     @staticmethod
     def fixed(dt: float) -> "StepperConfig":
         return StepperConfig(dt=dt)
 
     @staticmethod
-    def courant(cfl: float = CFL_DEFAULT) -> "StepperConfig":
-        return StepperConfig(cfl=cfl)
+    def courant() -> "StepperConfig":
+        return StepperConfig()
 
-    def step(self, bound: Callable[[float], float], room: float,
-             accuracy: float = np.inf) -> float:
+    def step(self, bound: float, room: float, accuracy: float = np.inf) -> float:
         """The one step-size rule: the step a flow takes, at most ``room``.
 
-        ``bound(cfl)`` is the flow's stability bound at a CFL number.  A
-        fixed config takes its dt; a CFL config takes bound(cfl), shortened
+        ``bound`` is the flow's stability bound at the CFL number ``CFL``.
+        A fixed config takes its dt; the CFL rule takes the bound, shortened
         to the flow's ``accuracy`` limit.  Raises StabilityError when the
-        step exceeds bound(CFL_DEFAULT).
+        step exceeds the bound.
         """
-        dt = min(self.dt if self.dt is not None
-                 else min(bound(self.cfl), accuracy), room)
-        limit = bound(CFL_DEFAULT)
-        if dt > limit:
-            raise StabilityError(f"dt={dt:.3e} exceeds the stability bound {limit:.3e}")
+        dt = min(self.dt if self.dt is not None else min(bound, accuracy), room)
+        if dt > bound:
+            raise StabilityError(f"dt={dt:.3e} exceeds the stability bound {bound:.3e}")
         return dt
 
 
-def cfl_bound(cfl: float, h: float, speed: float) -> float:
-    """The CFL step cfl * h / speed; infinite for a zero speed."""
-    return np.inf if speed == 0 else cfl * h / speed
+def cfl_bound(h: float, speed: float) -> float:
+    """The CFL step CFL * h / speed; infinite for a zero speed."""
+    return np.inf if speed == 0 else CFL * h / speed
 
 
 @dataclass
@@ -133,11 +125,11 @@ class DecayFit:
 # the integrating-factor RK4 core: one step and one stop-time loop
 # ---------------------------------------------------------------------
 
-# A stage function maps (state samples, stage time, with_speed) to the flux F
-# of dw/dt = Lap(w) - div F, summed over every advective term, as one float
-# (2, n, n) array (None if none), and the largest speed of the velocity it solved
-# for, which it may skip unless with_speed: lawson_step sets that at stage 1 only.
-Stage = Callable[[np.ndarray, float, bool], tuple]
+# A stage function maps (state samples, stage time) to the flux F of
+# dw/dt = Lap(w) - div F, summed over every advective term, as one float
+# (2, n, n) array, and the velocity it solved that advects the state (None
+# if it solved none that does): lawson_step reads stage 1's speed only.
+Stage = Callable[[np.ndarray, float], tuple[np.ndarray, VectorField | None]]
 
 # Relative distance below which a time counts as having reached a stop.
 STOP_RTOL = 1e-12
@@ -150,10 +142,10 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
 
     The Laplacian is handled exactly in spectral space.  Stage 1 is
     evaluated first, so ``pick_dt(speed, room)`` sizes the step from the
-    velocity that stage already solved for; it returns a step no longer
-    than ``room = t_stop - t`` and raises StabilityError when that step
-    breaks the flow's bound.  Each stage sends its flux through one real
-    transform pair, dealiased by the 2/3 rule; ``drift``
+    speed of the velocity that stage already solved (0 for None); it returns
+    a step no longer than ``room = t_stop - t`` and raises StabilityError
+    when that step breaks the flow's bound.  Each stage sends its flux
+    through one real transform pair, dealiased by the 2/3 rule; ``drift``
     adds the self-similar drift div(xi w / 2), never dealiased, whose
     divergence form leaves the zero mode untouched.  The state, the
     tendencies and the integrating factors live on the half spectrum.
@@ -175,10 +167,8 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
         return out
 
     def tendency(values, flux):
-        out = 0.0
-        if flux is not None:
-            out = div_hat(flux)
-            np.multiply(np.negative(out, out=out), mask, out=out)
+        out = div_hat(flux)
+        np.multiply(np.negative(out, out=out), mask, out=out)
         if drift:
             out = out + div_hat(half_xi * values)
         return out
@@ -186,10 +176,11 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
     # every caller passes a fresh w_hat, which the inverse transform overwrites
     def nonlinear(w_hat, stage_t):
         values = _irfft2(w_hat, grid.n)
-        return tendency(values, stage(values, stage_t, False)[0])
+        return tendency(values, stage(values, stage_t)[0])
 
-    flux, speed = stage(w.values, t, True)
-    dt = pick_dt(speed, t_stop - t)
+    flux, velocity = stage(w.values, t)
+    dt = pick_dt(0.0 if velocity is None else velocity.max_norm(), t_stop - t)
+    del velocity                 # not kept alive through the other stages' solves
     eh = np.exp(-0.5 * dt * _ksq(grid)[:, :nh])
     ef = eh * eh
     w_hat = _rfft2(w.values)
@@ -210,10 +201,13 @@ def march(w: ScalarField, t: float, stops: Sequence[float], advance,
     ``advance(w, t, t_stop)`` takes one step ending no later than t_stop
     and returns the new (w, t); ``on_stop(t, w)`` sees the start and every
     stop, with t set to the stop once it is within round-off of it.  A
-    step that does not move time forward (dt = 0 from an infinite speed,
-    or NaN) and a state that is not finite at a stop raise StabilityError
-    naming the time and the step.
+    non-finite stop raises DomainError before any step.  A step that does
+    not move time forward (dt = 0 from an infinite speed, or NaN) and a
+    state that is not finite at a stop raise StabilityError naming the
+    time and the step.
     """
+    if not np.all(np.isfinite(stops)):
+        raise DomainError(f"stop times must be finite, got {list(stops)}")
     step = 0
     for stop in (t, *stops):
         while t < stop - STOP_RTOL * abs(stop):
@@ -300,10 +294,10 @@ def background_velocity(vortices: Sequence[OseenVortex], t: float,
     return VectorField(ScalarField._owned(grid, u1), ScalarField._owned(grid, u2))
 
 
-def background_cfl_bound(vortices: Sequence[OseenVortex], t: float, grid: Grid,
-                         cfl: float) -> float:
+def background_cfl_bound(vortices: Sequence[OseenVortex], t: float,
+                         grid: Grid) -> float:
     """Hard stability bound against the analytic background speed."""
-    return cfl_bound(cfl, grid.h, sum(oseen_max_speed(v, t) for v in vortices))
+    return cfl_bound(grid.h, sum(oseen_max_speed(v, t) for v in vortices))
 
 
 def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
@@ -321,16 +315,15 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
     _require_divergence_free(background_velocity(vortices, s, grid))
 
     # |sum_i u_i| <= sum_i oseen_max_speed(v_i) pointwise, so the sampled
-    # speed never binds: the stage reports 0 and the step reads only the
-    # analytic bound
-    def stage(w, now, with_speed):
-        return background_fields(vortices, now, grid)[:2] * w, 0.0
+    # speed never binds: the stage returns no velocity and the step reads
+    # only the analytic bound
+    def stage(w, now):
+        return background_fields(vortices, now, grid)[:2] * w, None
 
     def advance(w, now, stop):
-        def pick_dt(speed, room):
-            return cfg.step(lambda cfl: background_cfl_bound(
-                vortices, now, grid, cfl), room, now / 50.0)
-        return lawson_step(w, now, stop, stage, pick_dt)
+        bound = background_cfl_bound(vortices, now, grid)
+        return lawson_step(w, now, stop, stage,
+                           lambda speed, room: cfg.step(bound, room, now / 50.0))
 
     return march(f, s, [t], advance)[0]
 
@@ -354,7 +347,7 @@ def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
     times k * sample_every and at tau_end.
 
     Every step obeys the explicit-drift bound 4h/L and the CFL bound of
-    ``advection_max`` plus the speed the stage solved for.
+    ``advection_max`` plus the speed of the velocity the stage returns.
     """
     if not 0 < tau_end < np.inf:
         raise DomainError(f"tau_end must be positive and finite, got {tau_end}")
@@ -363,8 +356,7 @@ def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
     h, drift_bound = w0.grid.h, 4.0 * w0.grid.h / w0.grid.box_size
 
     def pick_dt(speed, room):
-        return cfg.step(lambda cfl: min(
-            drift_bound, cfl_bound(cfl, h, advection_max + speed)), room)
+        return cfg.step(min(drift_bound, cfl_bound(h, advection_max + speed)), room)
 
     def advance(w, tau, stop):
         return lawson_step(w, tau, stop, stage, pick_dt, drift=True)
@@ -381,8 +373,8 @@ def evolve_S1(alpha: float, w0: ScalarField, tau_end: float, cfg: StepperConfig,
     """One-vortex self-similar flow d w/d tau + alpha v . grad w = L w."""
     a, advection_max = vortex_advection(w0.grid, alpha)
 
-    def stage(w, tau, with_speed):
-        return (a * w if alpha != 0 else None), 0.0
+    def stage(w, tau):
+        return a * w, None
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 
@@ -401,14 +393,12 @@ def evolve_T_alpha(alpha: float, w0: ScalarField, tau_end: float,
     a, advection_max = vortex_advection(grid, alpha)
     g = gaussian_profile(*grid.meshes())
 
-    def stage(w, tau, with_speed):
-        if alpha == 0:
-            return None, 0.0
+    def stage(w, tau):
         vw = velocity_free_space(ScalarField._owned(grid, w))
         flux = a * w
         for f, u in zip(flux, (vw.x.values, vw.y.values)):
             f += alpha * u * g
-        return flux, 0.0
+        return flux, None
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 

@@ -105,7 +105,8 @@ def _remainder_velocity(wf: ScalarField):
 
 def _decomposed_stage(backgrounds, grid: Grid):
     """Stage function of the remainder equation: the flux
-    u w~ + sum_i (u - u_i) w_i and the speed of the remainder velocity.
+    u w~ + sum_i (u - u_i) w_i and the remainder velocity u~ (None for a
+    zero remainder).
 
     With U = sum_i u_i, W = sum_i w_i and S = sum_i u_i w_i, that flux is
     the identity (u~ + U)(w~ + W) - S, so the stage reads only the summed
@@ -114,7 +115,7 @@ def _decomposed_stage(backgrounds, grid: Grid):
     are dropped analytically (they vanish pointwise by radial symmetry):
     a single vortex with a zero remainder has the flux U W - S = 0 exactly.
     """
-    def stage(w, t, with_speed):
+    def stage(w, t):
         bg = background_fields(backgrounds, t, grid)
         ut = _remainder_velocity(ScalarField._owned(grid, w)) if np.any(w) else None
         u = (0.0, 0.0) if ut is None else (ut.x.values, ut.y.values)
@@ -123,7 +124,7 @@ def _decomposed_stage(backgrounds, grid: Grid):
             np.add(uk, Uk, out=f)                # U is never -0.0, so 0.0 + U is U
         flux *= w + bg[2]
         flux -= bg[3:]
-        return flux, (0.0 if ut is None else with_speed and ut.max_norm())
+        return flux, ut
     return stage
 
 
@@ -131,15 +132,14 @@ def decomposed_dt(sys: VortexSystem, cfg: StepperConfig, remainder_speed: float,
                   room: float = np.inf) -> float:
     """The step step_decomposed takes from sys, at most ``room``.
 
-    The stability bound is the CFL bound of the backgrounds and of the
-    remainder speed that stage 1 solved for; the automatic step also keeps
-    dt <= t/50, which resolves the 1/sqrt(t) sharpening of the backgrounds
-    near t = 0 (an accuracy rule, not a stability one).
+    The stability bound is the CFL step of the backgrounds and of the
+    speed of the remainder velocity that stage 1 solved; the automatic step
+    also keeps dt <= t/50, which resolves the 1/sqrt(t) sharpening of the
+    backgrounds near t = 0 (an accuracy rule, not a stability one).
     """
     grid = sys.remainder.grid
-    return cfg.step(lambda cfl: min(
-        background_cfl_bound(sys.backgrounds, sys.t, grid, cfl),
-        cfl_bound(cfl, grid.h, remainder_speed)), room, sys.t / 50.0)
+    return cfg.step(min(background_cfl_bound(sys.backgrounds, sys.t, grid),
+                        cfl_bound(grid.h, remainder_speed)), room, sys.t / 50.0)
 
 
 def step_decomposed(sys: VortexSystem, cfg: StepperConfig,
@@ -224,8 +224,8 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
     of the total vorticity), ``l1_bound_ratio`` (total_l1 / |mu|, 0 for a
     zero measure) and ``circulation`` (the total circulation).
     """
-    if not (t_end > t0 > 0):
-        raise DomainError(f"need 0 < t0 < t_end, got t0={t0}, t_end={t_end}")
+    if not (np.inf > t_end > t0 > 0):
+        raise DomainError(f"need 0 < t0 < t_end < inf, got t0={t0}, t_end={t_end}")
     cfg = cfg or StepperConfig.courant()
     sys, dec = initialize_from_measure(mu, epsilon, t0, grid)
     tv = total_variation(mu)
@@ -280,14 +280,14 @@ def evolve_rescaled_perturbation(alpha: float, w0: ScalarField, tau_end: float,
     a, advection_max = vortex_advection(grid, alpha)
     g = gaussian_profile(*grid.meshes())
 
-    def stage(w, tau, with_speed):
+    def stage(w, tau):
         vt = velocity_free_space(ScalarField._owned(grid, w),
                                  boundary_tol=SOLVER_BOUNDARY_TOL)
         flux = np.empty_like(a)
         for f, ak, u in zip(flux, a, (vt.x.values, vt.y.values)):
             np.multiply(np.add(ak, u, out=f), w, out=f)
             f += alpha * u * g
-        return flux, with_speed and vt.max_norm()
+        return flux, vt
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 

@@ -10,7 +10,7 @@ from oseen2d.field import (Grid, ScalarField, VectorField, _dealias_mask,
 from oseen2d.measure import FiniteMeasure, heat_smooth
 from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
                            oseen_max_speed)
-from oseen2d.propagators import (CFL_DEFAULT, DecayFit, StepperConfig, Trajectory,
+from oseen2d.propagators import (DecayFit, StepperConfig, Trajectory,
                                  _require_divergence_free, background_fields,
                                  background_velocity, cfl_bound, evolve_S1,
                                  evolve_T_alpha, fit_decay, lawson_step, march,
@@ -28,25 +28,26 @@ def heat_kernel_field(grid, t):
 
 def prescribed_step(w, velocity_fn, t, dt):
     """One fixed-dt lawson_step of dw/dt + div(U(t) w) = Lap(w)."""
-    def stage(values, s, with_speed):
+    def stage(values, s):
         u = velocity_fn(s)
-        return np.stack((u.x.values, u.y.values)) * values, u.max_norm()
+        return np.stack((u.x.values, u.y.values)) * values, u
 
     cfg, h = StepperConfig.fixed(dt), w.grid.h
     out, _ = lawson_step(w, t, np.inf, stage, lambda speed, room: cfg.step(
-        lambda cfl: cfl_bound(cfl, h, speed), room))
+        cfl_bound(h, speed), room))
     return out
 
 
 def test_stepper_config_validation():
-    with pytest.raises(DomainError):
-        StepperConfig()
-    with pytest.raises(DomainError):
-        StepperConfig(dt=1e-3, cfl=0.5)
-    with pytest.raises(DomainError):
-        StepperConfig(dt=-1e-3)
     assert StepperConfig.fixed(1e-3).dt == 1e-3
-    assert StepperConfig.courant().cfl == 0.5
+    assert StepperConfig.courant().dt is None
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1e-3])
+def test_fixed_step_must_be_positive_and_finite(dt):
+    # an infinite fixed step would march to t = inf with a NaN state
+    with pytest.raises(DomainError, match="dt must be positive"):
+        StepperConfig.fixed(dt)
 
 
 _POSITIVE = st.floats(1e-6, 1e3)
@@ -54,17 +55,14 @@ _POSITIVE = st.floats(1e-6, 1e3)
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(fixed=st.booleans(), value=_POSITIVE, room=_POSITIVE,
-       slope=st.one_of(st.just(np.inf), _POSITIVE),
+       bound=st.one_of(st.just(np.inf), _POSITIVE),
        accuracy=st.one_of(st.just(np.inf), _POSITIVE))
-def test_step_rule(fixed, value, room, slope, accuracy):
-    # bounds linear in the CFL number, or infinite for a zero speed
-    cfg = StepperConfig.fixed(value) if fixed else StepperConfig.courant(value)
-
-    def bound(cfl):
-        return slope * cfl
-
-    want = min(value, room) if fixed else min(bound(value), accuracy, room)
-    if want > bound(CFL_DEFAULT):
+def test_step_rule(fixed, value, room, bound, accuracy):
+    # a bound is the largest stable step, or infinite for a zero speed
+    cfg = StepperConfig.fixed(value) if fixed else StepperConfig.courant()
+    want = min(value, room) if fixed else min(bound, accuracy, room)
+    if want > bound:
+        assert fixed
         with pytest.raises(StabilityError):
             cfg.step(bound, room, accuracy)
         return
@@ -73,7 +71,7 @@ def test_step_rule(fixed, value, room, slope, accuracy):
     if fixed:
         assert dt == min(value, room)
     else:
-        assert dt <= bound(value) and dt <= accuracy
+        assert dt == want and dt <= bound and dt <= accuracy
 
 
 def test_pure_diffusion_is_exact(grid128):
@@ -334,6 +332,21 @@ def test_march_zero_step_raises(gauss128):
         march(gauss128, 1.0, [2.0], lambda w, t, stop: (w, t + 0.0))
 
 
+@pytest.mark.parametrize("stop", [np.inf, np.nan])
+def test_march_rejects_nonfinite_stop(gauss128, stop):
+    # the loop's test t < stop - STOP_RTOL * |stop| is false for both, so
+    # unchecked, the start would come back as if the stop were reached
+    with pytest.raises(DomainError, match=f"stop times must be finite.*{stop}"):
+        march(gauss128, 1.0, [2.0, stop], _no_step)
+
+
+def test_propagate_rejects_infinite_end_time():
+    grid = Grid(64, 20.0)
+    with pytest.raises(DomainError, match="inf"):
+        propagate_SN([OseenVortex(1.0)], heat_kernel_field(grid, 0.5), 0.5, np.inf,
+                     StepperConfig.courant())
+
+
 def test_march_nonfinite_state_raises(gauss128):
     def advance(w, t, stop):
         return ScalarField(w.grid, np.full_like(w.values, np.nan)), stop
@@ -363,23 +376,21 @@ def _reference_lawson_step(w, t, stage, dt, dealias=True, drift=False,
         return 1j * kx * fh[0] + 1j * ky * fh[1]
 
     def tendency(values, flux):
-        out = 0.0
-        if flux is not None:
-            out = -div_hat(flux[0], flux[1])
-            if mask is not None:
-                out = out * mask
+        out = -div_hat(flux[0], flux[1])
+        if mask is not None:
+            out = out * mask
         if drift:
             out = out + div_hat(0.5 * xx * values, 0.5 * yy * values)
         return out
 
     def nonlinear(w_hat, stage_t):
         values = ifft2(w_hat)
-        return tendency(values, stage(values, stage_t, False)[0])
+        return tendency(values, stage(values, stage_t)[0])
 
     eh = np.exp(-0.5 * dt * _ksq(grid)[:, :nh])
     ef = eh * eh
     w_hat = fft2(w.values)
-    n1 = tendency(w.values, stage(w.values, t, True)[0])
+    n1 = tendency(w.values, stage(w.values, t)[0])
     n2 = nonlinear(eh * (w_hat + 0.5 * dt * n1), t + 0.5 * dt)
     n3 = nonlinear(eh * w_hat + 0.5 * dt * n2, t + 0.5 * dt)
     n4 = nonlinear(ef * w_hat + dt * eh * n3, t + dt)
@@ -406,12 +417,8 @@ def _stage_flows(grid):
     }
 
 
-@pytest.mark.parametrize("flow", list(_stage_flows(Grid(16, 40.0))))
-def test_stage_flux_is_one_array_and_step_is_bit_identical(grid128, flow,
-                                                          monkeypatch):
-    # every stage hands lawson_step its flux as one float (2, n, n) array,
-    # and lawson_step's in-place arithmetic on it leaves every bit of the
-    # out-of-place half-spectrum step as it is
+def _first_lawson_call(grid, flow, monkeypatch):
+    """The arguments of the first lawson_step call of a flow's step."""
     calls = []
 
     def first_step(*args, **kwargs):
@@ -420,15 +427,42 @@ def test_stage_flux_is_one_array_and_step_is_bit_identical(grid128, flow,
 
     for module in (propagators, solver):
         monkeypatch.setattr(module, "lawson_step", first_step)
-    _stage_flows(grid128)[flow]()
-    (w, t, t_stop, stage, pick_dt), kwargs = calls[0]
-    flux, speed = stage(w.values, t, True)
+    _stage_flows(grid)[flow]()
+    return calls[0]
+
+
+@pytest.mark.parametrize("flow", list(_stage_flows(Grid(16, 40.0))))
+def test_stage_flux_is_one_array_and_step_is_bit_identical(grid128, flow,
+                                                          monkeypatch):
+    # every stage hands lawson_step its flux as one float (2, n, n) array,
+    # and lawson_step's in-place arithmetic on it leaves every bit of the
+    # out-of-place half-spectrum step as it is
+    (w, t, t_stop, stage, pick_dt), kwargs = _first_lawson_call(grid128, flow,
+                                                                monkeypatch)
+    flux, velocity = stage(w.values, t)
     assert type(flux) is np.ndarray and flux.dtype == np.float64
     assert flux.shape == (2, grid128.n, grid128.n)
     got, _ = lawson_step(w, t, t_stop, stage, pick_dt, **kwargs)
+    speed = 0.0 if velocity is None else velocity.max_norm()
     want = _reference_lawson_step(w, t, stage, pick_dt(speed, t_stop - t),
                                   half=True, **kwargs)
     assert got.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("flow", list(_stage_flows(Grid(16, 40.0))))
+def test_stage_is_a_function_of_state_and_time(grid128, flow, monkeypatch):
+    # a stage returns the same flux and velocity for the same (values, t);
+    # only the velocity that advects the state comes back: none from SN
+    # (analytic bound), S1 (alpha v is fixed) and T_alpha (v_w advects G)
+    (w, t, _, stage, _), _ = _first_lawson_call(grid128, flow, monkeypatch)
+    (f1, v1), (f2, v2) = stage(w.values, t), stage(w.values, t)
+    assert f1.tobytes() == f2.tobytes()
+    if flow in ("SN", "S1", "T_alpha", "decomposed-zero-remainder"):
+        assert v1 is None and v2 is None
+    else:
+        assert isinstance(v1, VectorField)
+        assert np.stack((v1.x.values, v1.y.values)).tobytes() == \
+            np.stack((v2.x.values, v2.y.values)).tobytes()
 
 
 def test_decomposed_step_matches_full_spectrum_reference(grid128):
@@ -449,8 +483,8 @@ def test_drift_step_matches_full_spectrum_reference(grid128):
     xx, yy = grid128.meshes()
     f = ScalarField(grid128, f.values * np.exp(-(xx**2 + yy**2) / 8.0))
 
-    def stage(w, tau, with_speed):
-        return a * w, 0.0
+    def stage(w, tau):
+        return a * w, None
 
     got, tau = lawson_step(f, 0.0, np.inf, stage, lambda speed, room: 5e-3,
                            drift=True)

@@ -97,7 +97,7 @@ def test_decomposed_stage_matches_per_vortex_flux(grid128, count, with_blob):
     if with_blob:
         ut = solver._remainder_velocity(w)
         ut1, ut2 = ut.x.values, ut.y.values
-    got, _ = solver._decomposed_stage(backgrounds, grid128)(w.values, t, True)
+    got, _ = solver._decomposed_stage(backgrounds, grid128)(w.values, t)
     want = decomposed_flux(backgrounds, t, w, ut1, ut2)
     scale = max(np.max(np.abs(c)) for c in want)
     for g, c in zip(got, want):
@@ -112,8 +112,8 @@ def test_decomposed_stage_matches_per_vortex_flux(grid128, count, with_blob):
 def test_decomposed_stage_single_vortex_flux_is_zero(grid128):
     # U W - S cancels to the last bit, which keeps a pure vortex exact
     stage = solver._decomposed_stage(BACKGROUNDS[:1], grid128)
-    (f1, f2), speed = stage(np.zeros((grid128.n, grid128.n)), 0.1, True)
-    assert np.all(f1 == 0.0) and np.all(f2 == 0.0) and speed == 0.0
+    (f1, f2), velocity = stage(np.zeros((grid128.n, grid128.n)), 0.1)
+    assert np.all(f1 == 0.0) and np.all(f2 == 0.0) and velocity is None
 
 
 def test_two_background_remainder_growth_is_first_order(grid256):
@@ -227,6 +227,25 @@ def test_solve_cauchy_nan_density_raises():
     state = VortexSystem(backgrounds=(), remainder=ScalarField(grid, values), t=1e-2)
     with pytest.raises(StabilityError, match="not finite at t=0.01"):
         evolve_system(state, [2e-2], StepperConfig.courant())
+
+
+def test_infinite_fixed_step_is_a_domain_error():
+    # it would take the state to t = inf with a NaN remainder
+    with pytest.raises(DomainError, match="dt"):
+        step_decomposed(VortexSystem((), Grid(64, 20.0).zeros(), 0.1),
+                        StepperConfig.fixed(np.inf))
+
+
+def test_infinite_end_time_is_a_domain_error():
+    # unchecked, evolve_system would return its start unchanged, and
+    # solve_cauchy's snapshot schedule would overflow
+    grid = Grid(64, 20.0)
+    mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
+    sys, _ = initialize_from_measure(mu, 0.1, 0.1, grid)
+    with pytest.raises(DomainError, match="inf"):
+        evolve_system(sys, [np.inf], StepperConfig.courant())
+    with pytest.raises(DomainError, match="t_end=inf"):
+        solve_cauchy(mu, 0.1, 0.1, np.inf, grid)
 
 
 def test_direct_zero_field_stays_zero(grid128):
