@@ -1,6 +1,6 @@
-"""Scalar diagnostics of solutions: distance to the self-similar vortex,
-contraction-norm series, localized diffuse-part decay, and the spectrum of
-the linearization about the Gaussian steady profile.
+"""Scalar diagnostics of solutions: contraction-norm series, localized
+diffuse-part decay, and the spectrum of the linearization about the
+Gaussian steady profile.
 
 The per-vortex attribution of the single evolved remainder uses a smooth
 partition of unity of bumps around each vortex center (radius set by the
@@ -23,32 +23,9 @@ from .biot_savart import velocity_free_space
 from .errors import ConvergenceError, DomainError, MismatchError
 from .field import Grid, ScalarField, lp_norm, weighted_norm
 from .measure import FiniteMeasure, heat_smooth
-from .oseen import OseenVortex, gaussian_profile, oseen_vorticity, velocity_profile
+from .oseen import gaussian_profile, velocity_profile
 from .selfsim import to_self_similar
 from .solver import SolverRun, restrict
-
-
-# ---------------------------------------------------------------------
-# distance to the self-similar vortex
-# ---------------------------------------------------------------------
-
-def oseen_distance(omega: ScalarField, t: float, alpha: float, p: float) -> float:
-    """t^(1-1/p) L^p distance of omega to the circulation-alpha vortex at t.
-
-    The prefactor matches the self-similar scaling, so the value is
-    invariant along exact vortex solutions and measures only the profile
-    mismatch.
-    """
-    if not (p >= 1):
-        raise DomainError(f"oseen_distance needs p >= 1, got {p}")
-    if not (t > 0):
-        raise DomainError(f"oseen_distance needs t > 0, got {t}")
-    grid = omega.grid
-    xx, yy = grid.meshes()
-    ref = oseen_vorticity(OseenVortex(alpha, (0.0, 0.0)), t, xx, yy)
-    diff = ScalarField(grid, omega.values - ref)
-    power = 1.0 if p == np.inf else 1.0 - 1.0 / p
-    return t**power * lp_norm(diff, p)
 
 
 # ---------------------------------------------------------------------

@@ -121,22 +121,29 @@ def decompose(mu: FiniteMeasure, epsilon: float) -> AtomicDecomposition:
                                d=float(d))
 
 
+def require_margin(points, t: float, grid: Grid):
+    """The one box-margin rule: MarginError unless every atom position sits
+    at least 6 sqrt(t) inside the box, where its Gaussian at time t is
+    negligible at the boundary."""
+    margin = 6.0 * np.sqrt(t)
+    half = 0.5 * grid.box_size
+    for zx, zy in points:
+        if half - abs(zx) < margin or half - abs(zy) < margin:
+            raise MarginError(
+                f"atom at ({zx}, {zy}) is within 6*sqrt(t)={margin:.3g} "
+                f"of the box boundary (L={grid.box_size})")
+
+
 def heat_smooth(mu: FiniteMeasure, t: float, grid: Grid) -> ScalarField:
     """Sample the heat evolution of mu at time t > 0.
 
     Atoms become Gaussians (4 pi t)^-1 exp(-|x-z|^2/(4t)) evaluated
     pointwise; the density part is smoothed spectrally by exp(-|k|^2 t).
-    Every atom must sit at least 6 sqrt(t) away from the box boundary.
+    Every atom must clear the box margin (``require_margin``).
     """
     if not (t > 0):
         raise DomainError(f"heat_smooth needs t > 0, got {t}")
-    margin = 6.0 * np.sqrt(t)
-    half = 0.5 * grid.box_size
-    for (zx, zy), _ in mu.atoms:
-        if half - abs(zx) < margin or half - abs(zy) < margin:
-            raise MarginError(
-                f"atom at ({zx}, {zy}) is within 6*sqrt(t)={margin:.3g} "
-                f"of the box boundary (L={grid.box_size})")
+    require_margin([z for z, _ in mu.atoms], t, grid)
     xx, yy = grid.meshes()
     vals = np.zeros((grid.n, grid.n))
     for (zx, zy), m in mu.atoms:

@@ -29,10 +29,10 @@ import numpy as np
 
 from .biot_savart import (circulation_is_negligible, velocity_free_space,
                           velocity_periodic)
-from .errors import DomainError, MarginError, Oseen2dError
+from .errors import DomainError, Oseen2dError
 from .field import Grid, ScalarField, lp_norm, require_boundary_decay
 from .measure import (AtomicDecomposition, FiniteMeasure, decompose,
-                      heat_smooth, total_variation)
+                      heat_smooth, require_margin, total_variation)
 from .oseen import OseenVortex, gaussian_profile
 from .propagators import (StepperConfig, Trajectory, background_cfl_bound,
                           background_fields, cfl_bound, evolve_rescaled,
@@ -68,7 +68,8 @@ def initialize_from_measure(mu: FiniteMeasure, epsilon: float, t0: float,
     """Decompose mu and build the state at t0.
 
     Retained atoms start as exact vortex backgrounds with zero remainder
-    share; the rest of the measure enters as its heat evolution at t0.
+    share, each clear of the box margin (``measure.require_margin``); the
+    rest of the measure enters as its heat evolution at t0.
     """
     if not (t0 > 0):
         raise DomainError(f"t0 must be positive, got {t0}")
@@ -78,10 +79,7 @@ def initialize_from_measure(mu: FiniteMeasure, epsilon: float, t0: float,
             f"t0={t0} is large relative to the vortex separation "
             f"(d^2/100 = {dec.d**2 / 100.0:.3g}); backgrounds interact strongly",
             stacklevel=2)
-    half = 0.5 * grid.box_size
-    for _, (zx, zy) in dec.retained:
-        if half - abs(zx) < 6.0 * np.sqrt(t0) or half - abs(zy) < 6.0 * np.sqrt(t0):
-            raise MarginError(f"vortex center ({zx}, {zy}) too close to the boundary")
+    require_margin([z for _, z in dec.retained], t0, grid)
     remainder_measure = dec.remainder
     if remainder_measure.atoms or remainder_measure.density is not None:
         remainder = heat_smooth(remainder_measure, t0, grid)

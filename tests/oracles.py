@@ -66,7 +66,6 @@ GAUSSIAN_L2 = 0.19947114020071635          # = (8 pi)^(-1/2)
 GAUSSIAN_L43 = 0.42804899481670894
 GAUSSIAN_PEAK = 0.07957747154594767        # = 1/(4 pi)
 RING_SPEED_L4 = 0.1360364621904423
-DX_GAUSSIAN_L2 = 0.09973557010035818       # = (32 pi)^(-1/2)
 WEIGHTED_GAUSSIAN_L2_M3 = 1.7729382747475821   # = sqrt(158/(16 pi))
 
 # plane-quadrature ratio of ||v||_4 to ||omega||_{4/3} for the vortex pair

@@ -10,66 +10,21 @@ from oseen2d.biot_savart import velocity_free_space
 from oseen2d.diagnostics import (_assemble_coupling, _coupling_halves, bump,
                                  eigenvalue_multiplicity,
                                  linearized_spectrum, localized_diffuse_series,
-                                 oseen_distance,
                                  partition_of_unity, remainder_norms,
                                  solution_distance, total_l1_difference,
 )
 from oseen2d.errors import DomainError, MismatchError
 from oseen2d.field import Grid, ScalarField
 from oseen2d.measure import FiniteMeasure
-from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
 from oseen2d.solver import solve_cauchy
 
-from oracles import (DX_GAUSSIAN_L2, coupling_per_mode, two_resample_distance,
-                     unsplit_spectrum)
+from oracles import coupling_per_mode, two_resample_distance, unsplit_spectrum
 
 
 def blob(grid, mass, center, width):
     xx, yy = grid.meshes()
     return ScalarField(grid, mass / (2 * np.pi * width**2) * np.exp(
         -((xx - center[0])**2 + (yy - center[1])**2) / (2 * width**2)))
-
-
-# ----------------------------------------------------------------- distance
-
-def test_oseen_distance_exact_vortex(grid256):
-    for t in (0.5, 1.0, 4.0):
-        w, _ = oseen_fields(OseenVortex(1.0), t, grid256)
-        for p in (1, 2):
-            assert oseen_distance(w, t, 1.0, p) < 1e-10
-
-
-def test_oseen_distance_perturbation_scale_exact(grid256):
-    # omega = (1/t) (G + 0.1 d1 G)(x/sqrt t): the prefactor cancels the
-    # scaling and the distance equals 0.1 |d1 G|_2 at every t
-    xx, yy = grid256.meshes()
-    for t in (1.0, 4.0):
-        rt = np.sqrt(t)
-        vals = (gaussian_profile(xx / rt, yy / rt)
-                - 0.1 * 0.5 * (xx / rt) * gaussian_profile(xx / rt, yy / rt)) / t
-        w = ScalarField(grid256, vals)
-        got = oseen_distance(w, t, 1.0, 2)
-        assert abs(got - 0.1 * DX_GAUSSIAN_L2) < 1e-8
-
-
-@pytest.mark.parametrize("t, p", [(np.nan, 1.0), (0.0, 1.0), (1.0, np.nan),
-                                  (1.0, 0.5)])
-def test_oseen_distance_rejects_nan_arguments(t, p, grid256):
-    w, _ = oseen_fields(OseenVortex(1.0), 1.0, grid256)
-    with pytest.raises(DomainError):
-        oseen_distance(w, t, 1.0, p)
-
-
-def test_oseen_distance_alpha_mismatch_l1(grid256):
-    w, _ = oseen_fields(OseenVortex(2.0), 1.0, grid256)
-    assert abs(oseen_distance(w, 1.0, 1.0, 1) - 1.0) < 1e-9
-
-
-def test_oseen_distance_domain(grid256, gauss256):
-    with pytest.raises(DomainError):
-        oseen_distance(gauss256, 1.0, 1.0, 0.5)
-    with pytest.raises(DomainError):
-        oseen_distance(gauss256, 0.0, 1.0, 1.0)
 
 
 # ------------------------------------------------------- partition of unity

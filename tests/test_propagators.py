@@ -11,8 +11,7 @@ from oseen2d.measure import FiniteMeasure, heat_smooth
 from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
                            oseen_max_speed)
 from oseen2d.propagators import (DecayFit, StepperConfig, Trajectory,
-                                 _require_divergence_free, background_fields,
-                                 background_velocity, cfl_bound, evolve_S1,
+                                 background_fields, cfl_bound, evolve_S1,
                                  evolve_T_alpha, fit_decay, lawson_step, march,
                                  propagate_SN, vortex_advection)
 from oseen2d.rng import band_limited_field
@@ -27,10 +26,11 @@ def heat_kernel_field(grid, t):
 
 
 def prescribed_step(w, velocity_fn, t, dt):
-    """One fixed-dt lawson_step of dw/dt + div(U(t) w) = Lap(w)."""
+    """One fixed-dt lawson_step of dw/dt + div(U(t) w) = Lap(w), with U(t)
+    the (2, n, n) array velocity_fn(t)."""
     def stage(values, s):
         u = velocity_fn(s)
-        return np.stack((u.x.values, u.y.values)) * values, u
+        return u * values, VectorField(*(ScalarField(w.grid, c) for c in u))
 
     cfg, h = StepperConfig.fixed(dt), w.grid.h
     out, _ = lawson_step(w, t, np.inf, stage, lambda speed, room: cfg.step(
@@ -78,7 +78,7 @@ def test_pure_diffusion_is_exact(grid128):
     # with U = 0 the integrating factor reproduces the heat kernel exactly
     t = 0.5
     f = heat_kernel_field(grid128, t)
-    zero = VectorField(grid128.zeros(), grid128.zeros())
+    zero = np.zeros((2, 128, 128))
     dt = 0.01
     out = prescribed_step(f, lambda s: zero, t, dt)
     want = heat_kernel_field(grid128, t + dt)
@@ -91,31 +91,22 @@ def test_oseen_background_step_stays_on_solution(grid256):
     t, dt = 1.0, 1e-3
     w, _ = oseen_fields(vtx, t, grid256)
     out = prescribed_step(
-        w, lambda s: background_velocity([vtx], s, grid256), t, dt)
+        w, lambda s: background_fields((vtx,), s, grid256)[:2], t, dt)
     want, _ = oseen_fields(vtx, t + dt, grid256)
     assert np.max(np.abs(out.values - want.values)) < 1e-8
 
 
 def test_step_zero_field(grid128):
-    zero = VectorField(grid128.zeros(), grid128.zeros())
+    zero = np.zeros((2, 128, 128))
     out = prescribed_step(grid128.zeros(), lambda s: zero, 1.0, 0.01)
     assert np.all(out.values == 0.0)
 
 
 def test_stability_error(grid128, gauss128):
-    ones = VectorField(ScalarField(grid128, np.ones((128, 128))),
-                       grid128.zeros())
+    ones = np.stack((np.ones((128, 128)), np.zeros((128, 128))))
     big_dt = grid128.h       # exceeds h / (2 max|U|) = h/2
     with pytest.raises(StabilityError):
         prescribed_step(gauss128, lambda s: ones, 1.0, big_dt)
-
-
-def test_divergence_free_precondition(grid128):
-    xx, yy = grid128.meshes()
-    radial = VectorField(ScalarField(grid128, xx * gaussian_profile(xx, yy)),
-                         ScalarField(grid128, yy * gaussian_profile(xx, yy)))
-    with pytest.raises(DomainError):
-        _require_divergence_free(radial)
 
 
 def test_propagate_no_vortices_is_heat(grid128):
@@ -147,8 +138,8 @@ def test_propagate_linearity(grid128):
 
 
 def test_propagate_samples_each_stage_time_once(grid128, monkeypatch):
-    # the divergence check samples s; each step then samples only t + dt/2
-    # and t + dt, since its first stage time is the previous step's last
+    # the first step samples s; each step then samples only t + dt/2 and
+    # t + dt, since its first stage time is the previous step's last
     times = []
     real = propagators.oseen_velocity
     monkeypatch.setattr(propagators, "oseen_velocity",
@@ -162,9 +153,8 @@ def test_propagate_samples_each_stage_time_once(grid128, monkeypatch):
 
 def test_propagate_sums_backgrounds_once_per_time(grid128):
     # SN's stages read the summed background velocity from the cache, so
-    # the stages that share a time share one sum: the divergence check and
-    # 4 steps read it 17 times and build it at 9 times, whatever the
-    # vortex count
+    # the stages that share a time share one sum: 4 steps read it 16 times
+    # and build it at 9 times, whatever the vortex count
     cache = propagators.background_fields
     cache.cache_clear()
     propagate_SN([OseenVortex(1.0), OseenVortex(-0.5, (3.0, 1.0))],
@@ -172,7 +162,7 @@ def test_propagate_sums_backgrounds_once_per_time(grid128):
                  StepperConfig.fixed(5e-3))
     info = cache.cache_info()
     assert info.misses == 9
-    assert info.hits + info.misses == 1 + 4 * 4
+    assert info.hits + info.misses == 4 * 4
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -184,7 +174,7 @@ def test_propagate_sums_backgrounds_once_per_time(grid128):
 def test_background_speed_below_analytic_bound(grid128, vortices, t):
     # |sum_i u_i| <= sum_i max |u_i| pointwise, which is why SN's step rule
     # reads only the analytic bound: the sampled speed never binds
-    speed = background_velocity(vortices, t, grid128).max_norm()
+    speed = np.max(np.hypot(*background_fields(tuple(vortices), t, grid128)[:2]))
     bound = sum(oseen_max_speed(v, t) for v in vortices)
     assert speed <= bound * (1 + 1e-12)
 
@@ -225,6 +215,39 @@ def test_background_fields_without_vortices_is_one_cached_zero(grid128):
 def test_propagate_requires_ordered_times(grid128, gauss128):
     with pytest.raises(DomainError):
         propagate_SN([], gauss128, 1.0, 0.5, StepperConfig.courant())
+
+
+@pytest.mark.parametrize("cells", [0.5, 0.74])
+def test_propagate_rejects_unresolved_core(cells, monkeypatch):
+    # a vortex core sqrt(s) narrower than 3/4 of a cell fails at once,
+    # naming h and sqrt(s); 0.74 h passed the former stencil check
+    grid = Grid(64, 20.0)
+    s = (cells * grid.h) ** 2
+    monkeypatch.setattr(propagators, "lawson_step", _no_step)
+    with pytest.raises(DomainError, match=(
+            rf"h=0.312 under-resolves the vortex core sqrt\(s\)={np.sqrt(s):.3g}")):
+        propagate_SN([OseenVortex(1.0)], heat_kernel_field(grid, 0.5), s, 2 * s,
+                     StepperConfig.courant())
+
+
+@pytest.mark.parametrize("cells", [0.75, 0.8])
+def test_propagate_accepts_resolved_core(cells):
+    # a tight counter-rotating pair is exactly divergence-free; the former
+    # stencil check read it as compressible up to sqrt(s) = 0.86 h
+    grid = Grid(64, 20.0)
+    s = (cells * grid.h) ** 2
+    dipole = [OseenVortex(1.0), OseenVortex(-1.0, (0.3 * grid.h, 0.0))]
+    f = heat_kernel_field(grid, 0.5)
+    out = propagate_SN(dipole, f, s, 1.05 * s, StepperConfig.courant())
+    assert abs(out.integral() - f.integral()) < 1e-12
+
+
+def test_propagate_without_vortices_has_no_core_rule():
+    # pure heat flow resolves any s
+    grid = Grid(64, 20.0)
+    f = heat_kernel_field(grid, 0.5)
+    out = propagate_SN([], f, 1e-6, 2e-6, StepperConfig.courant())
+    assert np.all(np.isfinite(out.values))
 
 
 def test_step_halving_fourth_order(grid128):
@@ -330,6 +353,30 @@ def test_march_zero_step_raises(gauss128):
     # a step rule that returns dt = 0 (an infinite speed) must not spin
     with pytest.raises(StabilityError, match="step 1 at t=1 "):
         march(gauss128, 1.0, [2.0], lambda w, t, stop: (w, t + 0.0))
+
+
+@pytest.mark.parametrize("start, stops", [
+    (np.nan, [1.0]), (np.inf, [1.0]), (-np.inf, [1.0]),   # no finite start
+    (2.0, [1.0, 1.5]),                                    # stops behind the start
+    (1.0, [1.5, 1.2])])                                   # stops out of order
+def test_march_rejects_a_bad_clock(gauss128, start, stops):
+    # unchecked, a NaN start came back as NaN with every stop at NaN, and a
+    # start past the stops came back with every stop at the start
+    with pytest.raises(DomainError, match="in order from a finite start"):
+        march(gauss128, start, stops, _no_step)
+
+
+@pytest.mark.parametrize("room, accuracy", [
+    (0.0, np.inf), (-0.5, np.inf), (np.nan, np.inf),   # stop at or behind t, NaN t
+    (1.0, 0.0), (1.0, -0.02)])                         # t/50 at t = 0 and t = -1
+@pytest.mark.parametrize("cfg", [StepperConfig.courant(), StepperConfig.fixed(1e-2)],
+                         ids=["courant", "fixed"])
+def test_step_rule_rejects_no_room(cfg, room, accuracy):
+    # the one step rule sees every flow's room t_stop - t and accuracy
+    # limit: a stop behind the time, a NaN clock or a time t <= 0 under
+    # the limit t/50 leaves no step
+    with pytest.raises(DomainError, match="ahead of the current time"):
+        cfg.step(1.0, room, accuracy)
 
 
 @pytest.mark.parametrize("stop", [np.inf, np.nan])

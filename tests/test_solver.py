@@ -236,6 +236,38 @@ def test_infinite_fixed_step_is_a_domain_error():
                         StepperConfig.fixed(np.inf))
 
 
+@pytest.mark.parametrize("backgrounds, mass, cfg", [
+    ((OseenVortex(1.0),), 0.0, StepperConfig.courant()),
+    ((OseenVortex(1.0),), 0.0, StepperConfig.fixed(1e-2)),
+    ((), 1.0, StepperConfig.courant())], ids=["vortex-courant", "vortex-fixed", "blob"])
+def test_step_decomposed_rejects_a_stop_behind_its_time(backgrounds, mass, cfg):
+    # unchecked, it took the step dt = -0.5 to t = 0.5; the blob, the heat
+    # kernel at time 1/2, sharpened toward a point (peak 0.16 -> 2.7)
+    sys = VortexSystem(backgrounds, blob(Grid(32, 20.0), mass, (0.0, 0.0), 1.0), 1.0)
+    with pytest.raises(DomainError, match="ahead of the current time"):
+        step_decomposed(sys, cfg, t_stop=0.5)
+
+
+@pytest.mark.parametrize("t", [np.nan, 0.0, -1.0])
+def test_step_decomposed_rejects_a_bad_start(t):
+    # the CFL rule's accuracy limit t/50 needs t > 0; unchecked, a NaN time
+    # came back as NaN, t = 0 took dt = 0 (a StabilityError in
+    # evolve_system) and t = -1 took dt = -0.02, a step backward in time
+    sys = VortexSystem((), blob(Grid(32, 20.0), 1.0, (0.0, 0.0), 1.0), t)
+    with pytest.raises(DomainError, match="no step fits"):
+        step_decomposed(sys, StepperConfig.courant(), t_stop=1.0)
+
+
+@pytest.mark.parametrize("start, stops", [(2.0, [1.0, 1.5]), (np.nan, [1.0])])
+def test_evolve_system_rejects_a_bad_clock(start, stops):
+    # unchecked, it took no step and reported every stop at the start
+    seen = []
+    sys = VortexSystem((), blob(Grid(32, 20.0), 1.0, (0.0, 0.0), 1.0), start)
+    with pytest.raises(DomainError, match="in order from a finite start"):
+        evolve_system(sys, stops, StepperConfig.courant(), lambda t, w: seen.append(t))
+    assert seen == []
+
+
 def test_infinite_end_time_is_a_domain_error():
     # unchecked, evolve_system would return its start unchanged, and
     # solve_cauchy's snapshot schedule would overflow

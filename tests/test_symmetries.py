@@ -18,6 +18,12 @@ interior.
 For the same reason the split of a measure into exact backgrounds and a
 gridded remainder is a choice of method: three epsilons that move atoms
 between the two must give the same final vorticity.
+
+The equation is also invariant under the parabolic scaling
+omega -> lam^2 omega(lam x, lam^2 t), which maps the data mu to its
+push-forward by x -> x / lam.  Every constant of the solver is relative or
+scales with it, so for a power of two, where each rescaling is exact, the
+scaled run is the scaled image of the run bit for bit.
 """
 
 from functools import lru_cache
@@ -30,6 +36,8 @@ from hypothesis import strategies as st
 from oseen2d.biot_savart import circulation_is_negligible
 from oseen2d.field import Grid, ScalarField, lp_norm
 from oseen2d.measure import FiniteMeasure
+from oseen2d.oseen import OseenVortex
+from oseen2d.propagators import StepperConfig, propagate_SN
 from oseen2d.solver import solve_cauchy
 
 GRID = Grid(64, 24.0)
@@ -126,6 +134,85 @@ def test_rotation_by_quarter_turn(atoms, mean_zero):
 @given(atoms=_atoms, cells=st.integers(-3, 3))
 def test_translation_by_whole_cells(atoms, mean_zero, cells):
     assert _equivariance_error(translation(cells), atoms, mean_zero) <= 1e-8
+
+
+# each scaled run is on Grid(n, L / lam), with the atoms at z / lam, the
+# density samples times lam^2, every time over lam^2 and a fixed dt too
+FIXED_DT = 1e-2
+
+
+def _scaled(lam, fixed):
+    return (Grid(GRID.n, GRID.box_size / lam),
+            StepperConfig.fixed(FIXED_DT / lam**2) if fixed else StepperConfig.courant())
+
+
+@lru_cache(maxsize=16)        # the unscaled runs serve the lam = 3 tests too
+def _scaled_solve(lam, atoms, mean_zero, fixed):
+    grid, cfg = _scaled(lam, fixed)
+    mu = FiniteMeasure(atoms=tuple(((x / lam, y / lam), m) for (x, y), m in atoms),
+                       density=ScalarField(grid, lam**2 * _density(mean_zero)))
+    return solve_cauchy(mu, EPSILON, T0 / lam**2, T_END / lam**2, grid, cfg)
+
+
+def _scaled_SN(lam, atoms, fixed):
+    grid, cfg = _scaled(lam, fixed)
+    vortices = [OseenVortex(m, (x / lam, y / lam)) for (x, y), m in atoms]
+    f = ScalarField(grid, lam**2 * _density(mean_zero=False))
+    return propagate_SN(vortices, f, 1.0 / lam**2, 1.2 / lam**2, cfg).values
+
+
+def _scaling_pairs(lam, atoms, mean_zero, fixed):
+    """(want, got) pairs: the run's snapshot times over lam^2 against the
+    scaled run's, then lam^2 times each total vorticity of the run against
+    the scaled run's."""
+    run = _scaled_solve(1, tuple(atoms), mean_zero, fixed)
+    image = _scaled_solve(lam, tuple(atoms), mean_zero, fixed)
+    assert circulation_is_negligible(run.trajectory.fields[0]) == mean_zero
+    assert len(image.trajectory.times) == len(run.trajectory.times)
+    times = (np.array(run.trajectory.times) / lam**2, np.array(image.trajectory.times))
+    frames = [(lam**2 * run.total_vorticity(i).values, image.total_vorticity(i).values)
+              for i in range(len(run.trajectory.times))]
+    return [times] + frames
+
+
+def _relative_error(want, got):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+# every lam with both routes, and each route with both step rules
+@pytest.mark.parametrize("lam, mean_zero, fixed", [
+    (0.25, False, False), (2.0, False, True), (0.5, True, True), (4.0, True, False)],
+    ids=["1/4-free-space-cfl", "2-free-space-fixed", "1/2-periodic-fixed",
+         "4-periodic-cfl"])
+@settings(derandomize=True, max_examples=1, deadline=None)
+@given(atoms=_atoms)
+def test_parabolic_scaling_is_bit_exact(atoms, lam, mean_zero, fixed):
+    for want, got in _scaling_pairs(lam, atoms, mean_zero, fixed):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mean_zero, fixed", [(False, True), (True, False)],
+                         ids=["free-space-fixed", "periodic-cfl"])
+@settings(derandomize=True, max_examples=1, deadline=None)
+@given(atoms=_atoms)
+def test_parabolic_scaling_by_three(atoms, mean_zero, fixed):
+    # lam^2 = 9 rounds each rescaled time and sample once
+    for want, got in _scaling_pairs(3.0, atoms, mean_zero, fixed):
+        assert _relative_error(want, got) <= 1e-13
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(atoms=_atoms, lam=st.sampled_from([0.25, 0.5, 2.0, 4.0]), fixed=st.booleans())
+def test_SN_parabolic_scaling_is_bit_exact(atoms, lam, fixed):
+    want = lam**2 * _scaled_SN(1, atoms, fixed)
+    assert np.array_equal(_scaled_SN(lam, atoms, fixed), want)
+
+
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(atoms=_atoms, fixed=st.booleans())
+def test_SN_parabolic_scaling_by_three(atoms, fixed):
+    want = 9.0 * _scaled_SN(1, atoms, fixed)
+    assert _relative_error(want, _scaled_SN(3.0, atoms, fixed)) <= 1e-13
 
 
 # epsilon = 0.01 keeps all three atoms as backgrounds, 0.25 the two largest
