@@ -3,7 +3,7 @@
 from .errors import (CirculationError, ConvergenceError, DegenerateError,
                      DomainError, MarginError, MismatchError, Oseen2dError,
                      StabilityError)
-from .field import Grid, ScalarField, VectorField, lp_norm, weighted_norm
+from .field import Grid, ScalarField, lp_norm, weighted_norm
 from .measure import (AtomicDecomposition, FiniteMeasure, atomic_norm,
                       decompose, heat_smooth, total_variation)
 from .oseen import OseenVortex, oseen_fields
@@ -12,7 +12,7 @@ from .selfsim import semigroup_apply
 from .solver import SolverRun, VortexSystem, solve_cauchy
 
 __all__ = [
-    "Grid", "ScalarField", "VectorField", "lp_norm", "weighted_norm",
+    "Grid", "ScalarField", "lp_norm", "weighted_norm",
     "FiniteMeasure", "AtomicDecomposition", "total_variation", "atomic_norm",
     "decompose", "heat_smooth",
     "OseenVortex", "oseen_fields",

@@ -11,8 +11,9 @@ Two methods:
   an aperiodic convolution and remains correct for nonzero circulation.
   The kernel's value at the origin is 0 (principal value of an odd kernel).
 
-Each route applies one cached per-grid multiplier on the half spectrum,
-the x and y components stacked in one array, so each solve makes one
+Each route returns the velocity as one read-only (2, n, n) array of its x
+and y components.  It applies one cached per-grid multiplier on the half
+spectrum, the components stacked in one array, so each solve makes one
 forward and one (batched) inverse transform, all on ``numpy.fft`` with the
 complex passes in place.  The free-space route prunes its padded
 transforms to four 1-D passes (``rfft``, ``fft``, ``ifft``, ``irfft``)
@@ -28,9 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CirculationError, DomainError
-from .field import (BOUNDARY_DECAY_TOL, Grid, ScalarField, VectorField,
-                    _deriv_wavenumbers, _irfft2, _ksq, _rfft2, lp_norm,
-                    require_boundary_decay)
+from .field import (BOUNDARY_DECAY_TOL, Grid, ScalarField, _deriv_wavenumbers,
+                    _irfft2, _ksq, _rfft2, lp_norm, require_boundary_decay)
 
 MEAN_ZERO_REL_TOL = 1e-8
 
@@ -47,11 +47,6 @@ def circulation_is_negligible(omega: ScalarField) -> bool:
     return l1 == 0.0 or abs(omega.integral()) < MEAN_ZERO_REL_TOL * l1
 
 
-def _velocity(grid: Grid, u: np.ndarray) -> VectorField:
-    """Wrap the stacked (2, n, n) components a route has just computed."""
-    return VectorField(ScalarField._owned(grid, u[0]), ScalarField._owned(grid, u[1]))
-
-
 @lru_cache(maxsize=8)
 def _periodic_multiplier(grid: Grid) -> np.ndarray:
     """Half-spectrum (i k_y, -i k_x)/|k|^2 stacked as (2, n, n/2 + 1),
@@ -65,8 +60,9 @@ def _periodic_multiplier(grid: Grid) -> np.ndarray:
     return m
 
 
-def velocity_periodic(omega: ScalarField) -> VectorField:
-    """Spectral inversion via the stream function, plus the dipole drift.
+def velocity_periodic(omega: ScalarField) -> np.ndarray:
+    """Spectral inversion via the stream function, plus the dipole drift,
+    as one read-only (2, n, n) array (u1, u2).
 
     Discarding the zero wavenumber forces the box-average velocity to
     vanish, while the true plane velocity of a localized mean-zero
@@ -87,7 +83,8 @@ def velocity_periodic(omega: ScalarField) -> VectorField:
     c = 1.0 / (2.0 * grid.box_size**2)
     u[0] += c * p2
     u[1] -= c * p1
-    return _velocity(grid, u)
+    u.flags.writeable = False
+    return u
 
 
 @lru_cache(maxsize=8)
@@ -112,8 +109,9 @@ def _free_space_multiplier(grid: Grid) -> np.ndarray:
 
 
 def velocity_free_space(omega: ScalarField,
-                        boundary_tol: float = BOUNDARY_DECAY_TOL) -> VectorField:
-    """Aperiodic convolution with the whole-plane Biot-Savart kernel.
+                        boundary_tol: float = BOUNDARY_DECAY_TOL) -> np.ndarray:
+    """Aperiodic convolution with the whole-plane Biot-Savart kernel, as one
+    read-only (2, n, n) array (u1, u2).
 
     The result samples the true plane velocity of the gridded vorticity up
     to truncation of tails outside the box, which the boundary-decay
@@ -144,7 +142,9 @@ def velocity_free_space(omega: ScalarField,
     np.multiply(m[0], buf[1], out=buf[0])
     np.multiply(m[1], buf[1], out=buf[1])
     np.fft.ifft(buf, axis=1, out=buf)
-    return _velocity(grid, np.fft.irfft(buf[:, :n], n=2 * n, axis=2)[:, :, :n])
+    u = np.fft.irfft(buf[:, :n], n=2 * n, axis=2)[:, :, :n]
+    u.flags.writeable = False
+    return u
 
 
 def hls_ratio(omega: ScalarField, p: float) -> float:
@@ -162,4 +162,4 @@ def hls_ratio(omega: ScalarField, p: float) -> float:
         raise DomainError("hls_ratio needs a nonzero field")
     q = 2.0 * p / (2.0 - p)
     u = velocity_free_space(omega)
-    return lp_norm(u.magnitude(), q) / denom
+    return lp_norm(ScalarField._owned(omega.grid, np.hypot(*u)), q) / denom

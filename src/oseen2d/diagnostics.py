@@ -182,8 +182,7 @@ def localized_diffuse_series(mu0: FiniteMeasure, z, t_values, p: float,
         u0 = velocity_free_space(w0, boundary_tol=1e-6)
         cut = np.exp(-((xx - z[0])**2 + (yy - z[1])**2) / (8.0 * t))
         wn = t**(1.0 - 1.0 / p) * lp_norm(ScalarField(grid, w0.values * cut), p)
-        un = t**(0.5 - 1.0 / q) * lp_norm(
-            ScalarField(grid, u0.magnitude().values * cut), q)
+        un = t**(0.5 - 1.0 / q) * lp_norm(ScalarField(grid, np.hypot(*u0) * cut), q)
         rows.append((t, wn, un))
     return rows
 
@@ -326,7 +325,7 @@ def _coupling_halves(basis_n: int, mean_zero: bool, grid: Grid):
 
     phi, psi = _hermite_tables(grid, basis_n + 1)
     xx, yy = grid.meshes()
-    v1, v2 = velocity_profile(xx, yy)
+    v = np.stack(velocity_profile(xx, yy))
     g = gaussian_profile(xx, yy)
     half_weight = np.exp((xx**2 + yy**2) / 8.0) * np.sqrt(4.0 * np.pi)
     grad_g = (-0.5 * xx * g, -0.5 * yy * g)
@@ -349,15 +348,11 @@ def _coupling_halves(basis_n: int, mean_zero: bool, grid: Grid):
                  for a, b in group)
         dy = sum(np.sqrt((b + 1) / 2.0) * np.outer(phi[a], phi[b + 1])
                  for a, b in group)
-        coupled = v1 * dx + v2 * dy
-        if group == [(0, 0)]:
-            # its own velocity is the vortex profile; the coupling term
-            # v . grad G vanishes pointwise by perpendicularity
-            vw1, vw2 = v1, v2
-        else:
-            vw = velocity_free_space(ScalarField._owned(grid, field))
-            vw1, vw2 = vw.x.values, vw.y.values
-        coupled = coupled + vw1 * grad_g[0] + vw2 * grad_g[1]
+        # the (0, 0) mode's own velocity is the vortex profile; the coupling
+        # term v . grad G vanishes pointwise by perpendicularity
+        vw = v if group == [(0, 0)] else velocity_free_space(
+            ScalarField._owned(grid, field))
+        coupled = v[0] * dx + v[1] * dy + vw[0] * grad_g[0] + vw[1] * grad_g[1]
         weighted = coupled * half_weight
         proj = psi @ weighted @ psi.T * area          # (basis_n+1)^2 block
         for a, b in group:

@@ -1,4 +1,4 @@
-"""Gridded scalar/vector fields on a centered periodic box.
+"""Gridded scalar fields on a centered periodic box.
 
 The box is [-L/2, L/2)^2 sampled at n points per side (n even), with
 spectral differentiation and rectangle-rule quadrature.  Every field of
@@ -7,15 +7,17 @@ periodic truncation error negligible and the rectangle rule spectrally
 accurate.
 
 Fields are immutable values: operations return new fields, and the
-sample array of a constructed field is marked read-only.
+sample array of a constructed field is marked read-only.  A vector
+quantity (a velocity, a gradient) is one read-only (2, n, n) array of
+its x and y components.
 """
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -37,8 +39,8 @@ class Grid:
     box_size: float
 
     def __post_init__(self):
-        if self.n < 16 or self.n % 2 != 0:
-            raise DomainError(f"grid size must be even and >= 16, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 16 or self.n % 2:
+            raise DomainError(f"grid size must be an even integer >= 16, got {self.n!r}")
         if not (0 < self.box_size < np.inf):
             raise DomainError(f"box size must be finite and > 0, got {self.box_size}")
 
@@ -65,10 +67,6 @@ class Grid:
 
     def zeros(self) -> "ScalarField":
         return ScalarField(self, np.zeros((self.n, self.n)))
-
-    def sample(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "ScalarField":
-        xx, yy = self.meshes()
-        return ScalarField(self, np.asarray(fn(xx, yy), dtype=float))
 
 
 class ScalarField:
@@ -138,38 +136,9 @@ class ScalarField:
                          v[:, 0].max(), v[:, -1].max()))
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Two scalar components sharing one grid."""
-
-    x: ScalarField
-    y: ScalarField
-
-    def __post_init__(self):
-        if self.x.grid != self.y.grid:
-            raise MismatchError("vector components must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.x.grid
-
-    def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, np.hypot(self.x.values, self.y.values))
-
-    def max_norm(self) -> float:
-        x, y = self.x.values, self.y.values
-        return float(np.sqrt(np.max(x * x + y * y)))
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, c) -> "VectorField":
-        return VectorField(self.x * c, self.y * c)
-
-    __rmul__ = __mul__
+def max_speed(u: np.ndarray) -> float:
+    """Largest |u| over the grid of a (2, n, n) velocity array."""
+    return float(np.sqrt(np.max(u[0] * u[0] + u[1] * u[1])))
 
 
 # ---------------------------------------------------------------------
@@ -252,12 +221,13 @@ def _ksq(grid: Grid) -> np.ndarray:
     return k[:, None] ** 2 + k[None, :] ** 2
 
 
-def gradient(f: ScalarField) -> VectorField:
+def gradient(f: ScalarField) -> np.ndarray:
+    """Spectral gradient of f as one read-only (2, n, n) array."""
     kd = _deriv_wavenumbers(f.grid)
-    fh = _fft2(f.values)
-    gx = _ifft2(1j * kd[:, None] * fh).real
-    gy = _ifft2(1j * kd[None, :] * fh).real
-    return VectorField(ScalarField(f.grid, gx), ScalarField(f.grid, gy))
+    ik = 1j * np.stack(np.broadcast_arrays(kd[:, None], kd[None, :]))
+    g = _ifft2(ik * _fft2(f.values)).real
+    g.flags.writeable = False
+    return g
 
 
 def _fd_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -268,16 +238,15 @@ def _fd_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
             + 32.0 * (sh(3) - sh(-3)) - 3.0 * (sh(4) - sh(-4))) / (840.0 * h)
 
 
-def divergence_local(v: VectorField) -> ScalarField:
-    """Divergence by local finite differences.
+def divergence_local(u: np.ndarray, grid: Grid) -> ScalarField:
+    """Divergence of a (2, n, n) array on grid by local finite differences.
 
     Free-space velocities are smooth but not box-periodic, so spectral
     differentiation sees the wrap jump; the local stencil does not (except
     on the outermost three rings, which callers should exclude).
     """
-    h = v.grid.h
-    return ScalarField(v.grid, _fd_derivative(v.x.values, 0, h)
-                       + _fd_derivative(v.y.values, 1, h))
+    return ScalarField(grid, _fd_derivative(u[0], 0, grid.h)
+                       + _fd_derivative(u[1], 1, grid.h))
 
 
 @lru_cache(maxsize=32)

@@ -135,14 +135,14 @@ def require_margin(points, t: float, grid: Grid):
 
 
 def heat_smooth(mu: FiniteMeasure, t: float, grid: Grid) -> ScalarField:
-    """Sample the heat evolution of mu at time t > 0.
+    """Sample the heat evolution of mu at a finite time t > 0.
 
     Atoms become Gaussians (4 pi t)^-1 exp(-|x-z|^2/(4t)) evaluated
     pointwise; the density part is smoothed spectrally by exp(-|k|^2 t).
     Every atom must clear the box margin (``require_margin``).
     """
-    if not (t > 0):
-        raise DomainError(f"heat_smooth needs t > 0, got {t}")
+    if not (0 < t < np.inf):
+        raise DomainError(f"heat_smooth needs 0 < t < inf, got {t}")
     require_margin([z for z, _ in mu.atoms], t, grid)
     xx, yy = grid.meshes()
     vals = np.zeros((grid.n, grid.n))

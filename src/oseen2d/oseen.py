@@ -15,12 +15,13 @@ vorticity gradient.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .field import Grid, ScalarField, VectorField
+from .field import Grid, ScalarField
 
 # |xi| below which the velocity profile switches to its power series.
 SERIES_CUTOFF_SQ = 1e-8  # (1e-4)^2 on |xi|^2
@@ -35,8 +36,12 @@ class OseenVortex:
     z: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or not all(np.isfinite(self.z)):
-            raise DomainError("vortex parameters must be finite")
+        z = self.z
+        if not (isinstance(z, tuple) and len(z) == 2
+                and all(isinstance(c, numbers.Real) and np.isfinite(c) for c in z)):
+            raise DomainError(f"vortex center must be a pair of finite numbers, got {z!r}")
+        if not np.isfinite(self.alpha):
+            raise DomainError(f"vortex circulation must be finite, got {self.alpha}")
 
 
 def gaussian_profile(x1, x2):
@@ -95,12 +100,14 @@ def oseen_velocity(v: OseenVortex, t: float, x1, x2):
     return (v.alpha / rt) * u1, (v.alpha / rt) * u2
 
 
-def oseen_fields(v: OseenVortex, t: float, grid: Grid) -> tuple[ScalarField, VectorField]:
-    """Sample the vortex vorticity and velocity on a grid."""
+def oseen_fields(v: OseenVortex, t: float, grid: Grid) -> tuple[ScalarField, np.ndarray]:
+    """Sample the vortex vorticity and velocity on a grid, the velocity as
+    one read-only (2, n, n) array."""
     xx, yy = grid.meshes()
     w = ScalarField(grid, oseen_vorticity(v, t, xx, yy))
-    u1, u2 = oseen_velocity(v, t, xx, yy)
-    return w, VectorField(ScalarField(grid, u1), ScalarField(grid, u2))
+    u = np.stack(oseen_velocity(v, t, xx, yy))
+    u.flags.writeable = False
+    return w, u
 
 
 def oseen_max_speed(v: OseenVortex, t: float) -> float:

@@ -41,9 +41,8 @@ import numpy as np
 
 from .biot_savart import velocity_free_space
 from .errors import DegenerateError, DomainError, StabilityError
-from .field import (Grid, ScalarField, VectorField, _dealias_mask,
-                    _deriv_wavenumbers, _irfft2, _ksq, _rfft2, lp_norm,
-                    weighted_norm)
+from .field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
+                    _irfft2, _ksq, _rfft2, lp_norm, max_speed, weighted_norm)
 from .oseen import (EXP_UNDERFLOW, OseenVortex, gaussian_profile, oseen_max_speed,
                     oseen_velocity, oseen_vorticity, velocity_profile)
 
@@ -132,10 +131,10 @@ class DecayFit:
 # ---------------------------------------------------------------------
 
 # A stage function maps (state samples, stage time) to the flux F of
-# dw/dt = Lap(w) - div F, summed over every advective term, as one float
-# (2, n, n) array, and the velocity it solved that advects the state (None
-# if it solved none that does): lawson_step reads stage 1's speed only.
-Stage = Callable[[np.ndarray, float], tuple[np.ndarray, VectorField | None]]
+# dw/dt = Lap(w) - div F, summed over every advective term, and the velocity
+# it solved that advects the state (None if it solved none that does), each
+# one float (2, n, n) array: lawson_step reads stage 1's speed only.
+Stage = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray | None]]
 
 # Relative distance below which a time counts as having reached a stop.
 STOP_RTOL = 1e-12
@@ -185,7 +184,7 @@ def lawson_step(w: ScalarField, t: float, t_stop: float, stage: Stage,
         return tendency(values, stage(values, stage_t)[0])
 
     flux, velocity = stage(w.values, t)
-    dt = pick_dt(0.0 if velocity is None else velocity.max_norm(), t_stop - t)
+    dt = pick_dt(0.0 if velocity is None else max_speed(velocity), t_stop - t)
     del velocity                 # not kept alive through the other stages' solves
     eh = np.exp(-0.5 * dt * _ksq(grid)[:, :nh])
     ef = eh * eh
@@ -384,8 +383,7 @@ def evolve_T_alpha(alpha: float, w0: ScalarField, tau_end: float,
     def stage(w, tau):
         vw = velocity_free_space(ScalarField._owned(grid, w))
         flux = a * w
-        for f, u in zip(flux, (vw.x.values, vw.y.values)):
-            f += alpha * u * g
+        flux += alpha * vw * g
         return flux, None
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)

@@ -86,10 +86,6 @@ def semigroup_apply(tau: float, f: ScalarField) -> ScalarField:
 def commutation_residual(tau: float, f: ScalarField) -> float:
     """Max-norm residual of grad S(tau) f = e^{tau/2} S(tau) grad f."""
     left = gradient(semigroup_apply(tau, f))
-    c = np.exp(0.5 * tau)
-    g = gradient(f)
-    right_x = c * semigroup_apply(tau, g.x)
-    right_y = c * semigroup_apply(tau, g.y)
-    rx = np.max(np.abs(left.x.values - right_x.values))
-    ry = np.max(np.abs(left.y.values - right_y.values))
-    return float(max(rx, ry))
+    right = np.exp(0.5 * tau) * np.stack(
+        [semigroup_apply(tau, ScalarField._owned(f.grid, g)).values for g in gradient(f)])
+    return float(np.max(np.abs(left - right)))

@@ -116,10 +116,8 @@ def _decomposed_stage(backgrounds, grid: Grid):
     def stage(w, t):
         bg = background_fields(backgrounds, t, grid)
         ut = _remainder_velocity(ScalarField._owned(grid, w)) if np.any(w) else None
-        u = (0.0, 0.0) if ut is None else (ut.x.values, ut.y.values)
-        flux = np.empty((2, grid.n, grid.n))     # after the solve, for the peak memory
-        for f, uk, Uk in zip(flux, u, bg):
-            np.add(uk, Uk, out=f)                # U is never -0.0, so 0.0 + U is U
+        # after the solve, for the peak memory; U is never -0.0, so 0.0 + U is U
+        flux = np.add(0.0 if ut is None else ut, bg[:2])
         flux *= w + bg[2]
         flux -= bg[3:]
         return flux, ut
@@ -281,10 +279,9 @@ def evolve_rescaled_perturbation(alpha: float, w0: ScalarField, tau_end: float,
     def stage(w, tau):
         vt = velocity_free_space(ScalarField._owned(grid, w),
                                  boundary_tol=SOLVER_BOUNDARY_TOL)
-        flux = np.empty_like(a)
-        for f, ak, u in zip(flux, a, (vt.x.values, vt.y.values)):
-            np.multiply(np.add(ak, u, out=f), w, out=f)
-            f += alpha * u * g
+        flux = np.add(a, vt)
+        flux *= w
+        flux += alpha * vt * g
         return flux, vt
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)

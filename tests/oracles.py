@@ -79,9 +79,9 @@ WEIGHTED_VELOCITY_DX_GAUSSIAN = 0.1290427997259097
 def padded_route(multiplier, values, shape):
     """The unpruned multiplier route: irfft2(m * rfft2(values)) for each
     component m of a stacked half-spectrum multiplier, with numpy's
-    transforms; rfft2 zero-pads values to shape."""
+    transforms, stacked; rfft2 zero-pads values to shape."""
     what = np.fft.rfft2(values, s=shape)
-    return [np.fft.irfft2(m * what, s=shape) for m in multiplier]
+    return np.stack([np.fft.irfft2(m * what, s=shape) for m in multiplier])
 
 
 def coupling_per_mode(basis_n, mean_zero, grid):
@@ -107,8 +107,7 @@ def coupling_per_mode(basis_n, mean_zero, grid):
         if (a, b) == (0, 0):
             vw1, vw2 = v1, v2
         else:
-            vw = velocity_free_space(ScalarField(grid, field_ab))
-            vw1, vw2 = vw.x.values, vw.y.values
+            vw1, vw2 = velocity_free_space(ScalarField(grid, field_ab))
         coupled = coupled + vw1 * grad_g[0] + vw2 * grad_g[1]
         weighted = coupled * half_weight
         proj = psi @ weighted @ psi.T * grid.cell_area
@@ -161,29 +160,28 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, _ifft2(-_ksq(f.grid) * _fft2(f.values)).real)
 
 
-def divergence(v):
-    """Spectral divergence of a VectorField (Nyquist mode dropped)."""
-    kd = _deriv_wavenumbers(v.grid)
-    dx = 1j * kd[:, None] * np.fft.fft2(v.x.values)
-    dy = 1j * kd[None, :] * np.fft.fft2(v.y.values)
-    return ScalarField(v.grid, np.fft.ifft2(dx + dy).real)
+def divergence(v, grid: Grid):
+    """Spectral divergence of a (2, n, n) array (Nyquist mode dropped)."""
+    kd = _deriv_wavenumbers(grid)
+    dx = 1j * kd[:, None] * np.fft.fft2(v[0])
+    dy = 1j * kd[None, :] * np.fft.fft2(v[1])
+    return ScalarField(grid, np.fft.ifft2(dx + dy).real)
 
 
-def curl(v):
-    """Spectral scalar curl d(v_y)/dx - d(v_x)/dy."""
-    kd = _deriv_wavenumbers(v.grid)
-    c = (1j * kd[:, None] * np.fft.fft2(v.y.values)
-         - 1j * kd[None, :] * np.fft.fft2(v.x.values))
-    return ScalarField(v.grid, np.fft.ifft2(c).real)
+def curl(v, grid: Grid):
+    """Spectral scalar curl d(v_y)/dx - d(v_x)/dy of a (2, n, n) array."""
+    kd = _deriv_wavenumbers(grid)
+    c = (1j * kd[:, None] * np.fft.fft2(v[1])
+         - 1j * kd[None, :] * np.fft.fft2(v[0]))
+    return ScalarField(grid, np.fft.ifft2(c).real)
 
 
-def curl_local(v):
+def curl_local(v, grid: Grid):
     """Scalar curl by the local stencil of field.divergence_local, which
     does not see the wrap jump of a free-space velocity (except on the
     outermost three rings, which callers exclude)."""
-    h = v.grid.h
-    return ScalarField(v.grid, _fd_derivative(v.y.values, 0, h)
-                       - _fd_derivative(v.x.values, 1, h))
+    return ScalarField(grid, _fd_derivative(v[1], 0, grid.h)
+                       - _fd_derivative(v[0], 1, grid.h))
 
 
 def dealias(f):
@@ -225,7 +223,7 @@ def apply_fokker_planck(w: ScalarField) -> ScalarField:
     require_boundary_decay(w, "apply_fokker_planck")
     xx, yy = w.grid.meshes()
     g = gradient(w)
-    drift = 0.5 * (xx * g.x.values + yy * g.y.values)
+    drift = 0.5 * (xx * g[0] + yy * g[1])
     return ScalarField(w.grid, laplacian(w).values + drift + w.values)
 
 
@@ -287,7 +285,7 @@ def weighted_velocity_norm(omega: ScalarField, q: float, m: float) -> float:
     # plain weighted_norm precondition does not apply here
     xx, yy = omega.grid.meshes()
     w = (1.0 + xx**2 + yy**2) ** ((m - 2.0 / q) / 2.0)
-    return lp_norm(ScalarField(omega.grid, w * u.magnitude().values), q)
+    return lp_norm(ScalarField(omega.grid, w * np.hypot(*u)), q)
 
 
 def decomposed_flux(backgrounds, t: float, w: ScalarField, ut1, ut2):

@@ -234,6 +234,14 @@ def test_heat_smooth_margin(grid128):
         heat_smooth(mu, 0.0, grid128)
 
 
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+def test_heat_smooth_needs_a_finite_positive_time(grid128, t):
+    # at t = inf the k = 0 factor exp(-0 * inf) is NaN: no field, an error
+    mu = FiniteMeasure(density=blob(grid128, 1.0, (0.0, 0.0), 1.0))
+    with pytest.raises(DomainError, match="0 < t < inf"):
+        heat_smooth(mu, t, grid128)
+
+
 def test_heat_smooth_density_grid_mismatch(grid128):
     other = Grid(64, 40.0)
     mu = FiniteMeasure(density=blob(other, 1.0, (0.0, 0.0), 1.0))

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from oseen2d import experiments, propagators, solver
 from oseen2d.errors import DomainError, MarginError, Oseen2dError, StabilityError
-from oseen2d.field import (Grid, ScalarField, VectorField, lp_norm,
-                           project_mean_zero)
+from oseen2d.field import Grid, ScalarField, lp_norm, project_mean_zero
 from oseen2d.measure import FiniteMeasure, total_variation
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
 from oseen2d.propagators import StepperConfig
@@ -95,8 +94,7 @@ def test_decomposed_stage_matches_per_vortex_flux(grid128, count, with_blob):
     w = blob(grid128, 0.2, (1.5, 0.5), 1.0) if with_blob else grid128.zeros()
     ut1 = ut2 = np.zeros((grid128.n, grid128.n))
     if with_blob:
-        ut = solver._remainder_velocity(w)
-        ut1, ut2 = ut.x.values, ut.y.values
+        ut1, ut2 = solver._remainder_velocity(w)
     got, _ = solver._decomposed_stage(backgrounds, grid128)(w.values, t)
     want = decomposed_flux(backgrounds, t, w, ut1, ut2)
     scale = max(np.max(np.abs(c)) for c in want)
@@ -153,11 +151,11 @@ def test_step_decomposed_solves_velocity_four_times(grid128, monkeypatch):
 
 def test_one_speed_per_step(grid128, monkeypatch):
     # lawson_step asks for the speed only at stage 1, where it sizes the
-    # step: one max_norm per step of the solver and of the rescaled
+    # step: one max_speed call per step of the solver and of the rescaled
     # perturbation flow, not one per stage
     speeds, steps = [], []
-    monkeypatch.setattr(VectorField, "max_norm",
-                        counted(speeds, VectorField.max_norm))
+    monkeypatch.setattr(propagators, "max_speed",
+                        counted(speeds, propagators.max_speed))
     for module in (solver, propagators):
         monkeypatch.setattr(module, "lawson_step",
                             counted(steps, propagators.lawson_step))
