@@ -9,7 +9,7 @@ from .measure import (AtomicDecomposition, FiniteMeasure, atomic_norm,
 from .oseen import OseenVortex, oseen_fields
 from .propagators import StepperConfig, Trajectory, fit_decay
 from .selfsim import semigroup_apply
-from .solver import SolverRun, VortexSystem, solve_cauchy
+from .solver import SolverRun, solve_cauchy
 
 __all__ = [
     "Grid", "ScalarField", "lp_norm", "weighted_norm",
@@ -18,7 +18,7 @@ __all__ = [
     "OseenVortex", "oseen_fields",
     "semigroup_apply",
     "StepperConfig", "Trajectory", "fit_decay",
-    "VortexSystem", "SolverRun", "solve_cauchy",
+    "SolverRun", "solve_cauchy",
     "Oseen2dError", "DomainError", "MarginError", "CirculationError",
     "StabilityError", "DegenerateError", "MismatchError",
     "ConvergenceError",

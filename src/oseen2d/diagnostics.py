@@ -381,8 +381,8 @@ def _rotation_bases(rows, index):
             basis((a < b) & ((a + b) % 2 == 1), -1j * sign))
 
 
-def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
-                        grid: Grid | None = None) -> SpectrumReport:
+def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True, *,
+                        grid: Grid) -> SpectrumReport:
     """Dense spectrum of  w -> L w - alpha (v . grad w + v_w . grad G).
 
     The matrix is assembled in the orthonormal basis of Gaussian
@@ -423,7 +423,6 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True,
     # scipy.linalg costs ~0.25 s, the only scipy import the package makes
     import scipy.linalg
 
-    grid = grid or Grid(256, 40.0)
     modes, bases, (plus, minus, rotating) = _assemble_coupling(
         basis_n, mean_zero, grid)
 

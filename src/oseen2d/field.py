@@ -41,8 +41,8 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral) or self.n < 16 or self.n % 2:
             raise DomainError(f"grid size must be an even integer >= 16, got {self.n!r}")
-        if not (0 < self.box_size < np.inf):
-            raise DomainError(f"box size must be finite and > 0, got {self.box_size}")
+        if not (isinstance(self.box_size, numbers.Real) and 0 < self.box_size < np.inf):
+            raise DomainError(f"box size must be finite and > 0, got {self.box_size!r}")
 
     @property
     def h(self) -> float:

@@ -11,6 +11,7 @@ can resolve and should simply be folded into the density part or dropped.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,8 @@ def decompose(mu: FiniteMeasure, epsilon: float) -> AtomicDecomposition:
     sums it, is at most epsilon.  The greedy prefix rule is a deterministic
     choice among the many admissible splits.
     """
-    if not (epsilon > 0):
-        raise DomainError(f"decompose needs epsilon > 0, got {epsilon}")
+    if not (isinstance(epsilon, numbers.Real) and epsilon > 0):
+        raise DomainError(f"decompose needs epsilon > 0, got {epsilon!r}")
     masses = [abs(m) for _, m in mu.atoms]
     k = next(k for k in range(len(masses) + 1) if sum(masses[k:]) <= epsilon)
     retained = tuple((m, pos) for pos, m in mu.atoms[:k])

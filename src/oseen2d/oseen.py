@@ -40,8 +40,8 @@ class OseenVortex:
         if not (isinstance(z, tuple) and len(z) == 2
                 and all(isinstance(c, numbers.Real) and np.isfinite(c) for c in z)):
             raise DomainError(f"vortex center must be a pair of finite numbers, got {z!r}")
-        if not np.isfinite(self.alpha):
-            raise DomainError(f"vortex circulation must be finite, got {self.alpha}")
+        if not (isinstance(self.alpha, numbers.Real) and np.isfinite(self.alpha)):
+            raise DomainError(f"vortex circulation must be finite, got {self.alpha!r}")
 
 
 def gaussian_profile(x1, x2):

@@ -33,6 +33,7 @@ the state is bit-exactly conserved.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -56,8 +57,9 @@ class StepperConfig:
     dt: float | None = None
 
     def __post_init__(self):
-        if self.dt is not None and not 0 < self.dt < np.inf:
-            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+        if self.dt is not None and not (isinstance(self.dt, numbers.Real)
+                                        and 0 < self.dt < np.inf):
+            raise DomainError(f"dt must be positive and finite, got {self.dt!r}")
 
     @staticmethod
     def fixed(dt: float) -> "StepperConfig":
@@ -341,6 +343,10 @@ def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
     if not sample_every > 0:
         raise DomainError(f"sample_every must be positive, got {sample_every}")
     h, drift_bound = w0.grid.h, 4.0 * w0.grid.h / w0.grid.box_size
+    largest = cfg.step(min(drift_bound, cfl_bound(h, advection_max)), np.inf)
+    if sample_every < largest:
+        raise DomainError(f"sample_every={sample_every} is shorter than the flow's "
+                          f"largest step {largest:.3g}: sample at least one step apart")
 
     def pick_dt(speed, room):
         return cfg.step(min(drift_bound, cfl_bound(h, advection_max + speed)), room)

@@ -12,6 +12,10 @@ gradient), so a single exact vortex has a remainder that stays at
 round-off level.  With no backgrounds the remainder is the full
 vorticity, so the same stepper marches the plain ("direct") equation.
 
+The initial measure alone fixes the tuple of backgrounds, so the state is
+the plain pair (w~, t) under it, and ``march`` steps that pair like every
+other flow's with ``partial(step_decomposed, backgrounds, cfg)``.
+
 Both this flow and the rescaled perturbation flow about alpha G (for
 long-horizon single-vortex asymptotics, where the box does not have to
 chase the sqrt(t) spreading) supply only a stage function and a stability
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -46,26 +51,17 @@ SNAPSHOTS_PER_DECADE = 16
 SOLVER_BOUNDARY_TOL = 0.05
 
 
-@dataclass(frozen=True)
-class VortexSystem:
-    """Analytic vortex backgrounds plus a gridded remainder at time t."""
-
-    backgrounds: tuple[OseenVortex, ...]
-    remainder: ScalarField
-    t: float
-
-    def total_circulation(self) -> float:
-        return sum(v.alpha for v in self.backgrounds) + self.remainder.integral()
-
-    def total_vorticity(self) -> ScalarField:
-        grid = self.remainder.grid
-        w = background_fields(self.backgrounds, self.t, grid)[2]
-        return ScalarField._owned(grid, self.remainder.values + w)
+def total_vorticity(backgrounds: tuple[OseenVortex, ...], w: ScalarField,
+                    t: float) -> ScalarField:
+    """The total vorticity at time t: the remainder w plus the backgrounds."""
+    grid = w.grid
+    return ScalarField._owned(grid, w.values + background_fields(backgrounds, t, grid)[2])
 
 
-def initialize_from_measure(mu: FiniteMeasure, epsilon: float, t0: float,
-                            grid: Grid) -> tuple[VortexSystem, AtomicDecomposition]:
-    """Decompose mu and build the state at t0.
+def initialize_from_measure(mu: FiniteMeasure, epsilon: float, t0: float, grid: Grid
+                            ) -> tuple[tuple[OseenVortex, ...], ScalarField,
+                                       AtomicDecomposition]:
+    """Decompose mu into its fixed backgrounds and the remainder at t0.
 
     Retained atoms start as exact vortex backgrounds with zero remainder
     share, each clear of the box margin (``measure.require_margin``); the
@@ -86,7 +82,7 @@ def initialize_from_measure(mu: FiniteMeasure, epsilon: float, t0: float,
     else:
         remainder = grid.zeros()
     backgrounds = tuple(OseenVortex(alpha, z) for alpha, z in dec.retained)
-    return VortexSystem(backgrounds=backgrounds, remainder=remainder, t=t0), dec
+    return backgrounds, remainder, dec
 
 
 # ---------------------------------------------------------------------
@@ -124,47 +120,34 @@ def _decomposed_stage(backgrounds, grid: Grid):
     return stage
 
 
-def decomposed_dt(sys: VortexSystem, cfg: StepperConfig, remainder_speed: float,
-                  room: float = np.inf) -> float:
-    """The step step_decomposed takes from sys, at most ``room``.
+def decomposed_dt(backgrounds, cfg: StepperConfig, t: float, grid: Grid,
+                  remainder_speed: float, room: float = np.inf) -> float:
+    """The step step_decomposed takes from time t, at most ``room``.
 
     The stability bound is the CFL step of the backgrounds and of the
     speed of the remainder velocity that stage 1 solved; the automatic step
     also keeps dt <= t/50, which resolves the 1/sqrt(t) sharpening of the
     backgrounds near t = 0 (an accuracy rule, not a stability one).
     """
-    grid = sys.remainder.grid
-    return cfg.step(min(background_cfl_bound(sys.backgrounds, sys.t, grid),
-                        cfl_bound(grid.h, remainder_speed)), room, sys.t / 50.0)
+    return cfg.step(min(background_cfl_bound(backgrounds, t, grid),
+                        cfl_bound(grid.h, remainder_speed)), room, t / 50.0)
 
 
-def step_decomposed(sys: VortexSystem, cfg: StepperConfig,
-                    t_stop: float = np.inf) -> VortexSystem:
-    """Advance the remainder by one integrating-factor RK4 step, ending no
-    later than t_stop, with the step size from decomposed_dt.
+def step_decomposed(backgrounds, cfg: StepperConfig, w: ScalarField, t: float,
+                    t_stop: float = np.inf) -> tuple[ScalarField, float]:
+    """Advance the remainder w at time t by one integrating-factor RK4 step,
+    ending no later than t_stop, with the step size from decomposed_dt.
 
-    Backgrounds advance only through t -> t + dt inside their formulas.
-    The remainder velocity routes by circulation (periodic inversion for
-    mean-zero remainders, free-space otherwise).
+    Returns the new (w, t); ``partial(step_decomposed, backgrounds, cfg)``
+    is the step ``march`` takes.  Backgrounds advance only through
+    t -> t + dt inside their formulas.  The remainder velocity routes by
+    circulation (periodic inversion for mean-zero remainders, free-space
+    otherwise).
     """
-    grid = sys.remainder.grid
-    stage = _decomposed_stage(sys.backgrounds, grid)
-    remainder, t = lawson_step(
-        sys.remainder, sys.t, t_stop, stage,
-        lambda speed, room: decomposed_dt(sys, cfg, speed, room))
-    return VortexSystem(backgrounds=sys.backgrounds, remainder=remainder, t=t)
-
-
-def evolve_system(sys: VortexSystem, stops, cfg: StepperConfig,
-                  on_stop=None) -> VortexSystem:
-    """March sys through each stop time in turn, one step_decomposed call
-    per step; ``on_stop(t, remainder)`` sees the start and every stop."""
-    def advance(w, t, stop):
-        nxt = step_decomposed(VortexSystem(sys.backgrounds, w, t), cfg, stop)
-        return nxt.remainder, nxt.t
-
-    remainder, t = march(sys.remainder, sys.t, stops, advance, on_stop)
-    return VortexSystem(backgrounds=sys.backgrounds, remainder=remainder, t=t)
+    grid = w.grid
+    return lawson_step(w, t, t_stop, _decomposed_stage(backgrounds, grid),
+                       lambda speed, room: decomposed_dt(backgrounds, cfg, t, grid,
+                                                         speed, room))
 
 
 # ---------------------------------------------------------------------
@@ -186,8 +169,8 @@ class SolverRun:
     series: list[dict] = dc_field(default_factory=list)
 
     def total_vorticity(self, index: int) -> ScalarField:
-        return VortexSystem(self.backgrounds, self.trajectory.fields[index],
-                            self.trajectory.times[index]).total_vorticity()
+        return total_vorticity(self.backgrounds, self.trajectory.fields[index],
+                               self.trajectory.times[index])
 
 
 def snapshot_schedule(t0: float, t_end: float, per_decade: int) -> list[float]:
@@ -223,18 +206,18 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
     if not (np.inf > t_end > t0 > 0):
         raise DomainError(f"need 0 < t0 < t_end < inf, got t0={t0}, t_end={t_end}")
     cfg = cfg or StepperConfig.courant()
-    sys, dec = initialize_from_measure(mu, epsilon, t0, grid)
+    backgrounds, remainder, dec = initialize_from_measure(mu, epsilon, t0, grid)
     tv = total_variation(mu)
+    background_circulation = sum(v.alpha for v in backgrounds)
     schedule = snapshot_schedule(t0, t_end, SNAPSHOTS_PER_DECADE)
     traj = Trajectory(time_label="t")
     run = SolverRun(grid=grid, measure=mu, decomposition=dec,
                     epsilon=epsilon, t0=t0, t_end=t_end,
-                    backgrounds=sys.backgrounds, trajectory=traj)
+                    backgrounds=backgrounds, trajectory=traj)
 
-    def record(t: float, remainder: ScalarField):
-        traj.record(t, remainder)
-        state = VortexSystem(sys.backgrounds, remainder, t)
-        l1 = lp_norm(state.total_vorticity(), 1)
+    def record(t: float, w: ScalarField):
+        traj.record(t, w)
+        l1 = lp_norm(total_vorticity(backgrounds, w, t), 1)
         if tv > 0 and l1 > tv * (1.0 + l1_check_tol):
             if t == t0:
                 raise DomainError(
@@ -242,15 +225,15 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
                     f"h={grid.h:.3g} under-resolves sqrt(t0)={t0**0.5:.3g}")
             raise Oseen2dError(
                 f"L1 bound violated at t={t}: |omega|_1 = {l1} > {tv}")
-        require_boundary_decay(remainder, "solve_cauchy", tol=SOLVER_BOUNDARY_TOL)
+        require_boundary_decay(w, "solve_cauchy", tol=SOLVER_BOUNDARY_TOL)
         run.series.append({
             "t": t,
             "total_l1": l1,
             "l1_bound_ratio": l1 / tv if tv > 0 else 0.0,
-            "circulation": state.total_circulation(),
+            "circulation": background_circulation + w.integral(),
         })
 
-    evolve_system(sys, schedule, cfg, record)
+    march(remainder, t0, schedule, partial(step_decomposed, backgrounds, cfg), record)
     return run
 
 

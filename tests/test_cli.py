@@ -235,6 +235,7 @@ def test_rate_band_line_names_the_nearer_end(monkeypatch, rate, line):
     # band the rate is nearer to, so a failing line names the end it crossed
     monkeypatch.setattr(experiments, "fit_decay",
                         lambda traj, p, window: SimpleNamespace(rate=rate))
-    cfg = ExperimentConfig(grid_n=32, box_l=30.0, dt=0.25)
+    # dt fits both the drift bound 4h/L = 0.125 and A3's sample spacing 0.1
+    cfg = ExperimentConfig(grid_n=32, box_l=30.0, dt=0.1)
     records, _ = experiments.asym_decay(cfg)
     assert [r.line() for r in records if r.criterion == "A3[p=1]-rate"] == [line]

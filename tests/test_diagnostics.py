@@ -217,6 +217,14 @@ def test_spectrum_with_mean_mode(spectrum_grid):
     assert abs(rep.eigenvalues[0]) < 1e-10
 
 
+def test_spectrum_requires_a_grid():
+    # no hidden Grid(256, 40) fallback: the grid is a keyword the caller names
+    with pytest.raises(TypeError, match="grid"):
+        linearized_spectrum(1.0, 16)
+    with pytest.raises(TypeError):
+        linearized_spectrum(1.0, 16, True, Grid(64, 40.0))
+
+
 def test_spectrum_requires_basis(spectrum_grid):
     with pytest.raises(DomainError):
         linearized_spectrum(1.0, 8, grid=spectrum_grid)

@@ -33,6 +33,11 @@ def test_grid_validation():
         with pytest.raises(DomainError, match="even integer"):
             Grid(bad, 20.0)
     assert Grid(np.int64(32), 20.0).zeros().values.shape == (32, 32)
+    for bad in ("20", None, [20.0]):
+        with pytest.raises(DomainError, match="box size"):
+            Grid(32, bad)
+    same = (Grid(32, 20), Grid(32, np.float64(20.0)), Grid(32, 20.0))
+    assert len(set(same)) == 1
     g = Grid(64, 32.0)
     assert g.h == 0.5
     x = g.coords()

@@ -109,6 +109,19 @@ def test_decompose_requires_positive_epsilon():
         decompose(FiniteMeasure(), 0.0)
 
 
+@pytest.mark.parametrize("epsilon", ["0.1", None, [0.1]])
+def test_decompose_requires_a_number(epsilon):
+    # unchecked, the comparison epsilon > 0 raised a TypeError
+    with pytest.raises(DomainError, match="epsilon"):
+        decompose(FiniteMeasure.from_atoms(((0.0, 0.0), 1.0)), epsilon)
+
+
+def test_decompose_takes_numpy_numbers():
+    mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0), ((3.0, 0.0), 0.05))
+    assert decompose(mu, np.float64(0.1)) == decompose(mu, 0.1)
+    assert decompose(mu, 2).retained == ()
+
+
 def test_decompose_matches_enumeration_oracle():
     rng = np.random.default_rng(123)
     cases = []

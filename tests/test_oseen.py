@@ -88,8 +88,9 @@ def test_vortex_center_is_a_pair_of_finite_numbers(z):
         OseenVortex(1.0, z)
 
 
-@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, "1", None, [1.0]])
 def test_vortex_circulation_is_finite(alpha):
+    # a string or None made np.isfinite raise a TypeError, and a list was accepted
     with pytest.raises(DomainError, match="circulation must be finite"):
         OseenVortex(alpha)
 
@@ -97,6 +98,7 @@ def test_vortex_circulation_is_finite(alpha):
 def test_vortex_center_takes_numpy_numbers():
     v, w = OseenVortex(1.0, (np.float64(0.5), 1)), OseenVortex(1.0, (0.5, 1.0))
     assert v == w and hash(v) == hash(w)
+    assert len({OseenVortex(1), OseenVortex(np.float64(1.0)), OseenVortex(1.0)}) == 1
 
 
 def test_oseen_fields_basic(grid256):

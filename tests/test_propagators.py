@@ -41,11 +41,14 @@ def prescribed_step(w, velocity_fn, t, dt):
 def test_stepper_config_validation():
     assert StepperConfig.fixed(1e-3).dt == 1e-3
     assert StepperConfig.courant().dt is None
+    assert StepperConfig(np.float64(1e-3)) == StepperConfig.fixed(1e-3)
+    assert StepperConfig(1).step(2.0, np.inf) == 1
 
 
-@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1e-3])
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1e-3, "1e-3", [1e-3]])
 def test_fixed_step_must_be_positive_and_finite(dt):
-    # an infinite fixed step would march to t = inf with a NaN state
+    # an infinite fixed step would march to t = inf with a NaN state; a
+    # string made the comparison 0 < dt raise a TypeError
     with pytest.raises(DomainError, match="dt must be positive"):
         StepperConfig.fixed(dt)
 
@@ -328,6 +331,19 @@ def test_rescaled_flows_reject_bad_tau_end(flow, tau_end):
         flow(1.0, w0, tau_end, StepperConfig.fixed(5e-3))
 
 
+def test_rescaled_flows_reject_samples_closer_than_a_step(monkeypatch):
+    # unchecked, the stop list held int(0.1 / 1e-9) = 10^8 stops, built
+    # before the first step (6.4 GB)
+    monkeypatch.setattr(propagators, "lawson_step", _no_step)
+    with pytest.raises(DomainError, match="sample_every"):
+        evolve_S1(1.0, Grid(32, 20.0).zeros(), 0.1, StepperConfig.fixed(1e-2),
+                  sample_every=1e-9)
+    # the CFL rule's largest step is the bound itself: 4h/L = 0.125 here
+    with pytest.raises(DomainError, match="sample_every"):
+        evolve_S1(0.0, Grid(32, 20.0).zeros(), 0.5, StepperConfig.courant(),
+                  sample_every=0.1)
+
+
 def _no_step(*args, **kwargs):
     raise AssertionError("a step was taken before the inputs were checked")
 
@@ -452,10 +468,9 @@ def _stage_flows(grid):
     pair = (OseenVortex(1.0), OseenVortex(-0.5, (3.0, 1.0)))
     cfg = StepperConfig.fixed(5e-3)
     return {
-        "decomposed": lambda: solver.step_decomposed(
-            solver.VortexSystem(pair, pert, 0.1), cfg),
+        "decomposed": lambda: solver.step_decomposed(pair, cfg, pert, 0.1),
         "decomposed-zero-remainder": lambda: solver.step_decomposed(
-            solver.VortexSystem(pair, grid.zeros(), 0.1), cfg),
+            pair, cfg, grid.zeros(), 0.1),
         "SN": lambda: propagate_SN(pair, pert, 1.0, 1.005, cfg),
         "S1": lambda: evolve_S1(10.0, pert, 5e-3, cfg, sample_every=5e-3),
         "T_alpha": lambda: evolve_T_alpha(10.0, pert, 5e-3, cfg, sample_every=5e-3),
@@ -516,8 +531,8 @@ def test_decomposed_step_matches_full_spectrum_reference(grid128):
     backgrounds = (OseenVortex(1.0, (0.0, 0.0)), OseenVortex(0.5, (4.0, 0.0)))
     xx, yy = grid128.meshes()
     pert = ScalarField(grid128, 0.2 * gaussian_profile(xx - 1.5, yy - 0.5))
-    sys = solver.VortexSystem(backgrounds, pert, 0.1)
-    got = solver.step_decomposed(sys, StepperConfig.fixed(1e-3)).remainder.values
+    got = solver.step_decomposed(backgrounds, StepperConfig.fixed(1e-3), pert,
+                                 0.1)[0].values
     stage = solver._decomposed_stage(backgrounds, grid128)
     want = _reference_lawson_step(pert, 0.1, stage, 1e-3)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from oseen2d.errors import DomainError, MarginError, Oseen2dError, StabilityErro
 from oseen2d.field import Grid, ScalarField, lp_norm, project_mean_zero
 from oseen2d.measure import FiniteMeasure, total_variation
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
-from oseen2d.propagators import StepperConfig
+from oseen2d.propagators import StepperConfig, march
 from oseen2d.rng import band_limited_field
-from oseen2d.solver import (VortexSystem, evolve_rescaled_perturbation,
-                            evolve_system, initialize_from_measure, restrict,
-                            snapshot_schedule, solve_cauchy, step_decomposed)
+from oseen2d.solver import (evolve_rescaled_perturbation, initialize_from_measure,
+                            restrict, snapshot_schedule, solve_cauchy,
+                            step_decomposed, total_vorticity)
 
 from oracles import decomposed_flux
 
@@ -35,28 +36,28 @@ def counted(calls, real):
 
 def test_initialize_single_atom(grid128):
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
-    sys, dec = initialize_from_measure(mu, 0.1, 1e-2, grid128)
-    assert sys.backgrounds == (OseenVortex(1.0, (0.0, 0.0)),)
-    assert np.all(sys.remainder.values == 0.0)
+    backgrounds, w, dec = initialize_from_measure(mu, 0.1, 1e-2, grid128)
+    assert backgrounds == (OseenVortex(1.0, (0.0, 0.0)),)
+    assert np.all(w.values == 0.0)
     assert dec.d == np.inf
 
 
 def test_initialize_density_only(grid128):
     density = blob(grid128, 1.0, (0.0, 0.0), 1.0)
     mu = FiniteMeasure(density=density)
-    sys, _ = initialize_from_measure(mu, 0.1, 1e-2, grid128)
-    assert sys.backgrounds == ()
+    backgrounds, w, _ = initialize_from_measure(mu, 0.1, 1e-2, grid128)
+    assert backgrounds == ()
     # remainder is the heat-smoothed density
-    assert abs(sys.remainder.integral() - 1.0) < 1e-9
-    assert lp_norm(sys.remainder, np.inf) < lp_norm(density, np.inf)
+    assert abs(w.integral() - 1.0) < 1e-9
+    assert lp_norm(w, np.inf) < lp_norm(density, np.inf)
 
 
 def test_initialize_two_atoms(grid128):
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0), ((4.0, 0.0), 1.0))
-    sys, dec = initialize_from_measure(mu, 0.1, 1e-2, grid128)
-    assert len(sys.backgrounds) == 2
+    backgrounds, w, dec = initialize_from_measure(mu, 0.1, 1e-2, grid128)
+    assert len(backgrounds) == 2
     assert dec.d == 4.0
-    assert np.all(sys.remainder.values == 0.0)
+    assert np.all(w.values == 0.0)
 
 
 def test_initialize_warns_on_large_t0(grid128):
@@ -75,10 +76,11 @@ def test_initialize_margin_and_domain(grid128):
 
 def test_single_background_remainder_stays_zero(grid128):
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
-    sys, _ = initialize_from_measure(mu, 0.1, 1e-2, grid128)
+    backgrounds, w, _ = initialize_from_measure(mu, 0.1, 1e-2, grid128)
+    t = 1e-2
     for _ in range(5):
-        sys = step_decomposed(sys, StepperConfig.fixed(2e-4))
-    assert np.all(sys.remainder.values == 0.0)
+        w, t = step_decomposed(backgrounds, StepperConfig.fixed(2e-4), w, t)
+    assert np.all(w.values == 0.0)
 
 
 BACKGROUNDS = (OseenVortex(1.0, (0.0, 0.0)), OseenVortex(-0.6, (4.0, 1.0)),
@@ -118,11 +120,11 @@ def test_two_background_remainder_growth_is_first_order(grid256):
     # one step sources the remainder through cross-advection only:
     # |w~(t0+dt)|_1 <= C dt, measured at two dt values
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0), ((4.0, 0.0), 1.0))
-    sys0, _ = initialize_from_measure(mu, 0.1, 0.05, grid256)
+    backgrounds, w0, _ = initialize_from_measure(mu, 0.1, 0.05, grid256)
     growth = {}
     for dt in (1e-3, 5e-4):
-        out = step_decomposed(sys0, StepperConfig.fixed(dt))
-        growth[dt] = lp_norm(out.remainder, 1)
+        w, _ = step_decomposed(backgrounds, StepperConfig.fixed(dt), w0, 0.05)
+        growth[dt] = lp_norm(w, 1)
         assert growth[dt] > 0.0
     ratio = growth[1e-3] / growth[5e-4]
     assert 1.8 < ratio < 2.2
@@ -130,9 +132,9 @@ def test_two_background_remainder_growth_is_first_order(grid256):
 
 def test_step_decomposed_stability(grid128):
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 10.0))
-    sys, _ = initialize_from_measure(mu, 0.1, 1e-2, grid128)
+    backgrounds, w, _ = initialize_from_measure(mu, 0.1, 1e-2, grid128)
     with pytest.raises(StabilityError):
-        step_decomposed(sys, StepperConfig.fixed(1.0))
+        step_decomposed(backgrounds, StepperConfig.fixed(1.0), w, 1e-2)
 
 
 def test_step_decomposed_solves_velocity_four_times(grid128, monkeypatch):
@@ -144,8 +146,7 @@ def test_step_decomposed_solves_velocity_four_times(grid128, monkeypatch):
     pert = blob(grid128, 0.2, (1.5, 0.5), 1.0)
     for cfg in (StepperConfig.courant(), StepperConfig.fixed(1e-3)):
         calls.clear()
-        sys = VortexSystem(backgrounds=(OseenVortex(1.0),), remainder=pert, t=0.1)
-        step_decomposed(sys, cfg)
+        step_decomposed((OseenVortex(1.0),), cfg, pert, 0.1)
         assert len(calls) == 4
 
 
@@ -160,9 +161,9 @@ def test_one_speed_per_step(grid128, monkeypatch):
         monkeypatch.setattr(module, "lawson_step",
                             counted(steps, propagators.lawson_step))
     pert = blob(grid128, 0.2, (1.5, 0.5), 1.0)
-    sys = VortexSystem(backgrounds=(OseenVortex(1.0),), remainder=pert, t=0.1)
+    w, t = pert, 0.1
     for _ in range(3):
-        sys = step_decomposed(sys, StepperConfig.courant())
+        w, t = step_decomposed((OseenVortex(1.0),), StepperConfig.courant(), w, t)
     evolve_rescaled_perturbation(1.0, pert, 0.02, StepperConfig.fixed(5e-3))
     assert len(steps) == 3 + 4
     assert len(speeds) == len(steps)
@@ -178,11 +179,11 @@ def test_step_decomposed_reuses_background_fields(grid128, monkeypatch):
                             counted(calls, getattr(propagators, name)))
     propagators.background_fields.cache_clear()
     backgrounds = (OseenVortex(1.0, (0.0, 0.0)), OseenVortex(1.0, (4.0, 0.0)))
-    sys = VortexSystem(backgrounds, blob(grid128, 0.2, (1.5, 0.5), 1.0), 0.1)
+    w, t = blob(grid128, 0.2, (1.5, 0.5), 1.0), 0.1
     counts = []
     for _ in range(4):
         calls.clear()
-        sys = step_decomposed(sys, StepperConfig.fixed(1e-3))
+        w, t = step_decomposed(backgrounds, StepperConfig.fixed(1e-3), w, t)
         counts.append(len(calls))
     assert counts == [12, 8, 8, 8]
 
@@ -208,9 +209,29 @@ def test_solve_cauchy_records_reuse_step_samples(grid128, monkeypatch):
 
 def test_step_decomposed_lands_on_stop(grid128):
     pert = blob(grid128, 0.2, (1.5, 0.5), 1.0)
-    sys = VortexSystem(backgrounds=(OseenVortex(1.0),), remainder=pert, t=0.1)
-    out = step_decomposed(sys, StepperConfig.fixed(1e-2), t_stop=0.1005)
-    assert abs(out.t - 0.1005) < 1e-15
+    _, t = step_decomposed((OseenVortex(1.0),), StepperConfig.fixed(1e-2), pert, 0.1,
+                           t_stop=0.1005)
+    assert abs(t - 0.1005) < 1e-15
+
+
+def test_march_of_step_decomposed_reproduces_solve_cauchy(grid128):
+    # the solver's state is (w, t) under fixed backgrounds: march with
+    # partial(step_decomposed, backgrounds, cfg) takes solve_cauchy's steps
+    # and lands on its frames bit for bit
+    density = blob(grid128, 0.3, (2.0, 0.0), 1.0)
+    mu = FiniteMeasure(atoms=(((-2.0, 0.0), 1.0),), density=density)
+    cfg = StepperConfig.courant()
+    run = solve_cauchy(mu, 0.2, 0.1, 0.3, grid128, cfg)
+    backgrounds, w, _ = initialize_from_measure(mu, 0.2, 0.1, grid128)
+    assert backgrounds == run.backgrounds
+    frames = []
+    march(w, 0.1, run.trajectory.times[1:], partial(step_decomposed, backgrounds, cfg),
+          lambda t, w: frames.append((t, w)))
+    assert [t for t, _ in frames] == run.trajectory.times
+    for i, (t, w) in enumerate(frames):
+        assert w.values.tobytes() == run.trajectory.fields[i].values.tobytes()
+        total = total_vorticity(backgrounds, w, t)
+        assert total.values.tobytes() == run.total_vorticity(i).values.tobytes()
 
 
 def test_solve_cauchy_nan_density_raises():
@@ -222,16 +243,15 @@ def test_solve_cauchy_nan_density_raises():
     values[10, 10] = np.nan
     with pytest.raises(DomainError, match="finite"):
         FiniteMeasure(density=ScalarField(grid, values))
-    state = VortexSystem(backgrounds=(), remainder=ScalarField(grid, values), t=1e-2)
     with pytest.raises(StabilityError, match="not finite at t=0.01"):
-        evolve_system(state, [2e-2], StepperConfig.courant())
+        march(ScalarField(grid, values), 1e-2, [2e-2],
+              partial(step_decomposed, (), StepperConfig.courant()))
 
 
 def test_infinite_fixed_step_is_a_domain_error():
     # it would take the state to t = inf with a NaN remainder
     with pytest.raises(DomainError, match="dt"):
-        step_decomposed(VortexSystem((), Grid(64, 20.0).zeros(), 0.1),
-                        StepperConfig.fixed(np.inf))
+        step_decomposed((), StepperConfig.fixed(np.inf), Grid(64, 20.0).zeros(), 0.1)
 
 
 @pytest.mark.parametrize("backgrounds, mass, cfg", [
@@ -241,58 +261,59 @@ def test_infinite_fixed_step_is_a_domain_error():
 def test_step_decomposed_rejects_a_stop_behind_its_time(backgrounds, mass, cfg):
     # unchecked, it took the step dt = -0.5 to t = 0.5; the blob, the heat
     # kernel at time 1/2, sharpened toward a point (peak 0.16 -> 2.7)
-    sys = VortexSystem(backgrounds, blob(Grid(32, 20.0), mass, (0.0, 0.0), 1.0), 1.0)
+    w = blob(Grid(32, 20.0), mass, (0.0, 0.0), 1.0)
     with pytest.raises(DomainError, match="ahead of the current time"):
-        step_decomposed(sys, cfg, t_stop=0.5)
+        step_decomposed(backgrounds, cfg, w, 1.0, t_stop=0.5)
 
 
 @pytest.mark.parametrize("t", [np.nan, 0.0, -1.0])
 def test_step_decomposed_rejects_a_bad_start(t):
     # the CFL rule's accuracy limit t/50 needs t > 0; unchecked, a NaN time
-    # came back as NaN, t = 0 took dt = 0 (a StabilityError in
-    # evolve_system) and t = -1 took dt = -0.02, a step backward in time
-    sys = VortexSystem((), blob(Grid(32, 20.0), 1.0, (0.0, 0.0), 1.0), t)
+    # came back as NaN, t = 0 took dt = 0 (a StabilityError in march)
+    # and t = -1 took dt = -0.02, a step backward in time
+    w = blob(Grid(32, 20.0), 1.0, (0.0, 0.0), 1.0)
     with pytest.raises(DomainError, match="no step fits"):
-        step_decomposed(sys, StepperConfig.courant(), t_stop=1.0)
+        step_decomposed((), StepperConfig.courant(), w, t, t_stop=1.0)
 
 
 @pytest.mark.parametrize("start, stops", [(2.0, [1.0, 1.5]), (np.nan, [1.0])])
-def test_evolve_system_rejects_a_bad_clock(start, stops):
+def test_decomposed_march_rejects_a_bad_clock(start, stops):
     # unchecked, it took no step and reported every stop at the start
     seen = []
-    sys = VortexSystem((), blob(Grid(32, 20.0), 1.0, (0.0, 0.0), 1.0), start)
+    w = blob(Grid(32, 20.0), 1.0, (0.0, 0.0), 1.0)
     with pytest.raises(DomainError, match="in order from a finite start"):
-        evolve_system(sys, stops, StepperConfig.courant(), lambda t, w: seen.append(t))
+        march(w, start, stops, partial(step_decomposed, (), StepperConfig.courant()),
+              lambda t, w: seen.append(t))
     assert seen == []
 
 
 def test_infinite_end_time_is_a_domain_error():
-    # unchecked, evolve_system would return its start unchanged, and
+    # unchecked, march would return its start unchanged, and
     # solve_cauchy's snapshot schedule would overflow
     grid = Grid(64, 20.0)
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
-    sys, _ = initialize_from_measure(mu, 0.1, 0.1, grid)
+    backgrounds, w, _ = initialize_from_measure(mu, 0.1, 0.1, grid)
     with pytest.raises(DomainError, match="inf"):
-        evolve_system(sys, [np.inf], StepperConfig.courant())
+        march(w, 0.1, [np.inf], partial(step_decomposed, backgrounds,
+                                        StepperConfig.courant()))
     with pytest.raises(DomainError, match="t_end=inf"):
         solve_cauchy(mu, 0.1, 0.1, np.inf, grid)
 
 
 def test_direct_zero_field_stays_zero(grid128):
-    sys = VortexSystem(backgrounds=(), remainder=grid128.zeros(), t=1.0)
-    out = step_decomposed(sys, StepperConfig.fixed(1e-3))
-    assert np.all(out.remainder.values == 0.0)
+    w, _ = step_decomposed((), StepperConfig.fixed(1e-3), grid128.zeros(), 1.0)
+    assert np.all(w.values == 0.0)
 
 
 def test_direct_circulation_bit_conserved(grid128):
     xx, yy = grid128.meshes()
     f = ScalarField(grid128, gaussian_profile(xx, yy))
-    state = VortexSystem(backgrounds=(), remainder=f, t=1.0)
+    w, t = f, 1.0
     for _ in range(50):
-        state = step_decomposed(state, StepperConfig.fixed(2e-3))
+        w, t = step_decomposed((), StepperConfig.fixed(2e-3), w, t)
     # the advection leaves the zero mode untouched; only the per-step
     # transform round trip contributes (~1e-16 each)
-    assert abs(state.remainder.integral() - f.integral()) < 5e-14
+    assert abs(w.integral() - f.integral()) < 5e-14
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -306,16 +327,16 @@ def test_one_step_circulation_property(seed, band, amplitude, t, mean_zero):
     f = amplitude * band_limited_field(Grid(64, 20.0), seed=seed, band=band)
     if mean_zero:
         f = project_mean_zero(f)
-    out = step_decomposed(VortexSystem((), f, t), StepperConfig.courant())
-    assert out.t > t
-    assert abs(out.remainder.integral() - f.integral()) < 5e-14
+    w, t_next = step_decomposed((), StepperConfig.courant(), f, t)
+    assert t_next > t
+    assert abs(w.integral() - f.integral()) < 5e-14
 
 
 def test_direct_oseen_short(grid256):
     xx, yy = grid256.meshes()
     f = ScalarField(grid256, gaussian_profile(xx, yy))
-    state = evolve_system(VortexSystem((), f, 1.0), [1.05],
-                          StepperConfig.fixed(1e-3)).remainder
+    state, _ = march(f, 1.0, [1.05],
+                     partial(step_decomposed, (), StepperConfig.fixed(1e-3)))
     want, _ = oseen_fields(OseenVortex(1.0), 1.05, grid256)
     assert lp_norm(state - want, 1) / lp_norm(want, 1) < 1e-8
 
@@ -388,11 +409,10 @@ def test_mode_equivalence(grid256):
     xx, yy = grid256.meshes()
     pert = blob(grid256, 0.2, (1.5, 0.5), 1.0)
     omega0 = ScalarField(grid256, gaussian_profile(xx, yy)) + pert
-    direct = evolve_system(VortexSystem((), omega0, t0), [t_end],
-                           cfg).total_vorticity()
-    sys = VortexSystem(backgrounds=(OseenVortex(1.0, (0.0, 0.0)),),
-                       remainder=pert, t=t0)
-    decomposed = evolve_system(sys, [t_end], cfg).total_vorticity()
+    direct, _ = march(omega0, t0, [t_end], partial(step_decomposed, (), cfg))
+    backgrounds = (OseenVortex(1.0, (0.0, 0.0)),)
+    w, t = march(pert, t0, [t_end], partial(step_decomposed, backgrounds, cfg))
+    decomposed = total_vorticity(backgrounds, w, t)
     rel = lp_norm(direct - decomposed, 1) / lp_norm(direct, 1)
     assert rel < 1e-5
 
