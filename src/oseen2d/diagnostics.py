@@ -202,8 +202,6 @@ class SpectrumReport:
     """Eigenvalues of the linearized operator in the Gaussian-weighted metric."""
 
     alpha: float
-    basis_n: int
-    mean_zero: bool
     eigenvalues: tuple[complex, ...]       # sorted by descending real part
     labeled_modes: dict
 
@@ -212,28 +210,25 @@ class SpectrumReport:
         return float(self.eigenvalues[0].real)
 
 
-def _hermite_tables(grid: Grid, count: int):
-    """1D tables of the normalized Gaussian-derivative factors.
-
-    Returns (phi, psi): phi[a] samples the a-th derivative factor of the
-    Gaussian profile normalized in the weighted metric; psi[a] the same
-    times the inverse square root of the Gaussian weight (orthonormal in
-    plain L^2, used for projections).
+def _hermite_tables(grid: Grid, count: int) -> np.ndarray:
+    """1D tables of the normalized Gaussian-derivative factors, stacked
+    as one (2, count, n) array (phi, psi): phi[a] samples the a-th
+    derivative factor of the Gaussian profile normalized in the weighted
+    metric; psi[a] the same times the inverse square root of the Gaussian
+    weight (orthonormal in plain L^2, used for projections).
     """
     x = grid.coords()
-    phi = np.empty((count, grid.n))
-    psi = np.empty((count, grid.n))
-    phi[0] = np.exp(-x**2 / 4.0) / np.sqrt(4.0 * np.pi)
-    psi[0] = np.exp(-x**2 / 8.0) / (4.0 * np.pi) ** 0.25
+    s = x / np.sqrt(2.0)
+    tables = np.empty((2, count, grid.n))
+    tables[0, 0] = np.exp(-x**2 / 4.0) / np.sqrt(4.0 * np.pi)
+    tables[1, 0] = np.exp(-x**2 / 8.0) / (4.0 * np.pi) ** 0.25
     if count > 1:
-        phi[1] = -(x / np.sqrt(2.0)) * phi[0]
-        psi[1] = -(x / np.sqrt(2.0)) * psi[0]
+        tables[:, 1] = -s * tables[:, 0]
     for a in range(1, count - 1):
         c1 = -1.0 / np.sqrt(a + 1.0)
         c2 = np.sqrt(a / (a + 1.0))
-        phi[a + 1] = c1 * (x / np.sqrt(2.0)) * phi[a] - c2 * phi[a - 1]
-        psi[a + 1] = c1 * (x / np.sqrt(2.0)) * psi[a] - c2 * psi[a - 1]
-    return phi, psi
+        tables[:, a + 1] = c1 * s * tables[:, a] - c2 * tables[:, a - 1]
+    return tables
 
 
 # three keys in the test suite; per key at basis 32, 26 KB for the index
@@ -242,9 +237,8 @@ def _hermite_tables(grid: Grid, count: int):
 def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     """Modes, the three symmetry-adapted bases of the rotation by pi/2, and
     per basis the pair (diag of L on it, coupling C on it): the block
-    there is diag - alpha * C.  Only these are cached; the two halves of
-    C that `_coupling_halves` assembles are dropped once the blocks are
-    formed.
+    there is diag - alpha * C.  Only these are cached; the columns of C
+    that `_coupling_columns` solves are dropped once the blocks are formed.
 
     The rotation by pi/2 maps the mode (a, b) to s (b, a), s = (-1)^a,
     and keeps the vortex's sense, so it commutes with C; its square is
@@ -259,34 +253,39 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     The -i vectors are the complex conjugates of the +i ones.  The +1 and
     -1 bases span the even half of the modes (a + b even), the +i basis
     the odd half.  C on a basis V is V^H C V; its entry (k, l) carries
-    the norm sqrt(w[k] w[l]), exactly 1/2 between two pairs.
+    the norm sqrt(w[k] w[l]), exactly 1/2 between two pairs.  Each p[k]
+    has a <= b, a solved column, and q[k] is its mirror (b, a): by the
+    reflection x <-> y, C[q, q] = -C[p, p] and C[p, q] = -C[q, p].
     """
-    modes, members, halves = _coupling_halves(basis_n, mean_zero, grid)
+    modes, solved, coupling = _coupling_columns(basis_n, mean_zero, grid)
     rows = tuple(np.array(modes).T)
     index = np.zeros((basis_n, basis_n), dtype=int)
     index[rows] = np.arange(len(modes))
-    local = np.empty(len(modes), dtype=int)     # a mode's place in its half
-    for member in members:
-        local[member] = np.arange(len(member))
     diag = -(rows[0] + rows[1]) / 2.0
     bases = _rotation_bases(rows, index)
     blocks = []
-    for (p, q, c, w), half in zip(bases, (halves[0], halves[0], halves[1])):
-        lp, lq = local[p], local[q]
-        adapted = (half[np.ix_(lp, lp)] + half[np.ix_(lp, lq)] * c
-                   + c.conj()[:, None] * (half[np.ix_(lq, lp)]
-                                          + half[np.ix_(lq, lq)] * c))
-        blocks.append((diag[p], np.sqrt(np.outer(w, w)) * adapted))
+    for p, q, c, w in bases:
+        at = np.searchsorted(solved, p)
+        cpp, cqp = coupling[np.ix_(p, at)], coupling[np.ix_(q, at)]
+        # cpp + (-cqp) c + conj(c) (cqp + (-cpp) c), operation for operation,
+        # formed in place and freeing the gathers early to keep the peak low
+        mirror = (-cpp) * c
+        mirror += cqp
+        adapted = np.negative(cqp, out=cqp) * c
+        adapted += cpp
+        del cpp, cqp
+        np.multiply(c.conj()[:, None], mirror, out=mirror)
+        adapted += mirror
+        np.multiply(np.sqrt(np.outer(w, w)), adapted, out=adapted)
+        blocks.append((diag[p], adapted))
     return modes, bases, tuple(blocks)
 
 
-def _coupling_halves(basis_n: int, mean_zero: bool, grid: Grid):
-    """The alpha-independent coupling matrix C in its two total-parity
-    halves: (modes, members, halves), where members[t] holds the numbers
-    of the modes (a, b) with a + b = t mod 2, in order, and halves[t] is
-    C restricted to them.  The rotation by pi, (-1)^(a+b), commutes with
-    C, so the entries between the halves are quadrature error; they are
-    not computed.
+def _coupling_columns(basis_n: int, mean_zero: bool, grid: Grid):
+    """The alpha-independent coupling matrix C on the columns it solves:
+    (modes, solved, C), where solved holds the numbers of the modes
+    (a, b) with a <= b, in order, and C[:, k] is the column of the mode
+    solved[k] on the rows of every mode.
 
     The reflection x -> -x maps the mode (a, b) to (-1)^a (a, b) and
     reverses the vortex, so it anticommutes with C, and so does y -> -y
@@ -294,75 +293,63 @@ def _coupling_halves(basis_n: int, mean_zero: bool, grid: Grid):
     (a, b) therefore lies on the rows of axis parity ((a + 1) % 2,
     (b + 1) % 2); elsewhere it holds only quadrature error (the grid has a
     node at -L/2 but none at +L/2), about 1.5e-17 of C's largest entry
-    at basis 16 and 32 on Grid(128, 40).
-    Two modes of the same total parity and opposite axis parities, (even,
+    at basis 16 and 32 on Grid(128, 40), and is left exactly zero.  Two
+    modes of the same total parity and opposite axis parities, (even,
     even) with (odd, odd) or (even, odd) with (odd, even), have their
     images on disjoint rows: one free-space solve and one projection of
     their summed field serve both, and each mode's column is the
-    projection on its own rows, exactly zero on the others.
+    projection on its own rows.
 
     The reflection x <-> y fixes the grid (both axes share its
     coordinates), G, the weight and every psi table; it maps the mode
     (a, b) to (b, a) and reverses the vortex.  So C[(c, d), (b, a)] =
-    -C[(d, c), (a, b)], and only the modes with a <= b are solved; each
-    column with a > b is filled from its partner.  The mode (0, 0) is G
-    itself: its velocity is the vortex profile, so it needs no solve.
+    -C[(d, c), (a, b)], and the columns with a > b are never formed.  The
+    mode (0, 0) is G itself: its velocity is the vortex profile, so it
+    needs no solve.
     """
     modes = [(a, b) for a in range(basis_n) for b in range(basis_n)]
     if mean_zero:
         modes = [mode for mode in modes if mode != (0, 0)]
-    members = [np.array([i for i, (a, b) in enumerate(modes)
-                         if (a + b) % 2 == t]) for t in (0, 1)]
-    local = {modes[i]: k for member in members for k, i in enumerate(member)}
-    # per axis parity (pa, pb): the places in its half of the modes with
-    # that parity, and their (c, d)
-    targets = {}
-    for pa in (0, 1):
-        for pb in (0, 1):
-            on = [(c, d) for c, d in modes if (c % 2, d % 2) == (pa, pb)]
-            targets[pa, pb] = (np.array([local[mode] for mode in on]),
-                               tuple(np.array(on).T))
-
+    c, d = np.array(modes).T
+    solved = np.flatnonzero(c <= d)
+    parity = c % 2, d % 2
     phi, psi = _hermite_tables(grid, basis_n + 1)
     xx, yy = grid.meshes()
     v = np.stack(velocity_profile(xx, yy))
     g = gaussian_profile(xx, yy)
     half_weight = np.exp((xx**2 + yy**2) / 8.0) * np.sqrt(4.0 * np.pi)
     grad_g = (-0.5 * xx * g, -0.5 * yy * g)
-    halves = [np.zeros((len(member), len(member))) for member in members]
+    coupling = np.zeros((len(modes), len(solved)))
     area = grid.cell_area
 
-    def solved(pa, pb):
-        return [(a, b) for a, b in modes
-                if a <= b and (a % 2, b % 2) == (pa, pb) and (a, b) != (0, 0)]
+    def columns(pa, pb):
+        # (column, mode) of the solved modes of axis parity (pa, pb)
+        return [(k, (a, b)) for k, (a, b) in enumerate(zip(c[solved], d[solved]))
+                if (a % 2, b % 2) == (pa, pb) and (a, b) != (0, 0)]
 
-    groups = [[mode for mode in pair if mode is not None]
+    groups = [[column for column in pair if column is not None]
               for first, second in (((0, 0), (1, 1)), ((0, 1), (1, 0)))
-              for pair in zip_longest(solved(*first), solved(*second))]
+              for pair in zip_longest(columns(*first), columns(*second))]
     if not mean_zero:
-        groups.append([(0, 0)])
+        groups.append([(0, (0, 0))])
     for group in groups:
-        field = sum(np.outer(phi[a], phi[b]) for a, b in group)
+        field = sum(np.outer(phi[a], phi[b]) for _, (a, b) in group)
         # grad of the basis functions: next-order factors
         dx = sum(np.sqrt((a + 1) / 2.0) * np.outer(phi[a + 1], phi[b])
-                 for a, b in group)
+                 for _, (a, b) in group)
         dy = sum(np.sqrt((b + 1) / 2.0) * np.outer(phi[a], phi[b + 1])
-                 for a, b in group)
+                 for _, (a, b) in group)
         # the (0, 0) mode's own velocity is the vortex profile; the coupling
         # term v . grad G vanishes pointwise by perpendicularity
-        vw = v if group == [(0, 0)] else velocity_free_space(
+        vw = v if group == [(0, (0, 0))] else velocity_free_space(
             ScalarField._owned(grid, field))
         coupled = v[0] * dx + v[1] * dy + vw[0] * grad_g[0] + vw[1] * grad_g[1]
         weighted = coupled * half_weight
         proj = psi @ weighted @ psi.T * area          # (basis_n+1)^2 block
-        for a, b in group:
-            half = halves[(a + b) % 2]
-            at, (c, d) = targets[(a + 1) % 2, (b + 1) % 2]
-            half[at, local[a, b]] = proj[c, d]
-            if a < b:
-                at, (c, d) = targets[(b + 1) % 2, (a + 1) % 2]
-                half[at, local[b, a]] = -proj[d, c]
-    return modes, members, halves
+        for k, (a, b) in group:
+            image = (parity[0] != a % 2) & (parity[1] != b % 2)
+            coupling[image, k] = proj[c[image], d[image]]
+    return modes, solved, coupling
 
 
 def _rotation_bases(rows, index):
@@ -390,9 +377,10 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True, *,
     only the alpha-coupling needs grid quadrature.  The coupling velocity
     of each basis function is its free-space Biot-Savart field.  The
     coupling does not depend on alpha and is cached.  Three symmetries
-    of the Hermite basis cut the assembly (see `_coupling_halves`): the
+    of the Hermite basis cut the assembly (see `_coupling_columns`): the
     reflection x <-> y maps the mode (a, b) to (b, a) and reverses the
-    vortex, so only the modes with a <= b are solved; and the reflections
+    vortex, so only the columns of the modes with a <= b are solved and
+    stored, and the blocks read the others from them; and the reflections
     x -> -x and y -> -y put the image of each mode on the rows of one axis
     parity, so one free-space solve and one projection serve two modes of
     opposite axis parities.
@@ -452,9 +440,7 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True, *,
     j_scal = int(np.argmin(np.abs(eigvals + 1.0)))
     labeled["scaling"] = complex(eigvals[j_scal])
 
-    return SpectrumReport(alpha=float(alpha), basis_n=basis_n,
-                          mean_zero=mean_zero,
-                          eigenvalues=tuple(eigvals.tolist()),
+    return SpectrumReport(alpha=float(alpha), eigenvalues=tuple(eigvals.tolist()),
                           labeled_modes=labeled)
 
 

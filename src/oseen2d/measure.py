@@ -142,8 +142,8 @@ def heat_smooth(mu: FiniteMeasure, t: float, grid: Grid) -> ScalarField:
     pointwise; the density part is smoothed spectrally by exp(-|k|^2 t).
     Every atom must clear the box margin (``require_margin``).
     """
-    if not (0 < t < np.inf):
-        raise DomainError(f"heat_smooth needs 0 < t < inf, got {t}")
+    if not (isinstance(t, numbers.Real) and 0 < t < np.inf):
+        raise DomainError(f"heat_smooth needs 0 < t < inf, got {t!r}")
     require_margin([z for z, _ in mu.atoms], t, grid)
     xx, yy = grid.meshes()
     vals = np.zeros((grid.n, grid.n))

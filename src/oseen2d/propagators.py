@@ -295,8 +295,8 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
     a vortex, its core sqrt(s) must span at least CORE_CELLS cells
     (DomainError otherwise); a ratio, so the rule has no scale of its own.
     """
-    if not (0 < s < t):
-        raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
+    if not (isinstance(s, numbers.Real) and isinstance(t, numbers.Real) and 0 < s < t):
+        raise DomainError(f"need 0 < s < t, got s={s!r}, t={t!r}")
     grid, vortices = f.grid, tuple(vortices)
     if vortices and np.sqrt(s) < CORE_CELLS * grid.h:
         raise DomainError(
@@ -323,8 +323,8 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
 
 def vortex_advection(grid: Grid, alpha: float):
     """alpha v on the grid as one (2, n, n) array, and its largest speed."""
-    if not np.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and np.isfinite(alpha)):
+        raise DomainError(f"alpha must be a finite number, got {alpha!r}")
     v = np.stack(velocity_profile(*grid.meshes()))
     return alpha * v, abs(alpha) * float(np.max(np.hypot(*v)))
 
@@ -338,10 +338,10 @@ def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
     Every step obeys the explicit-drift bound 4h/L and the CFL bound of
     ``advection_max`` plus the speed of the velocity the stage returns.
     """
-    if not 0 < tau_end < np.inf:
-        raise DomainError(f"tau_end must be positive and finite, got {tau_end}")
-    if not sample_every > 0:
-        raise DomainError(f"sample_every must be positive, got {sample_every}")
+    if not (isinstance(tau_end, numbers.Real) and 0 < tau_end < np.inf):
+        raise DomainError(f"tau_end must be positive and finite, got {tau_end!r}")
+    if not (isinstance(sample_every, numbers.Real) and sample_every > 0):
+        raise DomainError(f"sample_every must be positive, got {sample_every!r}")
     h, drift_bound = w0.grid.h, 4.0 * w0.grid.h / w0.grid.box_size
     largest = cfg.step(min(drift_bound, cfl_bound(h, advection_max)), np.inf)
     if sample_every < largest:

@@ -17,6 +17,8 @@ point and gradients satisfy grad S(tau) = e^{tau/2} S(tau) grad.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DomainError
@@ -29,8 +31,8 @@ def to_self_similar(omega: ScalarField, t: float, center) -> ScalarField:
     Resampling zero-extends beyond the box of omega, so wherever the
     evaluation points leave it, omega must be negligible at its boundary.
     """
-    if not (0 < t < np.inf):
-        raise DomainError(f"self-similar time must be positive and finite, got {t}")
+    if not (isinstance(t, numbers.Real) and 0 < t < np.inf):
+        raise DomainError(f"self-similar time must be positive and finite, got {t!r}")
     if not all(np.isfinite(center)):
         raise DomainError(f"self-similar center must be finite, got {center}")
     rt = np.sqrt(t)
@@ -73,8 +75,8 @@ def semigroup_apply(tau: float, f: ScalarField) -> ScalarField:
     there; a thinner one is under-sampled, so the dilation +
     exact-diffusion route, uniformly accurate down to tau = 0, takes it.
     """
-    if not (tau >= 0):
-        raise DomainError(f"semigroup time must be >= 0, got {tau}")
+    if not (isinstance(tau, numbers.Real) and tau >= 0):
+        raise DomainError(f"semigroup time must be >= 0, got {tau!r}")
     if tau == 0.0:
         return ScalarField(f.grid, f.values)
     require_boundary_decay(f, "semigroup_apply")

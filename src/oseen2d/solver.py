@@ -26,6 +26,7 @@ in ``propagators``.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import partial
@@ -203,8 +204,9 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
     of the total vorticity), ``l1_bound_ratio`` (total_l1 / |mu|, 0 for a
     zero measure) and ``circulation`` (the total circulation).
     """
-    if not (np.inf > t_end > t0 > 0):
-        raise DomainError(f"need 0 < t0 < t_end < inf, got t0={t0}, t_end={t_end}")
+    if not (isinstance(t0, numbers.Real) and isinstance(t_end, numbers.Real)
+            and np.inf > t_end > t0 > 0):
+        raise DomainError(f"need 0 < t0 < t_end < inf, got t0={t0!r}, t_end={t_end!r}")
     cfg = cfg or StepperConfig.courant()
     backgrounds, remainder, dec = initialize_from_measure(mu, epsilon, t0, grid)
     tv = total_variation(mu)

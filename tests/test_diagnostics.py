@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 from oseen2d import diagnostics, experiments
 from oseen2d.biot_savart import velocity_free_space
-from oseen2d.diagnostics import (_assemble_coupling, _coupling_halves, bump,
+from oseen2d.diagnostics import (_assemble_coupling, _coupling_columns, bump,
                                  eigenvalue_multiplicity,
                                  linearized_spectrum, localized_diffuse_series,
                                  partition_of_unity, remainder_norms,
@@ -339,24 +339,39 @@ def test_split_spectrum_matches_unsplit_oracle(spectrum_grid, mean_zero):
 
 @pytest.mark.parametrize("mean_zero", [True, False])
 def test_coupling_reflection_matches_per_mode_oracle(spectrum_grid, mean_zero):
-    # the columns with a > b are filled from their partners by the
-    # reflection x <-> y, and two modes share one solve: each column is the
-    # per-mode one up to the round-off of the paired free-space solve, on
-    # its own axis parity's rows; it is exactly zero on every other row
+    # only the columns with a <= b are stored, and two modes share one
+    # solve: each column is the per-mode one up to the round-off of the
+    # paired free-space solve, on its own axis parity's rows; it is
+    # exactly zero on every other row
     for basis_n in (16, 32):
-        modes, members, halves = _coupling_halves(basis_n, mean_zero,
-                                                  spectrum_grid)
-        expected = per_mode_coupling(basis_n, mean_zero, spectrum_grid)
-        coupling = np.zeros_like(expected)
-        for member, half in zip(members, halves):
-            coupling[np.ix_(member, member)] = half
+        modes, solved, coupling = _coupling_columns(basis_n, mean_zero,
+                                                    spectrum_grid)
         a, b = np.array(modes).T
-        same_total = (a + b)[:, None] % 2 == (a + b)[None, :] % 2
-        image_rows = (((a[:, None] - a[None, :]) % 2 == 1)
-                      & ((b[:, None] - b[None, :]) % 2 == 1))
-        assert (np.max(np.abs(coupling - expected)[same_total])
+        assert np.array_equal(solved, np.flatnonzero(a <= b))
+        expected = per_mode_coupling(basis_n, mean_zero, spectrum_grid)[:, solved]
+        assert coupling.shape == expected.shape
+        image_rows = (((a[:, None] - a[None, solved]) % 2 == 1)
+                      & ((b[:, None] - b[None, solved]) % 2 == 1))
+        assert (np.max(np.abs(coupling - expected)[image_rows])
                 <= 1e-15 * np.max(np.abs(expected)))
         assert not np.any(coupling[~image_rows])
+
+
+@pytest.mark.parametrize("mean_zero", [True, False])
+def test_per_mode_coupling_is_odd_under_the_diagonal_reflection(spectrum_grid,
+                                                                mean_zero):
+    # the reflection x <-> y maps the mode (a, b) to (b, a) and reverses
+    # the vortex: C[(c, d), (b, a)] = -C[(d, c), (a, b)].  The package forms
+    # no column with a > b and reads those entries through this identity,
+    # so it is checked on the oracle, which solves every column
+    for basis_n in (16, 32):
+        modes = [(a, b) for a in range(basis_n) for b in range(basis_n)
+                 if not (mean_zero and (a, b) == (0, 0))]
+        number = {mode: i for i, mode in enumerate(modes)}
+        mirror = np.array([number[b, a] for a, b in modes])
+        coupling = per_mode_coupling(basis_n, mean_zero, spectrum_grid)
+        assert (np.max(np.abs(coupling[np.ix_(mirror, mirror)] + coupling))
+                <= 1e-15 * np.max(np.abs(coupling)))
 
 
 @pytest.mark.parametrize("mean_zero", [True, False])
@@ -376,7 +391,7 @@ def test_coupling_pairs_solves_by_axis_parity(monkeypatch, mean_zero):
     for basis_n, solves in ((16, 72), (32, 272)):
         calls.clear()
         # uncached, so the count does not depend on which tests ran before
-        _coupling_halves(basis_n, mean_zero, Grid(64, 40.0))
+        _coupling_columns(basis_n, mean_zero, Grid(64, 40.0))
         assert len(calls) == solves
 
 

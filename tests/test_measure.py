@@ -247,12 +247,21 @@ def test_heat_smooth_margin(grid128):
         heat_smooth(mu, 0.0, grid128)
 
 
-@pytest.mark.parametrize("t", [np.inf, np.nan])
+@pytest.mark.parametrize("t", [np.inf, np.nan, "1.0", None, [1.0]])
 def test_heat_smooth_needs_a_finite_positive_time(grid128, t):
     # at t = inf the k = 0 factor exp(-0 * inf) is NaN: no field, an error
     mu = FiniteMeasure(density=blob(grid128, 1.0, (0.0, 0.0), 1.0))
     with pytest.raises(DomainError, match="0 < t < inf"):
         heat_smooth(mu, t, grid128)
+
+
+def test_heat_smooth_takes_ints_and_numpy_numbers():
+    grid = Grid(32, 20.0)
+    mu = FiniteMeasure(atoms=(((1.0, 0.0), 1.0),),
+                       density=blob(grid, 0.5, (0.0, 0.0), 1.0))
+    want = heat_smooth(mu, 1.0, grid).values
+    for t in (1, np.float64(1.0)):
+        assert np.array_equal(heat_smooth(mu, t, grid).values, want)
 
 
 def test_heat_smooth_density_grid_mismatch(grid128):

@@ -119,6 +119,21 @@ def test_propagate_no_vortices_is_heat(grid128):
     assert np.max(np.abs(out.values - want.values)) < 1e-10
 
 
+@pytest.mark.parametrize("s, t", [("0.5", 0.7), (0.5, "0.7"), (None, 0.7), (0.5, [0.7])])
+def test_propagate_sn_requires_numeric_times(s, t):
+    f = heat_kernel_field(Grid(32, 20.0), 0.5)
+    with pytest.raises(DomainError, match="s < t"):
+        propagate_SN([], f, s, t, StepperConfig.courant())
+
+
+def test_propagate_sn_takes_ints_and_numpy_numbers():
+    f = heat_kernel_field(Grid(32, 20.0), 1.0)
+    want = propagate_SN([OseenVortex(1.0)], f, 1.0, 2.0, StepperConfig.courant())
+    for s, t in ((1, 2), (np.float64(1.0), np.float64(2.0))):
+        got = propagate_SN([OseenVortex(1.0)], f, s, t, StepperConfig.courant())
+        assert np.array_equal(got.values, want.values)
+
+
 def test_propagate_mass_and_positivity(grid256):
     grid = grid256
     f = heat_smooth(FiniteMeasure.from_atoms(((1.0, 0.0), 1.0)),
@@ -319,7 +334,7 @@ def test_selfsim_stability_bound(grid128, gauss128):
         evolve_S1(0.0, gauss128, 0.1, StepperConfig.fixed(1.0))
 
 
-@pytest.mark.parametrize("tau_end", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tau_end", [np.nan, np.inf, 0.0, -1.0, "0.1", None, [0.1]])
 @pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
                                   solver.evolve_rescaled_perturbation])
 def test_rescaled_flows_reject_bad_tau_end(flow, tau_end):
@@ -348,7 +363,7 @@ def _no_step(*args, **kwargs):
     raise AssertionError("a step was taken before the inputs were checked")
 
 
-@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, "1.0", None, [1.0]])
 @pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
                                   solver.evolve_rescaled_perturbation])
 def test_rescaled_flows_reject_nonfinite_alpha(flow, alpha, monkeypatch):
@@ -357,6 +372,31 @@ def test_rescaled_flows_reject_nonfinite_alpha(flow, alpha, monkeypatch):
     monkeypatch.setattr(propagators, "lawson_step", _no_step)
     with pytest.raises(DomainError, match="alpha"):
         flow(alpha, w0, 0.1, StepperConfig.fixed(5e-3))
+
+
+@pytest.mark.parametrize("sample_every", [0.0, -1.0, np.nan, "0.05", None, [0.05]])
+@pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
+                                  solver.evolve_rescaled_perturbation])
+def test_rescaled_flows_reject_bad_sample_spacing(flow, sample_every, monkeypatch):
+    grid = Grid(32, 40.0)
+    w0 = 0.1 * heat_kernel_field(grid, 1.0)
+    monkeypatch.setattr(propagators, "lawson_step", _no_step)
+    with pytest.raises(DomainError, match="sample_every"):
+        flow(1.0, w0, 0.1, StepperConfig.fixed(5e-3), sample_every=sample_every)
+
+
+@pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
+                                  solver.evolve_rescaled_perturbation])
+def test_rescaled_flows_take_ints_and_numpy_numbers(flow):
+    # bit for bit the run of the same floats
+    grid = Grid(64, 40.0)
+    w0 = 0.1 * heat_kernel_field(grid, 1.0)
+    cfg = StepperConfig.fixed(0.05)
+    want = flow(1.0, w0, 1.0, cfg, sample_every=1.0)
+    for number in (int, np.float64):
+        got = flow(number(1), w0, number(1), cfg, sample_every=number(1))
+        assert got.times == want.times
+        assert np.array_equal(got.final.values, want.final.values)
 
 
 def test_evolve_s1_samples_at_stop_times(gauss128):

@@ -15,7 +15,7 @@ from oseen2d.selfsim import (commutation_residual, semigroup_apply,
 from oracles import apply_fokker_planck
 
 
-@pytest.mark.parametrize("t", [0.0, np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("t", [0.0, np.nan, np.inf, -1.0, "1.0", None, [1.0]])
 def test_to_self_similar_rejects_bad_time(t, gauss128):
     with pytest.raises(DomainError, match="time"):
         to_self_similar(gauss128, t, (0.0, 0.0))
@@ -25,6 +25,21 @@ def test_to_self_similar_rejects_nonfinite_center(gauss128):
     for center in ((np.nan, 0.0), (0.0, np.inf)):
         with pytest.raises(DomainError, match="center"):
             to_self_similar(gauss128, 1.0, center)
+
+
+@pytest.mark.parametrize("tau", [-1.0, np.nan, "1.0", None, [1.0]])
+def test_semigroup_rejects_bad_time(tau, gauss128):
+    with pytest.raises(DomainError, match="semigroup time"):
+        semigroup_apply(tau, gauss128)
+
+
+def test_self_similar_and_semigroup_take_ints_and_numpy_numbers(gauss128):
+    want = to_self_similar(gauss128, 2.0, (0.5, 0.0)).values
+    for t in (2, np.float64(2.0)):
+        assert np.array_equal(to_self_similar(gauss128, t, (0.5, 0.0)).values, want)
+    want = semigroup_apply(1.0, gauss128).values
+    for tau in (1, np.float64(1.0)):
+        assert np.array_equal(semigroup_apply(tau, gauss128).values, want)
 
 
 def test_to_self_similar_inverts_oseen(grid128, gauss128):

@@ -372,6 +372,25 @@ def test_solve_cauchy_under_resolved_start_is_a_domain_error():
         solve_cauchy(mu, 0.1, 0.05, 0.1, Grid(64, 40.0))
 
 
+@pytest.mark.parametrize("t0, t_end", [("0.5", 1.0), (0.5, "1.0"), (None, 1.0),
+                                       (0.5, [1.0])])
+def test_solve_cauchy_requires_numeric_times(t0, t_end):
+    mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
+    with pytest.raises(DomainError, match="t0 < t_end"):
+        solve_cauchy(mu, 0.1, t0, t_end, Grid(32, 20.0))
+
+
+def test_solve_cauchy_takes_ints_and_numpy_numbers():
+    mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0), ((3.0, 0.0), 0.01))
+    want = solve_cauchy(mu, 0.1, 1.0, 2.0, Grid(32, 20.0))
+    for t0, t_end in ((1, 2), (np.float64(1.0), np.float64(2.0))):
+        got = solve_cauchy(mu, 0.1, t0, t_end, Grid(32, 20.0))
+        assert got.trajectory.times == want.trajectory.times
+        assert got.series == want.series
+        assert all(np.array_equal(a.values, b.values) for a, b in
+                   zip(got.trajectory.fields, want.trajectory.fields))
+
+
 def test_solve_cauchy_later_l1_violation_is_not_a_domain_error():
     # the ratio is 1 + 6e-13 at t0 and 1 + 8e-5 at the next snapshot
     mu = FiniteMeasure.from_atoms(((-2.0, 0.0), 1.0), ((2.0, 0.0), 1.0))
