@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CirculationError, DomainError
+from .errors import CirculationError, DomainError, real
 from .field import (BOUNDARY_DECAY_TOL, Grid, ScalarField, _deriv_wavenumbers,
                     _irfft2, _ksq, _rfft2, lp_norm, require_boundary_decay)
 
@@ -155,8 +155,7 @@ def hls_ratio(omega: ScalarField, p: float) -> float:
     amplitude.  Boundedness of this ratio over a field family is the
     checkable content of the velocity-from-vorticity L^p inequality.
     """
-    if not (1.0 < p < 2.0):
-        raise DomainError(f"hls_ratio needs p in (1, 2), got {p}")
+    real("p", p, 1, 2)
     denom = lp_norm(omega, p)
     if denom == 0.0:
         raise DomainError("hls_ratio needs a nonzero field")

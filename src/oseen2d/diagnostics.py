@@ -11,8 +11,6 @@ for the exact per-vortex splitting, which a grid solver cannot observe.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
@@ -20,7 +18,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .biot_savart import velocity_free_space
-from .errors import ConvergenceError, DomainError, MismatchError
+from .errors import ConvergenceError, DomainError, MismatchError, point, real
 from .field import Grid, ScalarField, lp_norm, weighted_norm
 from .measure import FiniteMeasure, heat_smooth
 from .oseen import gaussian_profile, velocity_profile
@@ -172,8 +170,9 @@ def localized_diffuse_series(mu0: FiniteMeasure, z, t_values, p: float,
     t -> 0 whenever the measure carries no atom at z.  Rows are
     (t, vorticity norm, velocity norm).
     """
-    if not (q > 2):
-        raise DomainError(f"velocity exponent must be > 2, got {q}")
+    real("p", p, 1, np.inf, ends="[]")
+    real("q", q, 2, np.inf, ends="(]")
+    point("z", z)
     xx, yy = grid.meshes()
     rows = []
     for t in t_values:
@@ -401,12 +400,10 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True, *,
     than 0.99 of its norm on that vector, the block's eigenvalue nearest
     -1/2 is the translation mode.
     """
-    if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be a finite number, got {alpha!r}")
-    if not isinstance(basis_n, numbers.Integral):
-        raise DomainError(f"basis_n must be an integer, got {basis_n!r}")
-    if basis_n < MIN_BASIS:
-        raise DomainError(f"basis_n must be >= {MIN_BASIS}, got {basis_n}")
+    real("alpha", alpha)
+    real("basis_n", basis_n, MIN_BASIS, np.inf, ends="[)", integer=True)
+    if not isinstance(grid, Grid):
+        raise DomainError(f"grid must be a Grid, got {grid!r}")
     # imported here: only the eigen-solve needs scipy, and loading
     # scipy.linalg costs ~0.25 s, the only scipy import the package makes
     import scipy.linalg

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all oseen2d modules."""
+"""Exception hierarchy shared by all oseen2d modules (every public entry
+raises only Oseen2dError on bad input), and ``real``, the one check of a
+number, whose DomainError names the parameter, its interval and the value."""
+
+import math
+import numbers
 
 
 class Oseen2dError(Exception):
@@ -35,3 +40,30 @@ class MismatchError(Oseen2dError):
 
 class ConvergenceError(Oseen2dError):
     """An iterative numerical procedure failed to converge."""
+
+
+def real(name: str, value, low=-math.inf, high=math.inf, *, ends: str = "()",
+         integer: bool = False):
+    """``value`` unchanged if it is an int, float or numpy number (an integer
+    if ``integer``; not a bool) in the interval from ``low`` to ``high`` with
+    the brackets ``ends``: "()", "[]", "[)" or "(]".  DomainError otherwise."""
+    if (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)
+            and (low <= value if ends[0] == "[" else low < value)
+            and (value <= high if ends[1] == "]" else value < high)):
+        return value
+    kind = "an integer" if integer else "a real number"
+    raise DomainError(f"{name} must be {kind} in {ends[0]}{low}, {high}{ends[1]}, "
+                      f"got {value!r}")
+
+
+def point(name: str, value):
+    """``value`` unchanged if it is a pair (x, y) of finite numbers, else DomainError."""
+    try:
+        x, y = value
+        real(name, x)
+        real(name, y)
+    except (TypeError, ValueError):             # DomainError is a ValueError
+        raise DomainError(
+            f"{name} must be a pair of finite numbers (x, y), got {value!r}") from None
+    return value

@@ -21,10 +21,11 @@ from functools import partial
 import numpy as np
 
 from .biot_savart import hls_ratio, velocity_free_space
-from .diagnostics import (ContractionSeries, eigenvalue_multiplicity,
+from .diagnostics import (MIN_BASIS, ContractionSeries, eigenvalue_multiplicity,
                           linearized_spectrum, localized_diffuse_series,
                           remainder_norms, solution_distance,
                           total_l1_difference)
+from .errors import real
 from .field import (Grid, ScalarField, divergence_local, gradient, lp_norm,
                     max_speed, project_mean_zero)
 from .measure import FiniteMeasure, heat_smooth, measure_hash, total_variation
@@ -39,7 +40,7 @@ from .solver import (SolverRun, evolve_rescaled_perturbation, solve_cauchy,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Pinned defaults shared by every experiment."""
+    """Pinned defaults shared by every experiment, each checked on creation."""
 
     grid_n: int = 256
     box_l: float = 40.0
@@ -51,6 +52,17 @@ class ExperimentConfig:
     m: float = 3.0
     seed: int = DEFAULT_SEED
     basis: int = 32
+
+    def __post_init__(self):
+        self.grid()
+        real("t_end", self.t_end, real("t0", self.t0, 0, np.inf), np.inf)
+        StepperConfig(self.dt)
+        real("alpha", self.alpha)
+        if self.epsilon is not None:
+            real("epsilon", self.epsilon, 0, np.inf)
+        real("m", self.m, 0, np.inf, ends="[)")
+        real("seed", self.seed, 0, np.inf, ends="[)", integer=True)
+        real("basis", self.basis, MIN_BASIS, np.inf, ends="[)", integer=True)
 
     def grid(self) -> Grid:
         return Grid(self.grid_n, self.box_l)

@@ -14,14 +14,13 @@ its x and y components.
 
 from __future__ import annotations
 
-import numbers
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, MarginError, MismatchError
+from .errors import DomainError, MarginError, MismatchError, point, real
 
 FIELD_MAGIC = b"FLD2"
 _FIELD_HEADER = struct.Struct("<4sqd")       # magic, n, L
@@ -39,10 +38,9 @@ class Grid:
     box_size: float
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 16 or self.n % 2:
-            raise DomainError(f"grid size must be an even integer >= 16, got {self.n!r}")
-        if not (isinstance(self.box_size, numbers.Real) and 0 < self.box_size < np.inf):
-            raise DomainError(f"box size must be finite and > 0, got {self.box_size!r}")
+        if real("n", self.n, 16, np.inf, ends="[)", integer=True) % 2:
+            raise DomainError(f"n must be even, got {self.n!r}")
+        real("box_size", self.box_size, 0, np.inf)
 
     @property
     def h(self) -> float:
@@ -99,6 +97,10 @@ class ScalarField:
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
 
+    def __reduce__(self):
+        # through the copying constructor: __setattr__ blocks a slot restore
+        return ScalarField, (self.grid, self.values)
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -113,7 +115,7 @@ class ScalarField:
         if isinstance(c, ScalarField):
             self._check_same_grid(c)
             return ScalarField(self.grid, self.values * c.values)
-        return ScalarField(self.grid, self.values * float(c))
+        return ScalarField(self.grid, self.values * real("c", c))
 
     __rmul__ = __mul__
 
@@ -147,10 +149,8 @@ def max_speed(u: np.ndarray) -> float:
 
 def lp_norm(f: ScalarField, p: float) -> float:
     """L^p norm by rectangle-rule quadrature; grid max for p = inf."""
-    if p == np.inf:
+    if real("p", p, 1, np.inf, ends="[]") == np.inf:
         return float(np.max(np.abs(f.values)))
-    if not (p >= 1):
-        raise DomainError(f"lp_norm needs p >= 1, got {p}")
     a = np.abs(f.values)
     return float((np.sum(a**p) * f.grid.cell_area) ** (1.0 / p))
 
@@ -163,11 +163,8 @@ def _weight_grid(grid: Grid, m: float) -> np.ndarray:
 
 def weighted_norm(f: ScalarField, q: float, m: float) -> float:
     """Norm of (1+|x|^2)^(m/2) f in L^q, weight on unwrapped coordinates."""
-    if not (q >= 1):
-        raise DomainError(f"weighted_norm needs q >= 1, got {q}")
-    if not (m >= 0):
-        raise DomainError(f"weighted_norm needs m >= 0, got {m}")
-    if m == 0:
+    real("q", q, 1, np.inf, ends="[]")
+    if real("m", m, 0, np.inf, ends="[)") == 0:
         return lp_norm(f, q)
     w = _weight_grid(f.grid, m)
     return lp_norm(ScalarField(f.grid, w * f.values), q)
@@ -305,6 +302,8 @@ def resample_affine(f: ScalarField, scale: float,
     Returns g with g(x) = f(scale * x + center), sampled on the grid of f,
     zero beyond the box of f.
     """
+    real("scale", scale)
+    point("center", center)
     x = f.grid.coords()
     Dx = _interp_matrix(f.grid, scale * x + center[0])
     Dy = _interp_matrix(f.grid, scale * x + center[1])
@@ -313,6 +312,7 @@ def resample_affine(f: ScalarField, scale: float,
 
 def require_boundary_decay(f: ScalarField, what: str, tol: float = BOUNDARY_DECAY_TOL):
     """MarginError unless |f| at the box boundary is below tol * max|f|."""
+    real("tol", tol, 0, np.inf, ends="[]")
     peak = float(np.max(np.abs(f.values)))
     if peak == 0.0:
         return

@@ -11,12 +11,11 @@ can resolve and should simply be folded into the density part or dropped.
 from __future__ import annotations
 
 import hashlib
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MarginError, MismatchError
+from .errors import DomainError, MarginError, MismatchError, point, real
 from .field import Grid, ScalarField, _fft2, _ifft2, _ksq, lp_norm
 
 Point = tuple[float, float]
@@ -27,14 +26,13 @@ def _canonical_atoms(atoms) -> tuple[tuple[Point, float], ...]:
     cleaned = []
     for atom in atoms:
         try:
-            (x, y), mass = atom
-            x, y, mass = float(x), float(y), float(mass)
+            position, mass = atom
         except (TypeError, ValueError):
             raise DomainError(f"an atom is ((x, y), mass), got {atom!r}") from None
-        if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(mass)):
-            raise DomainError("atom positions and masses must be finite")
+        x, y = point("atom position", position)
+        mass = float(real("atom mass", mass))
         if mass != 0.0:
-            cleaned.append(((x, y), mass))
+            cleaned.append(((float(x), float(y)), mass))
     cleaned.sort(key=lambda a: (-abs(a[1]), a[0]))
     positions = [a[0] for a in cleaned]
     if len(set(positions)) != len(positions):
@@ -104,8 +102,7 @@ def decompose(mu: FiniteMeasure, epsilon: float) -> AtomicDecomposition:
     sums it, is at most epsilon.  The greedy prefix rule is a deterministic
     choice among the many admissible splits.
     """
-    if not (isinstance(epsilon, numbers.Real) and epsilon > 0):
-        raise DomainError(f"decompose needs epsilon > 0, got {epsilon!r}")
+    real("epsilon", epsilon, 0, np.inf, ends="(]")
     masses = [abs(m) for _, m in mu.atoms]
     k = next(k for k in range(len(masses) + 1) if sum(masses[k:]) <= epsilon)
     retained = tuple((m, pos) for pos, m in mu.atoms[:k])
@@ -125,8 +122,8 @@ def decompose(mu: FiniteMeasure, epsilon: float) -> AtomicDecomposition:
 def require_margin(points, t: float, grid: Grid):
     """The one box-margin rule: MarginError unless every atom position sits
     at least 6 sqrt(t) inside the box, where its Gaussian at time t is
-    negligible at the boundary."""
-    margin = 6.0 * np.sqrt(t)
+    negligible at the boundary; DomainError unless 0 < t < inf."""
+    margin = 6.0 * np.sqrt(real("t", t, 0, np.inf))
     half = 0.5 * grid.box_size
     for zx, zy in points:
         if half - abs(zx) < margin or half - abs(zy) < margin:
@@ -140,10 +137,8 @@ def heat_smooth(mu: FiniteMeasure, t: float, grid: Grid) -> ScalarField:
 
     Atoms become Gaussians (4 pi t)^-1 exp(-|x-z|^2/(4t)) evaluated
     pointwise; the density part is smoothed spectrally by exp(-|k|^2 t).
-    Every atom must clear the box margin (``require_margin``).
+    Every atom must clear the box margin (``require_margin``, which checks t).
     """
-    if not (isinstance(t, numbers.Real) and 0 < t < np.inf):
-        raise DomainError(f"heat_smooth needs 0 < t < inf, got {t!r}")
     require_margin([z for z, _ in mu.atoms], t, grid)
     xx, yy = grid.meshes()
     vals = np.zeros((grid.n, grid.n))

@@ -15,12 +15,11 @@ vorticity gradient.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, point, real
 from .field import Grid, ScalarField
 
 # |xi| below which the velocity profile switches to its power series.
@@ -36,12 +35,11 @@ class OseenVortex:
     z: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        z = self.z
-        if not (isinstance(z, tuple) and len(z) == 2
-                and all(isinstance(c, numbers.Real) and np.isfinite(c) for c in z)):
-            raise DomainError(f"vortex center must be a pair of finite numbers, got {z!r}")
-        if not (isinstance(self.alpha, numbers.Real) and np.isfinite(self.alpha)):
-            raise DomainError(f"vortex circulation must be finite, got {self.alpha!r}")
+        if not isinstance(self.z, tuple):       # a cache key of background_fields
+            raise DomainError(
+                f"z must be a pair of finite numbers in a tuple, got {self.z!r}")
+        point("z", self.z)
+        real("alpha", self.alpha)
 
 
 def gaussian_profile(x1, x2):
@@ -82,19 +80,15 @@ VELOCITY_PROFILE_MAX = 0.0507841687885389  # max |v| of the unit profile, at |xi
 
 
 def oseen_vorticity(v: OseenVortex, t: float, x1, x2):
-    """Pointwise vorticity alpha/t G((x-z)/sqrt(t))."""
-    if not (t > 0):
-        raise DomainError(f"Oseen fields need t > 0, got {t}")
-    rt = np.sqrt(t)
+    """Pointwise vorticity alpha/t G((x-z)/sqrt(t)) at a time 0 < t < inf."""
+    rt = np.sqrt(real("t", t, 0, np.inf))
     return (v.alpha / t) * gaussian_profile((np.asarray(x1) - v.z[0]) / rt,
                                             (np.asarray(x2) - v.z[1]) / rt)
 
 
 def oseen_velocity(v: OseenVortex, t: float, x1, x2):
-    """Pointwise velocity alpha/sqrt(t) v((x-z)/sqrt(t))."""
-    if not (t > 0):
-        raise DomainError(f"Oseen fields need t > 0, got {t}")
-    rt = np.sqrt(t)
+    """Pointwise velocity alpha/sqrt(t) v((x-z)/sqrt(t)) at a time 0 < t < inf."""
+    rt = np.sqrt(real("t", t, 0, np.inf))
     u1, u2 = velocity_profile((np.asarray(x1) - v.z[0]) / rt,
                               (np.asarray(x2) - v.z[1]) / rt)
     return (v.alpha / rt) * u1, (v.alpha / rt) * u2
@@ -111,5 +105,5 @@ def oseen_fields(v: OseenVortex, t: float, grid: Grid) -> tuple[ScalarField, np.
 
 
 def oseen_max_speed(v: OseenVortex, t: float) -> float:
-    """Exact maximum |u| of the vortex at time t."""
-    return abs(v.alpha) / np.sqrt(t) * VELOCITY_PROFILE_MAX
+    """Exact maximum |u| of the vortex at a time 0 < t < inf."""
+    return abs(v.alpha) / np.sqrt(real("t", t, 0, np.inf)) * VELOCITY_PROFILE_MAX

@@ -33,7 +33,6 @@ the state is bit-exactly conserved.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -41,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .biot_savart import velocity_free_space
-from .errors import DegenerateError, DomainError, StabilityError
+from .errors import DegenerateError, DomainError, StabilityError, point, real
 from .field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
                     _irfft2, _ksq, _rfft2, lp_norm, max_speed, weighted_norm)
 from .oseen import (EXP_UNDERFLOW, OseenVortex, gaussian_profile, oseen_max_speed,
@@ -57,9 +56,8 @@ class StepperConfig:
     dt: float | None = None
 
     def __post_init__(self):
-        if self.dt is not None and not (isinstance(self.dt, numbers.Real)
-                                        and 0 < self.dt < np.inf):
-            raise DomainError(f"dt must be positive and finite, got {self.dt!r}")
+        if self.dt is not None:
+            real("dt", self.dt, 0, np.inf)
 
     @staticmethod
     def fixed(dt: float) -> "StepperConfig":
@@ -295,8 +293,7 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
     a vortex, its core sqrt(s) must span at least CORE_CELLS cells
     (DomainError otherwise); a ratio, so the rule has no scale of its own.
     """
-    if not (isinstance(s, numbers.Real) and isinstance(t, numbers.Real) and 0 < s < t):
-        raise DomainError(f"need 0 < s < t, got s={s!r}, t={t!r}")
+    real("t", t, real("s", s, 0, np.inf), np.inf)
     grid, vortices = f.grid, tuple(vortices)
     if vortices and np.sqrt(s) < CORE_CELLS * grid.h:
         raise DomainError(
@@ -323,8 +320,7 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
 
 def vortex_advection(grid: Grid, alpha: float):
     """alpha v on the grid as one (2, n, n) array, and its largest speed."""
-    if not (isinstance(alpha, numbers.Real) and np.isfinite(alpha)):
-        raise DomainError(f"alpha must be a finite number, got {alpha!r}")
+    real("alpha", alpha)
     v = np.stack(velocity_profile(*grid.meshes()))
     return alpha * v, abs(alpha) * float(np.max(np.hypot(*v)))
 
@@ -333,20 +329,18 @@ def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
                     stage: Stage, advection_max: float,
                     sample_every: float) -> Trajectory:
     """March a rescaled flow d w/d tau = L w - div F(w), sampled at the stop
-    times k * sample_every and at tau_end.
+    times k * sample_every (at least the largest step apart) and at tau_end.
 
     Every step obeys the explicit-drift bound 4h/L and the CFL bound of
     ``advection_max`` plus the speed of the velocity the stage returns.
     """
-    if not (isinstance(tau_end, numbers.Real) and 0 < tau_end < np.inf):
-        raise DomainError(f"tau_end must be positive and finite, got {tau_end!r}")
-    if not (isinstance(sample_every, numbers.Real) and sample_every > 0):
-        raise DomainError(f"sample_every must be positive, got {sample_every!r}")
+    real("tau_end", tau_end, 0, np.inf)
     h, drift_bound = w0.grid.h, 4.0 * w0.grid.h / w0.grid.box_size
     largest = cfg.step(min(drift_bound, cfl_bound(h, advection_max)), np.inf)
-    if sample_every < largest:
-        raise DomainError(f"sample_every={sample_every} is shorter than the flow's "
-                          f"largest step {largest:.3g}: sample at least one step apart")
+    real("sample_every", sample_every, largest, np.inf, ends="[]")
+    # a frame of 8 n^2 bytes per sample: at most 2 GiB, before any stop is built
+    real("tau_end/sample_every", tau_end / sample_every, 0, 2**28 / w0.grid.n**2,
+         ends="[]")
 
     def pick_dt(speed, room):
         return cfg.step(min(drift_bound, cfl_bound(h, advection_max + speed)), room)
@@ -409,7 +403,7 @@ def fit_decay(trajectory: Trajectory, norm, tau_window: tuple[float, float]) -> 
     weighted norm.  Requires at least 5 samples in the window and norms
     above the noise floor.
     """
-    lo, hi = tau_window
+    lo, hi = point("tau_window", tau_window)
     times = np.asarray(trajectory.times)
     mask = (times >= lo - 1e-12) & (times <= hi + 1e-12)
     if int(mask.sum()) < 5:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import real
 from .field import Grid, ScalarField, _ifft2
 
 DEFAULT_SEED = 42
@@ -23,7 +24,8 @@ DEFAULT_SEED = 42
 
 def generator(seed: int = DEFAULT_SEED) -> np.random.Generator:
     """Counter-based PRNG used for every random draw in the package."""
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(
+        real("seed", seed, 0, np.inf, ends="[)", integer=True)))
 
 
 def band_limited_field(grid: Grid, seed: int = DEFAULT_SEED, band: int = 8,
@@ -32,10 +34,11 @@ def band_limited_field(grid: Grid, seed: int = DEFAULT_SEED, band: int = 8,
 
     Coefficients are drawn in a fixed traversal order (all mode pairs of the
     half-spectrum, real then imaginary part), so the field is a pure function
-    of (grid, seed, band).
+    of (grid, seed, band), for a band below the Nyquist mode n/2.
     """
     rng = generator(seed)
     n = grid.n
+    real("band", band, 0, n // 2, ends="[)", integer=True)
     spec = np.zeros((n, n), dtype=complex)
     for mx in range(-band, band + 1):
         for my in range(-band, band + 1):

@@ -17,11 +17,9 @@ point and gradients satisfy grad S(tau) = e^{tau/2} S(tau) grad.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .errors import DomainError
+from .errors import point, real
 from .field import (ScalarField, _fft2, _ifft2, _ksq, gradient,
                     require_boundary_decay, resample_affine)
 
@@ -31,13 +29,10 @@ def to_self_similar(omega: ScalarField, t: float, center) -> ScalarField:
     Resampling zero-extends beyond the box of omega, so wherever the
     evaluation points leave it, omega must be negligible at its boundary.
     """
-    if not (isinstance(t, numbers.Real) and 0 < t < np.inf):
-        raise DomainError(f"self-similar time must be positive and finite, got {t!r}")
-    if not all(np.isfinite(center)):
-        raise DomainError(f"self-similar center must be finite, got {center}")
-    rt = np.sqrt(t)
+    rt = np.sqrt(real("t", t, 0, np.inf))
+    cx, cy = point("center", center)
     half = 0.5 * omega.grid.box_size
-    if rt * half + max(abs(center[0]), abs(center[1])) > half:
+    if rt * half + max(abs(cx), abs(cy)) > half:
         require_boundary_decay(omega, "to_self_similar")
     return t * resample_affine(omega, rt, center)
 
@@ -75,9 +70,7 @@ def semigroup_apply(tau: float, f: ScalarField) -> ScalarField:
     there; a thinner one is under-sampled, so the dilation +
     exact-diffusion route, uniformly accurate down to tau = 0, takes it.
     """
-    if not (isinstance(tau, numbers.Real) and tau >= 0):
-        raise DomainError(f"semigroup time must be >= 0, got {tau!r}")
-    if tau == 0.0:
+    if real("tau", tau, 0, np.inf, ends="[]") == 0.0:
         return ScalarField(f.grid, f.values)
     require_boundary_decay(f, "semigroup_apply")
     if np.sqrt(-np.expm1(-tau)) < f.grid.h:

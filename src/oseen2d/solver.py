@@ -26,7 +26,6 @@ in ``propagators``.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import partial
@@ -35,7 +34,7 @@ import numpy as np
 
 from .biot_savart import (circulation_is_negligible, velocity_free_space,
                           velocity_periodic)
-from .errors import DomainError, Oseen2dError
+from .errors import DomainError, Oseen2dError, real
 from .field import Grid, ScalarField, lp_norm, require_boundary_decay
 from .measure import (AtomicDecomposition, FiniteMeasure, decompose,
                       heat_smooth, require_margin, total_variation)
@@ -65,18 +64,16 @@ def initialize_from_measure(mu: FiniteMeasure, epsilon: float, t0: float, grid: 
     """Decompose mu into its fixed backgrounds and the remainder at t0.
 
     Retained atoms start as exact vortex backgrounds with zero remainder
-    share, each clear of the box margin (``measure.require_margin``); the
-    rest of the measure enters as its heat evolution at t0.
+    share, each clear of the box margin (``measure.require_margin``, which
+    checks t0); the rest of the measure enters as its heat evolution at t0.
     """
-    if not (t0 > 0):
-        raise DomainError(f"t0 must be positive, got {t0}")
     dec = decompose(mu, epsilon)
+    require_margin([z for _, z in dec.retained], t0, grid)
     if np.isfinite(dec.d) and t0 > dec.d**2 / 100.0:
         warnings.warn(
             f"t0={t0} is large relative to the vortex separation "
             f"(d^2/100 = {dec.d**2 / 100.0:.3g}); backgrounds interact strongly",
             stacklevel=2)
-    require_margin([z for _, z in dec.retained], t0, grid)
     remainder_measure = dec.remainder
     if remainder_measure.atoms or remainder_measure.density is not None:
         remainder = heat_smooth(remainder_measure, t0, grid)
@@ -176,8 +173,9 @@ class SolverRun:
 
 def snapshot_schedule(t0: float, t_end: float, per_decade: int) -> list[float]:
     """Geometric snapshot times (uniform in log t), endpoint included."""
-    count = max(1, int(np.ceil(per_decade * np.log10(t_end / t0))))
-    times = [t0 * (t_end / t0) ** (k / count) for k in range(1, count + 1)]
+    ratio = real("t_end/t0", t_end / t0, 1, np.inf)     # the count is log(ratio)
+    count = max(1, int(np.ceil(per_decade * np.log10(ratio))))
+    times = [t0 * ratio ** (k / count) for k in range(1, count + 1)]
     times[-1] = t_end
     return times
 
@@ -204,9 +202,8 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
     of the total vorticity), ``l1_bound_ratio`` (total_l1 / |mu|, 0 for a
     zero measure) and ``circulation`` (the total circulation).
     """
-    if not (isinstance(t0, numbers.Real) and isinstance(t_end, numbers.Real)
-            and np.inf > t_end > t0 > 0):
-        raise DomainError(f"need 0 < t0 < t_end < inf, got t0={t0!r}, t_end={t_end!r}")
+    real("t_end", t_end, real("t0", t0, 0, np.inf), np.inf)
+    real("l1_check_tol", l1_check_tol, 0, np.inf, ends="[]")
     cfg = cfg or StepperConfig.courant()
     backgrounds, remainder, dec = initialize_from_measure(mu, epsilon, t0, grid)
     tv = total_variation(mu)

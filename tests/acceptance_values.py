@@ -9,6 +9,8 @@ paths ``PARENT`` and ``CHANGE``) give bit-identical acceptance values when
          <(cd $CHANGE && python3 tests/acceptance_values.py)
 
 prints nothing.  It takes about as long as the acceptance suite.
+``tests/acceptance_baseline.txt`` is this listing, committed; the
+acceptance tests compare their values against it as ``--compare`` does.
 
 With ``--compare FILE`` it reads a saved listing instead, reruns, and
 prints ``criterion before after`` for each value that moved by more than

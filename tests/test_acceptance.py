@@ -2,18 +2,29 @@
 
 Each test runs the same experiment code the CLI exposes, prints one
 ``PASS|FAIL <criterion> <measured> <threshold>`` line per assertion, and
-fails if any assertion fails.  Reference resolution is n = 256, L = 40
+fails if any assertion fails, or if a measured value moved from its line
+in ``acceptance_baseline.txt`` by more than 1e-11 * max(1, |baseline|)
+(``acceptance_values.moved``).  Reference resolution is n = 256, L = 40
 unless an experiment pins its own (stated in the experiment docstring).
-The last test checks the shape of every experiment's artifacts.
+The last tests check the shape of every experiment's artifacts and that a
+moved value fails.
 """
 
 import functools
 import re
-from pathlib import PurePosixPath
+import sys
+from pathlib import Path, PurePosixPath
 
+import pytest
+
+from acceptance_values import matching, moved, read_listing
 from oseen2d import experiments as ex
 
 CFG = ex.ExperimentConfig()
+# the listing of tests/acceptance_values.py at the commit that last moved a
+# value on purpose (OPENBLAS_NUM_THREADS=1)
+with open(Path(__file__).with_name("acceptance_baseline.txt")) as _fh:
+    BASELINE = read_listing(_fh)
 
 
 @functools.lru_cache(maxsize=None)
@@ -31,6 +42,9 @@ def check(name, prefix):
         print(record.line())
     bad = [r for r in selected if not r.passed]
     assert not bad, "failed: " + "; ".join(r.line() for r in bad)
+    values = [(r.criterion, float(r.measured)) for r in selected]
+    drift = moved(matching(BASELINE, values), values)
+    assert not drift, "moved from acceptance_baseline.txt: " + "; ".join(drift)
 
 
 def test_A1_oseen_background_exactness():
@@ -91,6 +105,21 @@ def test_A14_uniqueness_shadow():
 
 def test_A15_biot_savart_oracle():
     check("biot-savart-oracle", "A15")
+
+
+def test_a_moved_value_fails(monkeypatch):
+    # one A15 record moved by 1e-9 * max(1, |value|), still far inside its
+    # PASS threshold, and 100 times the tolerance of acceptance_values.moved
+    records, artifacts = run("biot-savart-oracle")
+    record = records[0]
+    shifted = record.measured + 1e-9 * max(1.0, abs(record.measured))
+    perturbed = ex.Assertion(record.criterion, True, shifted, record.threshold)
+    monkeypatch.setattr(sys.modules[__name__], "run",
+                        lambda name: ([perturbed], artifacts))
+    before = dict(BASELINE)[record.criterion]
+    with pytest.raises(AssertionError, match=re.escape(
+            f"{record.criterion} {before!r} {perturbed.measured!r}")):
+        check("biot-savart-oracle", record.criterion)
 
 
 def test_artifact_shapes():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import struct
 
 import numpy as np
@@ -30,11 +32,12 @@ def test_grid_validation():
         with pytest.raises(DomainError):
             Grid(16, bad)
     for bad in (32.0, np.float64(32.0), 32.5, "32", None):
-        with pytest.raises(DomainError, match="even integer"):
+        with pytest.raises(DomainError, match=r"n must be an integer in \[16, inf\)"):
             Grid(bad, 20.0)
     assert Grid(np.int64(32), 20.0).zeros().values.shape == (32, 32)
     for bad in ("20", None, [20.0]):
-        with pytest.raises(DomainError, match="box size"):
+        with pytest.raises(DomainError,
+                           match=r"box_size must be a real number in \(0, inf\)"):
             Grid(32, bad)
     same = (Grid(32, 20), Grid(32, np.float64(20.0)), Grid(32, 20.0))
     assert len(set(same)) == 1
@@ -49,6 +52,17 @@ def test_field_immutable(gauss128):
         gauss128.values = None
     with pytest.raises(ValueError):
         gauss128.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("duplicate", [lambda f: pickle.loads(pickle.dumps(f)),
+                                       copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_field_survives_pickle_and_copy(duplicate):
+    # __setattr__ blocked the slot restore: each raised AttributeError
+    f = ScalarField(Grid(16, 10.0), np.arange(256.0).reshape(16, 16))
+    g = duplicate(f)
+    assert g.grid == f.grid and np.array_equal(g.values, f.values)
+    assert not g.values.flags.writeable
 
 
 def test_owned_field_wraps_without_copy(grid128):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,19 @@ def blob(grid, mass, center, width):
     xx, yy = grid.meshes()
     return ScalarField(grid, mass / (2 * np.pi * width**2) * np.exp(
         -((xx - center[0])**2 + (yy - center[1])**2) / (2 * width**2)))
+
+
+@pytest.mark.parametrize("duplicate", [lambda mu: pickle.loads(pickle.dumps(mu)),
+                                       copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_measure_with_density_survives_pickle_and_copy(duplicate):
+    grid = Grid(32, 20.0)
+    mu = FiniteMeasure(atoms=(((1.0, 0.0), 0.5),),
+                       density=blob(grid, 1.0, (0.0, 0.0), 1.0))
+    nu = duplicate(mu)
+    assert nu.atoms == mu.atoms and nu.density.grid == grid
+    assert np.array_equal(nu.density.values, mu.density.values)
+    assert not nu.density.values.flags.writeable
 
 
 def test_atom_canonical_order():
@@ -251,7 +267,7 @@ def test_heat_smooth_margin(grid128):
 def test_heat_smooth_needs_a_finite_positive_time(grid128, t):
     # at t = inf the k = 0 factor exp(-0 * inf) is NaN: no field, an error
     mu = FiniteMeasure(density=blob(grid128, 1.0, (0.0, 0.0), 1.0))
-    with pytest.raises(DomainError, match="0 < t < inf"):
+    with pytest.raises(DomainError, match=r"t must be a real number in \(0, inf\)"):
         heat_smooth(mu, t, grid128)
 
 

@@ -49,7 +49,7 @@ def test_stepper_config_validation():
 def test_fixed_step_must_be_positive_and_finite(dt):
     # an infinite fixed step would march to t = inf with a NaN state; a
     # string made the comparison 0 < dt raise a TypeError
-    with pytest.raises(DomainError, match="dt must be positive"):
+    with pytest.raises(DomainError, match=r"dt must be a real number in \(0, inf\)"):
         StepperConfig.fixed(dt)
 
 
@@ -122,7 +122,8 @@ def test_propagate_no_vortices_is_heat(grid128):
 @pytest.mark.parametrize("s, t", [("0.5", 0.7), (0.5, "0.7"), (None, 0.7), (0.5, [0.7])])
 def test_propagate_sn_requires_numeric_times(s, t):
     f = heat_kernel_field(Grid(32, 20.0), 0.5)
-    with pytest.raises(DomainError, match="s < t"):
+    with pytest.raises(DomainError, match=r"s must be a real number in \(0, inf\)"
+                                          r"|t must be a real number in \(0\.5, inf\)"):
         propagate_SN([], f, s, t, StepperConfig.courant())
 
 
@@ -357,6 +358,27 @@ def test_rescaled_flows_reject_samples_closer_than_a_step(monkeypatch):
     with pytest.raises(DomainError, match="sample_every"):
         evolve_S1(0.0, Grid(32, 20.0).zeros(), 0.5, StepperConfig.courant(),
                   sample_every=0.1)
+
+
+@pytest.mark.parametrize("tau_end", [1e308, 1e6])
+@pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
+                                  solver.evolve_rescaled_perturbation])
+def test_rescaled_flows_reject_more_samples_than_memory_holds(flow, tau_end, monkeypatch):
+    # 1e308 overflowed the stop count (OverflowError); 1e6 built 2e7 stops
+    # (1.27 GB in 15 s) before the first step.  A frame of 32^2 takes 8 KB,
+    # so 2 GiB hold 262144 samples.
+    monkeypatch.setattr(propagators, "lawson_step", _no_step)
+    with pytest.raises(DomainError, match=r"tau_end/sample_every must be a real number "
+                                          r"in \[0, 262144\.0\]"):
+        flow(1.0, Grid(32, 20.0).zeros(), tau_end, StepperConfig.fixed(1e-2))
+
+
+def test_rescaled_flows_take_the_most_samples_memory_holds(monkeypatch):
+    # 262144 samples of 32^2 are 2 GiB: admitted, and the first step is taken
+    monkeypatch.setattr(propagators, "lawson_step", _no_step)
+    with pytest.raises(AssertionError, match="a step was taken"):
+        evolve_S1(1.0, Grid(32, 20.0).zeros(), 262144 * 0.5, StepperConfig.fixed(1e-2),
+                  sample_every=0.5)
 
 
 def _no_step(*args, **kwargs):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from functools import partial
 
 import numpy as np
@@ -296,7 +298,8 @@ def test_infinite_end_time_is_a_domain_error():
     with pytest.raises(DomainError, match="inf"):
         march(w, 0.1, [np.inf], partial(step_decomposed, backgrounds,
                                         StepperConfig.courant()))
-    with pytest.raises(DomainError, match="t_end=inf"):
+    with pytest.raises(DomainError,
+                       match=r"t_end must be a real number in \(0\.1, inf\), got inf"):
         solve_cauchy(mu, 0.1, 0.1, np.inf, grid)
 
 
@@ -376,7 +379,9 @@ def test_solve_cauchy_under_resolved_start_is_a_domain_error():
                                        (0.5, [1.0])])
 def test_solve_cauchy_requires_numeric_times(t0, t_end):
     mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
-    with pytest.raises(DomainError, match="t0 < t_end"):
+    with pytest.raises(
+            DomainError, match=r"t0 must be a real number in \(0, inf\)"
+                               r"|t_end must be a real number in \(0\.5, inf\)"):
         solve_cauchy(mu, 0.1, t0, t_end, Grid(32, 20.0))
 
 
@@ -389,6 +394,39 @@ def test_solve_cauchy_takes_ints_and_numpy_numbers():
         assert got.series == want.series
         assert all(np.array_equal(a.values, b.values) for a, b in
                    zip(got.trajectory.fields, want.trajectory.fields))
+
+
+@pytest.mark.parametrize("duplicate", [lambda run: pickle.loads(pickle.dumps(run)),
+                                       copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_solver_run_survives_pickle_and_copy(duplicate):
+    # a run crosses a process boundary only pickled
+    grid = Grid(32, 20.0)
+    mu = FiniteMeasure(atoms=(((0.0, 0.0), 1.0),),
+                       density=blob(grid, 0.1, (1.0, 0.0), 1.0))
+    run = solve_cauchy(mu, 0.5, 1.0, 1.5, grid)
+    got = duplicate(run)
+    assert got.trajectory.times == run.trajectory.times and got.series == run.series
+    assert got.backgrounds == run.backgrounds and got.measure.atoms == mu.atoms
+    for a, b in zip(got.trajectory.fields + [got.measure.density],
+                    run.trajectory.fields + [mu.density]):
+        assert np.array_equal(a.values, b.values) and not a.values.flags.writeable
+
+
+def test_solve_cauchy_rejects_a_time_ratio_that_overflows(monkeypatch):
+    # t_end/t0 = 2e308 overflowed to inf, and the snapshot count
+    # int(ceil(16 log10(inf))) raised an OverflowError
+    monkeypatch.setattr(solver, "lawson_step", _no_step)
+    mu = FiniteMeasure.from_atoms(((0.0, 0.0), 1.0))
+    with pytest.raises(DomainError, match=r"t_end/t0 must be a real number in "
+                                          r"\(1, inf\), got inf"):
+        solve_cauchy(mu, 0.1, 0.5, 1e308, Grid(32, 20.0))
+    # a finite ratio keeps a count logarithmic in it: 16 per decade
+    assert len(snapshot_schedule(1e-150, 1e150, 16)) == 4800
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("a step was taken before the inputs were checked")
 
 
 def test_solve_cauchy_later_l1_violation_is_not_a_domain_error():
