@@ -19,7 +19,7 @@ import numpy as np
 
 from .biot_savart import velocity_free_space
 from .errors import ConvergenceError, DomainError, MismatchError, point, real
-from .field import Grid, ScalarField, lp_norm, weighted_norm
+from .field import Grid, ScalarField, lp_norm, require_grid, weighted_norm
 from .measure import FiniteMeasure, heat_smooth
 from .oseen import gaussian_profile, velocity_profile
 from .selfsim import to_self_similar
@@ -173,7 +173,7 @@ def localized_diffuse_series(mu0: FiniteMeasure, z, t_values, p: float,
     real("p", p, 1, np.inf, ends="[]")
     real("q", q, 2, np.inf, ends="(]")
     point("z", z)
-    xx, yy = grid.meshes()
+    xx, yy = require_grid(grid).meshes()
     rows = []
     for t in t_values:
         w0 = heat_smooth(mu0, t, grid)
@@ -230,14 +230,16 @@ def _hermite_tables(grid: Grid, count: int) -> np.ndarray:
     return tables
 
 
-# three keys in the test suite; per key at basis 32, 26 KB for the index
-# arrays of the three rotation bases and 2.1 MB for their adapted blocks
+# four keys in the test suite: basis 16 and 32 on Grid(128, 40), 16 on
+# Grid(64, 40) and A9's 32 on Grid(256, 40); per key at basis 32, 26 KB for
+# the index arrays of the three rotation bases and 2.1 MB for their blocks
 @lru_cache(maxsize=4)
-def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
-    """Modes, the three symmetry-adapted bases of the rotation by pi/2, and
-    per basis the pair (diag of L on it, coupling C on it): the block
-    there is diag - alpha * C.  Only these are cached; the columns of C
-    that `_coupling_columns` solves are dropped once the blocks are formed.
+def _assemble_coupling(basis_n: int, grid: Grid):
+    """Modes (a, b) != (0, 0), the three symmetry-adapted bases of the
+    rotation by pi/2, and per basis the pair (diag of L on it, coupling C
+    on it): the block there is diag - alpha * C.  Only these are cached;
+    the columns of C that `_coupling_columns` solves are dropped once the
+    blocks are formed.
 
     The rotation by pi/2 maps the mode (a, b) to s (b, a), s = (-1)^a,
     and keeps the vortex's sense, so it commutes with C; its square is
@@ -245,8 +247,7 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     over its vectors: vector k is (e_p[k] + c[k] e_q[k]) / sqrt(2) for a
     pair, and e_p[k] (c[k] = 0, q[k] = p[k]) for a diagonal mode (a, a);
     w[k] is its squared normalization, 1/2 or 1.  With a < b:
-      - rotation +1: (e_ab + s e_ba) / sqrt(2) and (a, a) with a even,
-        (0, 0) included without mean_zero;
+      - rotation +1: (e_ab + s e_ba) / sqrt(2) and (a, a) with a even;
       - rotation -1: (e_ab - s e_ba) / sqrt(2) and (a, a) with a odd;
       - rotation +i: (e_ab - i s e_ba) / sqrt(2) for a + b odd.
     The -i vectors are the complex conjugates of the +i ones.  The +1 and
@@ -256,7 +257,7 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     has a <= b, a solved column, and q[k] is its mirror (b, a): by the
     reflection x <-> y, C[q, q] = -C[p, p] and C[p, q] = -C[q, p].
     """
-    modes, solved, coupling = _coupling_columns(basis_n, mean_zero, grid)
+    modes, solved, coupling = _coupling_columns(basis_n, grid)
     rows = tuple(np.array(modes).T)
     index = np.zeros((basis_n, basis_n), dtype=int)
     index[rows] = np.arange(len(modes))
@@ -280,11 +281,11 @@ def _assemble_coupling(basis_n: int, mean_zero: bool, grid: Grid):
     return modes, bases, tuple(blocks)
 
 
-def _coupling_columns(basis_n: int, mean_zero: bool, grid: Grid):
+def _coupling_columns(basis_n: int, grid: Grid):
     """The alpha-independent coupling matrix C on the columns it solves:
-    (modes, solved, C), where solved holds the numbers of the modes
-    (a, b) with a <= b, in order, and C[:, k] is the column of the mode
-    solved[k] on the rows of every mode.
+    (modes, solved, C), where modes are the (a, b) != (0, 0), solved holds
+    the numbers of the modes with a <= b, in order, and C[:, k] is the
+    column of the mode solved[k] on the rows of every mode.
 
     The reflection x -> -x maps the mode (a, b) to (-1)^a (a, b) and
     reverses the vortex, so it anticommutes with C, and so does y -> -y
@@ -302,13 +303,9 @@ def _coupling_columns(basis_n: int, mean_zero: bool, grid: Grid):
     The reflection x <-> y fixes the grid (both axes share its
     coordinates), G, the weight and every psi table; it maps the mode
     (a, b) to (b, a) and reverses the vortex.  So C[(c, d), (b, a)] =
-    -C[(d, c), (a, b)], and the columns with a > b are never formed.  The
-    mode (0, 0) is G itself: its velocity is the vortex profile, so it
-    needs no solve.
+    -C[(d, c), (a, b)], and the columns with a > b are never formed.
     """
-    modes = [(a, b) for a in range(basis_n) for b in range(basis_n)]
-    if mean_zero:
-        modes = [mode for mode in modes if mode != (0, 0)]
+    modes = [(a, b) for a in range(basis_n) for b in range(basis_n)][1:]
     c, d = np.array(modes).T
     solved = np.flatnonzero(c <= d)
     parity = c % 2, d % 2
@@ -324,13 +321,11 @@ def _coupling_columns(basis_n: int, mean_zero: bool, grid: Grid):
     def columns(pa, pb):
         # (column, mode) of the solved modes of axis parity (pa, pb)
         return [(k, (a, b)) for k, (a, b) in enumerate(zip(c[solved], d[solved]))
-                if (a % 2, b % 2) == (pa, pb) and (a, b) != (0, 0)]
+                if (a % 2, b % 2) == (pa, pb)]
 
     groups = [[column for column in pair if column is not None]
               for first, second in (((0, 0), (1, 1)), ((0, 1), (1, 0)))
               for pair in zip_longest(columns(*first), columns(*second))]
-    if not mean_zero:
-        groups.append([(0, (0, 0))])
     for group in groups:
         field = sum(np.outer(phi[a], phi[b]) for _, (a, b) in group)
         # grad of the basis functions: next-order factors
@@ -338,10 +333,7 @@ def _coupling_columns(basis_n: int, mean_zero: bool, grid: Grid):
                  for _, (a, b) in group)
         dy = sum(np.sqrt((b + 1) / 2.0) * np.outer(phi[a], phi[b + 1])
                  for _, (a, b) in group)
-        # the (0, 0) mode's own velocity is the vortex profile; the coupling
-        # term v . grad G vanishes pointwise by perpendicularity
-        vw = v if group == [(0, (0, 0))] else velocity_free_space(
-            ScalarField._owned(grid, field))
+        vw = velocity_free_space(ScalarField._owned(grid, field))
         coupled = v[0] * dx + v[1] * dy + vw[0] * grad_g[0] + vw[1] * grad_g[1]
         weighted = coupled * half_weight
         proj = psi @ weighted @ psi.T * area          # (basis_n+1)^2 block
@@ -399,17 +391,20 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True, *,
     from the basis vector of the mode (0, 1): if the result keeps more
     than 0.99 of its norm on that vector, the block's eigenvalue nearest
     -1/2 is the translation mode.
+
+    The basis is the mean-zero modes (a, b) != (0, 0).  Without mean_zero
+    the mass mode G = e_00 adds one exact 0.0: span{G} and the mean-zero
+    functions are both invariant, and the spectrum on span{G} is {0}
+    (Gallay & Wayne, Comm. Math. Phys. 255, 2005).
     """
     real("alpha", alpha)
     real("basis_n", basis_n, MIN_BASIS, np.inf, ends="[)", integer=True)
-    if not isinstance(grid, Grid):
-        raise DomainError(f"grid must be a Grid, got {grid!r}")
+    require_grid(grid)
     # imported here: only the eigen-solve needs scipy, and loading
     # scipy.linalg costs ~0.25 s, the only scipy import the package makes
     import scipy.linalg
 
-    modes, bases, (plus, minus, rotating) = _assemble_coupling(
-        basis_n, mean_zero, grid)
+    modes, bases, (plus, minus, rotating) = _assemble_coupling(basis_n, grid)
 
     def block(d, adapted):
         return np.diag(d) - alpha * adapted
@@ -428,6 +423,11 @@ def linearized_spectrum(alpha: float, basis_n: int, mean_zero: bool = True, *,
     except scipy.linalg.LinAlgError as exc:            # pragma: no cover
         raise ConvergenceError(f"eigenvalue solve failed: {exc}") from exc
     eigvals = np.concatenate([plus_vals, minus_vals, rot_vals, rot_vals.conj()])
+    if not mean_zero:
+        # G's column is zero: L G = 0 and its image 2 v . grad G = 0.  G's
+        # row is zero: each image is a divergence, and its G-component in
+        # the weighted metric is its integral, 0.
+        eigvals = np.append(eigvals, 0.0)
     eigvals = eigvals[np.argsort(-eigvals.real)]
 
     labeled = {}

@@ -67,13 +67,20 @@ class Grid:
         return ScalarField(self, np.zeros((self.n, self.n)))
 
 
+def require_grid(grid) -> Grid:
+    """``grid`` unchanged if it is a Grid, else DomainError."""
+    if not isinstance(grid, Grid):
+        raise DomainError(f"grid must be a Grid, got {grid!r}")
+    return grid
+
+
 class ScalarField:
     """Real scalar samples on a Grid."""
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        self._fill(grid, np.array(values, dtype=float))
+        self._fill(require_grid(grid), np.array(values, dtype=float))
 
     @classmethod
     def _owned(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
@@ -174,21 +181,6 @@ def weighted_norm(f: ScalarField, q: float, m: float) -> float:
 # spectral calculus
 # ---------------------------------------------------------------------
 
-def _fft2(values: np.ndarray) -> np.ndarray:
-    """Full complex DFT of real or complex samples.
-
-    The last axis is transformed first, numpy.fft's order: the localized
-    vorticity norm of A12 at t = 1e-3 is ~1e-9 of the density's peak, and
-    the other order moves it by ~4e-10 relative through round-off alone.
-    """
-    return np.fft.fft2(values)
-
-
-def _ifft2(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse of _fft2, in the same order."""
-    return np.fft.ifft2(spectrum)
-
-
 def _rfft2(values: np.ndarray) -> np.ndarray:
     """Half-spectrum DFT over the last two axes (stacked inputs allowed).
 
@@ -222,7 +214,7 @@ def gradient(f: ScalarField) -> np.ndarray:
     """Spectral gradient of f as one read-only (2, n, n) array."""
     kd = _deriv_wavenumbers(f.grid)
     ik = 1j * np.stack(np.broadcast_arrays(kd[:, None], kd[None, :]))
-    g = _ifft2(ik * _fft2(f.values)).real
+    g = np.fft.ifft2(ik * np.fft.fft2(f.values)).real
     g.flags.writeable = False
     return g
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MarginError, MismatchError, point, real
-from .field import Grid, ScalarField, _fft2, _ifft2, _ksq, lp_norm
+from .field import Grid, ScalarField, _ksq, lp_norm, require_grid
 
 Point = tuple[float, float]
 
@@ -122,9 +122,9 @@ def decompose(mu: FiniteMeasure, epsilon: float) -> AtomicDecomposition:
 def require_margin(points, t: float, grid: Grid):
     """The one box-margin rule: MarginError unless every atom position sits
     at least 6 sqrt(t) inside the box, where its Gaussian at time t is
-    negligible at the boundary; DomainError unless 0 < t < inf."""
+    negligible at the boundary; DomainError unless 0 < t < inf, grid a Grid."""
     margin = 6.0 * np.sqrt(real("t", t, 0, np.inf))
-    half = 0.5 * grid.box_size
+    half = 0.5 * require_grid(grid).box_size
     for zx, zy in points:
         if half - abs(zx) < margin or half - abs(zy) < margin:
             raise MarginError(
@@ -137,7 +137,10 @@ def heat_smooth(mu: FiniteMeasure, t: float, grid: Grid) -> ScalarField:
 
     Atoms become Gaussians (4 pi t)^-1 exp(-|x-z|^2/(4t)) evaluated
     pointwise; the density part is smoothed spectrally by exp(-|k|^2 t).
-    Every atom must clear the box margin (``require_margin``, which checks t).
+    Every atom must clear the box margin (``require_margin``, which checks t
+    and the grid).  The transforms take the last axis first (numpy's fft2):
+    A12's localized norm at t = 1e-3 is ~1e-9 of the density's peak, and
+    the other order moves it by ~4e-10 relative through round-off alone.
     """
     require_margin([z for z, _ in mu.atoms], t, grid)
     xx, yy = grid.meshes()
@@ -148,7 +151,8 @@ def heat_smooth(mu: FiniteMeasure, t: float, grid: Grid) -> ScalarField:
     if mu.density is not None:
         if mu.density.grid != grid:
             raise MismatchError("density grid must match the target grid")
-        vals += _ifft2(np.exp(-_ksq(grid) * t) * _fft2(mu.density.values)).real
+        vals += np.fft.ifft2(np.exp(-_ksq(grid) * t)
+                             * np.fft.fft2(mu.density.values)).real
     return ScalarField(grid, vals)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, point, real
-from .field import Grid, ScalarField
+from .field import Grid, ScalarField, require_grid
 
 # |xi| below which the velocity profile switches to its power series.
 SERIES_CUTOFF_SQ = 1e-8  # (1e-4)^2 on |xi|^2
@@ -97,7 +97,7 @@ def oseen_velocity(v: OseenVortex, t: float, x1, x2):
 def oseen_fields(v: OseenVortex, t: float, grid: Grid) -> tuple[ScalarField, np.ndarray]:
     """Sample the vortex vorticity and velocity on a grid, the velocity as
     one read-only (2, n, n) array."""
-    xx, yy = grid.meshes()
+    xx, yy = require_grid(grid).meshes()
     w = ScalarField(grid, oseen_vorticity(v, t, xx, yy))
     u = np.stack(oseen_velocity(v, t, xx, yy))
     u.flags.writeable = False

@@ -33,6 +33,7 @@ the state is bit-exactly conserved.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -42,7 +43,8 @@ import numpy as np
 from .biot_savart import velocity_free_space
 from .errors import DegenerateError, DomainError, StabilityError, point, real
 from .field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
-                    _irfft2, _ksq, _rfft2, lp_norm, max_speed, weighted_norm)
+                    _irfft2, _ksq, _rfft2, lp_norm, max_speed, require_grid,
+                    weighted_norm)
 from .oseen import (EXP_UNDERFLOW, OseenVortex, gaussian_profile, oseen_max_speed,
                     oseen_velocity, oseen_vorticity, velocity_profile)
 
@@ -206,14 +208,15 @@ def march(w: ScalarField, t: float, stops: Sequence[float], advance,
     ``advance(w, t, t_stop)`` takes one step ending no later than t_stop
     and returns the new (w, t); ``on_stop(t, w)`` sees the start and every
     stop, with t set to the stop once it is within round-off of it.  A
-    non-finite start or stop, and a stop behind the start or the previous
-    stop, raise DomainError before any step.  A step that does not move
-    time forward (dt = 0 from an infinite speed, or NaN) and a state that
-    is not finite at a stop raise StabilityError naming the time and the
-    step.
+    start or stop that is not a finite number, and a stop behind the start
+    or the previous stop, raise DomainError before any step.  A step that
+    does not move time forward (dt = 0 from an infinite speed, or NaN) and
+    a state that is not finite at a stop raise StabilityError naming the
+    time and the step.
     """
-    times = np.array([t, *stops], dtype=float)
-    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) >= 0)):
+    clock = (t, *stops)
+    if not (all(isinstance(time, numbers.Real) for time in clock)
+            and np.all(np.isfinite(clock)) and np.all(np.diff(clock) >= 0)):
         raise DomainError(
             f"stop times must be finite and in order from a finite start, "
             f"got t={t}, stops={list(stops)}")
@@ -256,6 +259,7 @@ def background_fields(vortices: tuple[OseenVortex, ...], t: float,
     per grid for no vortex.  A Lawson step samples three stage times, its
     last the next step's first: three entries leave two new per step.
     """
+    require_grid(grid)
     if not vortices:
         return _no_backgrounds(grid)
     x = grid.coords()
@@ -321,7 +325,7 @@ def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
 def vortex_advection(grid: Grid, alpha: float):
     """alpha v on the grid as one (2, n, n) array, and its largest speed."""
     real("alpha", alpha)
-    v = np.stack(velocity_profile(*grid.meshes()))
+    v = np.stack(velocity_profile(*require_grid(grid).meshes()))
     return alpha * v, abs(alpha) * float(np.max(np.hypot(*v)))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import real
-from .field import Grid, ScalarField, _ifft2
+from .field import Grid, ScalarField, require_grid
 
 DEFAULT_SEED = 42
 
@@ -37,7 +37,7 @@ def band_limited_field(grid: Grid, seed: int = DEFAULT_SEED, band: int = 8,
     of (grid, seed, band), for a band below the Nyquist mode n/2.
     """
     rng = generator(seed)
-    n = grid.n
+    n = require_grid(grid).n
     real("band", band, 0, n // 2, ends="[)", integer=True)
     spec = np.zeros((n, n), dtype=complex)
     for mx in range(-band, band + 1):
@@ -52,7 +52,7 @@ def band_limited_field(grid: Grid, seed: int = DEFAULT_SEED, band: int = 8,
             c = complex(re, im)
             spec[mx % n, my % n] = c
             spec[(-mx) % n, (-my) % n] = np.conj(c)
-    values = _ifft2(spec).real * n  # unit-variance-ish amplitude
+    values = np.fft.ifft2(spec).real * n  # unit-variance-ish amplitude
     if envelope:
         xx, yy = grid.meshes()
         values = values * np.exp(-(xx**2 + yy**2) / 8.0)

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import point, real
-from .field import (ScalarField, _fft2, _ifft2, _ksq, gradient,
-                    require_boundary_decay, resample_affine)
+from .field import (ScalarField, _ksq, gradient, require_boundary_decay,
+                    resample_affine)
 
 def to_self_similar(omega: ScalarField, t: float, center) -> ScalarField:
     """w(xi) = t * omega(center + xi sqrt(t)) by trigonometric interpolation.
@@ -57,7 +57,7 @@ def _semigroup_spectral(tau: float, f: ScalarField) -> ScalarField:
     grid = f.grid
     a = -np.expm1(-tau)
     dilated = resample_affine(f, np.exp(0.5 * tau))
-    smoothed = _ifft2(np.exp(-a * _ksq(grid)) * _fft2(dilated.values)).real
+    smoothed = np.fft.ifft2(np.exp(-a * _ksq(grid)) * np.fft.fft2(dilated.values)).real
     return ScalarField(grid, np.exp(tau) * smoothed)
 
 

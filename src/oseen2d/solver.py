@@ -35,7 +35,8 @@ import numpy as np
 from .biot_savart import (circulation_is_negligible, velocity_free_space,
                           velocity_periodic)
 from .errors import DomainError, Oseen2dError, real
-from .field import Grid, ScalarField, lp_norm, require_boundary_decay
+from .field import (Grid, ScalarField, lp_norm, require_boundary_decay,
+                    require_grid)
 from .measure import (AtomicDecomposition, FiniteMeasure, decompose,
                       heat_smooth, require_margin, total_variation)
 from .oseen import OseenVortex, gaussian_profile
@@ -272,7 +273,7 @@ def evolve_rescaled_perturbation(alpha: float, w0: ScalarField, tau_end: float,
 def restrict(f: ScalarField, coarse: Grid) -> ScalarField:
     """Restrict to a nested coarser grid by taking every matching sample."""
     n_fine = f.grid.n
-    if f.grid.box_size != coarse.box_size or n_fine % coarse.n != 0:
+    if f.grid.box_size != require_grid(coarse).box_size or n_fine % coarse.n != 0:
         raise DomainError("grids are not nested")
     step = n_fine // coarse.n
     return ScalarField(coarse, f.values[::step, ::step])

@@ -26,9 +26,8 @@ from oseen2d.biot_savart import circulation_is_negligible, velocity_free_space
 from oseen2d.diagnostics import _hermite_tables, partition_of_unity
 from oseen2d.errors import DomainError
 from oseen2d.field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
-                           _fd_derivative, _fft2, _ifft2, _ksq, gradient,
-                           lp_norm, read_field, require_boundary_decay,
-                           weighted_norm, write_field)
+                           _fd_derivative, _ksq, gradient, lp_norm, read_field,
+                           require_boundary_decay, weighted_norm, write_field)
 from oseen2d.measure import FiniteMeasure
 from oseen2d.oseen import (SERIES_CUTOFF_SQ, OseenVortex, _ring_factor,
                            gaussian_profile, oseen_velocity, oseen_vorticity,
@@ -84,13 +83,20 @@ def padded_route(multiplier, values, shape):
     return np.stack([np.fft.irfft2(m * what, s=shape) for m in multiplier])
 
 
+def coupling_modes(basis_n, mean_zero):
+    """The modes (a, b) of `coupling_per_mode`, in its order: with mean_zero
+    every mode but the mass mode (0, 0), numbered as in
+    `diagnostics._assemble_coupling`; without it every mode, (0, 0) first."""
+    return [(a, b) for a in range(basis_n) for b in range(basis_n)
+            if not (mean_zero and (a, b) == (0, 0))]
+
+
 def coupling_per_mode(basis_n, mean_zero, grid):
     """The linearization's coupling matrix with one free-space solve and one
-    projection per mode (a, b), every column computed directly, in the
-    mode order of `diagnostics._assemble_coupling`."""
-    modes = [(a, b) for a in range(basis_n) for b in range(basis_n)]
-    if mean_zero:
-        modes = [mode for mode in modes if mode != (0, 0)]
+    projection per mode (a, b), every column computed directly, on the
+    modes of `coupling_modes`; the mass mode's velocity is the vortex
+    profile."""
+    modes = coupling_modes(basis_n, mean_zero)
     rows = tuple(np.array(modes).T)
     phi, psi = _hermite_tables(grid, basis_n + 1)
     xx, yy = grid.meshes()
@@ -157,7 +163,7 @@ def minimal_prefix(masses, epsilon):
 # ---------------------------------------------------------------------
 
 def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, _ifft2(-_ksq(f.grid) * _fft2(f.values)).real)
+    return ScalarField(f.grid, np.fft.ifft2(-_ksq(f.grid) * np.fft.fft2(f.values)).real)
 
 
 def divergence(v, grid: Grid):

@@ -98,6 +98,20 @@ def test_cli_out_of_range_is_config_error(argv, capsys):
     assert "numerical failure" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha, extra", [("5", 3), ("1", 0)])
+def test_cli_spectrum_adds_an_alpha_outside_the_pinned_ones(alpha, extra, capsys):
+    # A9 solves alpha = 0, 1, 10 and 100, and --alpha adds one more in the
+    # same loop, with its three lines last
+    assert main(["spectrum", "--grid-n", "64", "--basis", "16",
+                 "--alpha", alpha]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10 + extra
+    assert all(line.startswith("PASS ") for line in lines)
+    assert [line.split()[1] for line in lines[10:]] == [
+        f"A9[alpha={alpha}]-{name}"
+        for name in ("translation", "multiplicity", "maxreal")][:extra]
+
+
 def test_cli_missing_config_file():
     assert main(["biot-savart-oracle", "/nonexistent/config"]) == 1
 

@@ -18,7 +18,8 @@ from oseen2d.field import Grid, ScalarField
 from oseen2d.measure import FiniteMeasure
 from oseen2d.solver import solve_cauchy
 
-from oracles import coupling_per_mode, two_resample_distance, unsplit_spectrum
+from oracles import (coupling_modes, coupling_per_mode, two_resample_distance,
+                     unsplit_spectrum)
 
 
 def blob(grid, mass, center, width):
@@ -216,6 +217,29 @@ def test_spectrum_with_mean_mode(spectrum_grid):
     rep = linearized_spectrum(1.0, 16, mean_zero=False, grid=spectrum_grid)
     # the full-space spectrum gains the conserved-mass eigenvalue 0
     assert abs(rep.eigenvalues[0]) < 1e-10
+    # exactly: the mean-zero eigenvalues plus one 0.0 for the mass mode
+    rest = linearized_spectrum(1.0, 16, mean_zero=True, grid=spectrum_grid)
+    assert rep.eigenvalues[0] == 0.0
+    assert sorted(rep.eigenvalues[1:], key=lambda ev: (ev.real, ev.imag)) == sorted(
+        rest.eigenvalues, key=lambda ev: (ev.real, ev.imag))
+    assert rep.labeled_modes == rest.labeled_modes
+
+
+def test_mass_mode_is_decoupled_on_the_oracle(spectrum_grid):
+    # the package appends the mass mode G's eigenvalue 0 instead of assembling
+    # it; on the oracle, which solves the G column too, its column and row
+    # are zero.  The column is 2 v . grad G, which cancels pointwise (v is
+    # perpendicular to grad G): round-off, bounded as the oracle's other
+    # exact identity.  The row is the rectangle-rule integral of each image,
+    # a divergence: the quadrature error of the free-space velocity.  At
+    # 1e-9 of max|C| (about 0.025), alpha = 10 times the row stays at the
+    # order of the 1e-10 to which the split spectrum matches this oracle
+    modes = coupling_modes(16, False)
+    assert modes[0] == (0, 0)
+    coupling = per_mode_coupling(16, False, spectrum_grid)
+    scale = np.max(np.abs(coupling))
+    assert np.max(np.abs(coupling[:, 0])) <= 1e-15 * scale
+    assert np.max(np.abs(coupling[0, :])) <= 1e-9 * scale
 
 
 def test_spectrum_requires_a_grid():
@@ -263,13 +287,13 @@ def _adapted_vectors(basis, nm):
     return vectors
 
 
-@pytest.mark.parametrize("mean_zero", [True, False])
-def test_coupling_splits_by_quarter_turn(spectrum_grid, mean_zero):
+def test_coupling_splits_by_quarter_turn(spectrum_grid):
     # the rotation by pi/2 maps the Hermite mode (a, b) to (-1)^a (b, a)
     # and commutes with the linearization, so the coupling between its
     # eigenspaces +1, -1, +i and -i is quadrature error
-    modes, bases, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
-    coupling = per_mode_coupling(16, mean_zero, spectrum_grid)
+    modes, bases, _ = _assemble_coupling(16, spectrum_grid)
+    assert modes == coupling_modes(16, True)
+    coupling = per_mode_coupling(16, True, spectrum_grid)
     nm = len(modes)
     plus, minus, rotating = (_adapted_vectors(basis, nm) for basis in bases)
     spaces = (plus, minus, rotating, rotating.conj())
@@ -324,7 +348,7 @@ def test_spectrum_real_eigenvalues_as_conjugate_pairs(spectrum_grid):
 
 @pytest.mark.parametrize("mean_zero", [True, False])
 def test_split_spectrum_matches_unsplit_oracle(spectrum_grid, mean_zero):
-    modes, _, _ = _assemble_coupling(16, mean_zero, spectrum_grid)
+    modes = coupling_modes(16, mean_zero)
     diag = np.array([-(a + b) / 2.0 for a, b in modes])
     coupling = per_mode_coupling(16, mean_zero, spectrum_grid)
     for alpha in (1.0, 10.0):
@@ -338,18 +362,17 @@ def test_split_spectrum_matches_unsplit_oracle(spectrum_grid, mean_zero):
         assert abs(rep.labeled_modes["translation"] - translation) <= 1e-12
 
 
-@pytest.mark.parametrize("mean_zero", [True, False])
-def test_coupling_reflection_matches_per_mode_oracle(spectrum_grid, mean_zero):
+def test_coupling_reflection_matches_per_mode_oracle(spectrum_grid):
     # only the columns with a <= b are stored, and two modes share one
     # solve: each column is the per-mode one up to the round-off of the
     # paired free-space solve, on its own axis parity's rows; it is
     # exactly zero on every other row
     for basis_n in (16, 32):
-        modes, solved, coupling = _coupling_columns(basis_n, mean_zero,
-                                                    spectrum_grid)
+        modes, solved, coupling = _coupling_columns(basis_n, spectrum_grid)
+        assert modes == coupling_modes(basis_n, True)
         a, b = np.array(modes).T
         assert np.array_equal(solved, np.flatnonzero(a <= b))
-        expected = per_mode_coupling(basis_n, mean_zero, spectrum_grid)[:, solved]
+        expected = per_mode_coupling(basis_n, True, spectrum_grid)[:, solved]
         assert coupling.shape == expected.shape
         image_rows = (((a[:, None] - a[None, solved]) % 2 == 1)
                       & ((b[:, None] - b[None, solved]) % 2 == 1))
@@ -366,8 +389,7 @@ def test_per_mode_coupling_is_odd_under_the_diagonal_reflection(spectrum_grid,
     # no column with a > b and reads those entries through this identity,
     # so it is checked on the oracle, which solves every column
     for basis_n in (16, 32):
-        modes = [(a, b) for a in range(basis_n) for b in range(basis_n)
-                 if not (mean_zero and (a, b) == (0, 0))]
+        modes = coupling_modes(basis_n, mean_zero)
         number = {mode: i for i, mode in enumerate(modes)}
         mirror = np.array([number[b, a] for a, b in modes])
         coupling = per_mode_coupling(basis_n, mean_zero, spectrum_grid)
@@ -375,8 +397,7 @@ def test_per_mode_coupling_is_odd_under_the_diagonal_reflection(spectrum_grid,
                 <= 1e-15 * np.max(np.abs(coupling)))
 
 
-@pytest.mark.parametrize("mean_zero", [True, False])
-def test_coupling_pairs_solves_by_axis_parity(monkeypatch, mean_zero):
+def test_coupling_pairs_solves_by_axis_parity(monkeypatch):
     calls = []
 
     def counted(field):
@@ -384,15 +405,15 @@ def test_coupling_pairs_solves_by_axis_parity(monkeypatch, mean_zero):
         return velocity_free_space(field)
 
     monkeypatch.setattr(diagnostics, "velocity_free_space", counted)
-    # 16 * 17 / 2 modes with a <= b, less (0, 0), whose velocity is the
-    # vortex profile: 135 at basis 16 (every mode would be 255).  Paired by
+    # 16 * 17 / 2 modes with a <= b, less the mass mode (0, 0), which is not
+    # assembled: 135 at basis 16 (every mode would be 255).  Paired by
     # axis parity, the 35 (even, even) modes go with the 36 (odd, odd) ones,
     # and the 36 (even, odd) modes with a < b with the 28 (odd, even) ones:
     # 36 + 36 solves.  At basis 32: 136 + 136 of 527.
     for basis_n, solves in ((16, 72), (32, 272)):
         calls.clear()
         # uncached, so the count does not depend on which tests ran before
-        _coupling_columns(basis_n, mean_zero, Grid(64, 40.0))
+        _coupling_columns(basis_n, Grid(64, 40.0))
         assert len(calls) == solves
 
 

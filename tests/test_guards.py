@@ -22,13 +22,15 @@ from oseen2d.diagnostics import (linearized_spectrum, localized_diffuse_series,
 from oseen2d.errors import DomainError, Oseen2dError
 from oseen2d.experiments import ExperimentConfig
 from oseen2d.field import ScalarField, require_boundary_decay, resample_affine
+from oseen2d.measure import require_margin
 from oseen2d.oseen import (gaussian_profile, oseen_max_speed, oseen_velocity,
                            oseen_vorticity)
-from oseen2d.propagators import (evolve_S1, evolve_T_alpha, propagate_SN,
-                                 vortex_advection)
+from oseen2d.propagators import (background_fields, evolve_S1, evolve_T_alpha,
+                                 propagate_SN, vortex_advection)
 from oseen2d.rng import band_limited_field, generator
 from oseen2d.selfsim import commutation_residual, to_self_similar
-from oseen2d.solver import evolve_rescaled_perturbation, initialize_from_measure
+from oseen2d.solver import (evolve_rescaled_perturbation, initialize_from_measure,
+                            restrict)
 
 GRID = Grid(64, 24.0)
 FIELD = ScalarField(GRID, gaussian_profile(*GRID.meshes()))
@@ -178,8 +180,27 @@ def test_ints_floats_and_numpy_numbers_give_one_result(entry, param):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+# name: the entry with every argument good but its grid
+GRID_ENTRIES = {
+    "ScalarField": lambda grid: ScalarField(grid, FIELD.values),
+    "heat_smooth": lambda grid: heat_smooth(MU, 1, grid),
+    "oseen_fields": lambda grid: oseen_fields(VORTEX, 1, grid),
+    "solve_cauchy": lambda grid: solve_cauchy(MU, 1, 1, 1.1, grid),
+    "initialize_from_measure": lambda grid: initialize_from_measure(MU, 1, 1, grid),
+    "require_margin": lambda grid: require_margin([(0, 0)], 1, grid),
+    "localized_diffuse_series": lambda grid: localized_diffuse_series(
+        DIFFUSE, (0, 0), [1], 4, 4, grid),
+    "vortex_advection": lambda grid: vortex_advection(grid, 1),
+    "background_fields": lambda grid: background_fields((VORTEX,), 1, grid),
+    "restrict": lambda grid: restrict(FIELD, grid),
+    "band_limited_field": lambda grid: band_limited_field(grid),
+    "linearized_spectrum": lambda grid: linearized_spectrum(1.0, 16, grid=grid),
+}
+
+
+@pytest.mark.parametrize("entry", GRID_ENTRIES)
 @pytest.mark.parametrize("grid", ["x", None, 64])
-def test_linearized_spectrum_needs_a_grid(grid):
-    # a string made _assemble_coupling raise an AttributeError
-    with pytest.raises(DomainError, match="grid must be a Grid"):
-        linearized_spectrum(1.0, 16, grid=grid)
+def test_a_grid_argument_must_be_a_grid(entry, grid):
+    # each raised an AttributeError when it first read an attribute of grid
+    with pytest.raises(DomainError, match="grid must be a Grid, got "):
+        GRID_ENTRIES[entry](grid)

@@ -436,10 +436,12 @@ def test_march_zero_step_raises(gauss128):
 @pytest.mark.parametrize("start, stops", [
     (np.nan, [1.0]), (np.inf, [1.0]), (-np.inf, [1.0]),   # no finite start
     (2.0, [1.0, 1.5]),                                    # stops behind the start
-    (1.0, [1.5, 1.2])])                                   # stops out of order
+    (1.0, [1.5, 1.2]),                                    # stops out of order
+    ("1", [2.0]), (1.0, ["2"])])                          # times that are strings
 def test_march_rejects_a_bad_clock(gauss128, start, stops):
-    # unchecked, a NaN start came back as NaN with every stop at NaN, and a
-    # start past the stops came back with every stop at the start
+    # unchecked, a NaN start came back as NaN with every stop at NaN, a
+    # start past the stops came back with every stop at the start, and a
+    # string time raised a TypeError inside the loop
     with pytest.raises(DomainError, match="in order from a finite start"):
         march(gauss128, start, stops, _no_step)
 
