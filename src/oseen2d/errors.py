@@ -4,6 +4,7 @@ number, whose DomainError names the parameter, its interval and the value."""
 
 import math
 import numbers
+import sys
 
 
 class Oseen2dError(Exception):
@@ -45,10 +46,12 @@ class ConvergenceError(Oseen2dError):
 def real(name: str, value, low=-math.inf, high=math.inf, *, ends: str = "()",
          integer: bool = False):
     """``value`` unchanged if it is an int, float or numpy number (an integer
-    if ``integer``; not a bool) in the interval from ``low`` to ``high`` with
-    the brackets ``ends``: "()", "[]", "[)" or "(]".  DomainError otherwise."""
+    if ``integer``; not a bool; not an int beyond the float range) in the
+    interval from ``low`` to ``high`` with the brackets ``ends``: "()", "[]",
+    "[)" or "(]".  DomainError otherwise."""
     if (isinstance(value, numbers.Integral if integer else numbers.Real)
             and not isinstance(value, bool)
+            and (abs(value) <= sys.float_info.max or abs(value) == math.inf)
             and (low <= value if ends[0] == "[" else low < value)
             and (value <= high if ends[1] == "]" else value < high)):
         return value

@@ -30,12 +30,11 @@ from .field import (Grid, ScalarField, divergence_local, gradient, lp_norm,
                     max_speed, project_mean_zero)
 from .measure import FiniteMeasure, heat_smooth, measure_hash, total_variation
 from .oseen import OseenVortex, gaussian_profile, oseen_fields
-from .propagators import (StepperConfig, Trajectory, evolve_S1,
-                          evolve_T_alpha, fit_decay, march, propagate_SN)
+from .propagators import (StepperConfig, Trajectory, evolve_rescaled_perturbation,
+                          evolve_S1, evolve_T_alpha, fit_decay, march)
 from .rng import DEFAULT_SEED, band_limited_field
 from .selfsim import commutation_residual, semigroup_apply
-from .solver import (SolverRun, evolve_rescaled_perturbation, solve_cauchy,
-                     step_decomposed)
+from .solver import SolverRun, propagate_SN, solve_cauchy, step_decomposed
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class ExperimentConfig:
     box_l: float = 40.0
     t0: float = 1e-2
     t_end: float = 1.0
-    dt: float | None = None          # None: solver step-control rule
+    dt: float | None = None          # A2/A3/A7/A8's fixed step; None: their own
     alpha: float = 1.0
     epsilon: float | None = None     # None: 0.05 x total variation
     m: float = 3.0

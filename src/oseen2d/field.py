@@ -140,9 +140,9 @@ class ScalarField:
 
     def boundary_max(self) -> float:
         """Largest |value| on the outermost ring of the grid."""
-        v = np.abs(self.values)
-        return float(max(v[0, :].max(), v[-1, :].max(),
-                         v[:, 0].max(), v[:, -1].max()))
+        v = self.values
+        edges = (v[0], v[-1], v[:, 0], v[:, -1])
+        return float(max(np.abs(edge).max() for edge in edges))
 
 
 def max_speed(u: np.ndarray) -> float:

@@ -35,7 +35,7 @@ class OseenVortex:
     z: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if not isinstance(self.z, tuple):       # a cache key of background_fields
+        if not isinstance(self.z, tuple):       # a cache key of solver.background_fields
             raise DomainError(
                 f"z must be a pair of finite numbers in a tuple, got {self.z!r}")
         point("z", self.z)

@@ -1,4 +1,4 @@
-"""One integrating-factor RK4 core and the flows it advances.
+"""One integrating-factor RK4 core and the self-similar flows it advances.
 
 Every flow in the package has the form
 
@@ -10,21 +10,21 @@ stage function of the flow.  Each flow supplies only its physics: the
 stage function and its stability bound at the one CFL number ``CFL``.
 This module owns the rest: ``lawson_step`` takes one step of any such flow
 (always dealiased by the 2/3 rule; it reads the speed of stage 1's velocity
-only), ``march`` is the one loop through a list of stop times,
-``StepperConfig.step`` the one step-size rule, and ``background_fields``
-the one sampler and sum of the analytic vortex backgrounds: per time it
-caches the summed velocity U, vorticity W and flux S = sum_i u_i w_i (exp
-skipped where it underflows), so consecutive steps share samples and no
-caller sums per vortex.  It supplies the stage functions and bounds of
+only), ``march`` is the one loop through a list of stop times and
+``StepperConfig.step`` the one step-size rule.  It supplies the stage
+functions and bounds of the flows around one Gaussian in self-similar
+variables, which carry no vortex background:
 
-* the frozen multi-vortex background propagator SN in physical time,
 * the one-vortex self-similar flow  dw/dtau + alpha v . grad w = L w,
 * the linearization at the Gaussian steady profile
   dw/dtau + alpha (v . grad w + v_w . grad G) = L w,
+* the nonlinear perturbation about alpha G, the linearization plus its
+  quadratic self-interaction,
 
 plus least-squares decay-rate measurement on the resulting trajectories;
-``solver`` supplies those of the nonlinear Cauchy solver and its rescaled
-perturbation flow.
+``solver`` owns every vortex background, the sampler of their sum and the
+two flows that carry them (the Cauchy solver's remainder equation and the
+frozen-background propagator SN), which step by its one rule.
 
 The state lives on the half spectrum of the real transform ``rfft2``.
 All advection terms are stepped in divergence form, so the zero mode of
@@ -34,8 +34,8 @@ the state is bit-exactly conserved.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,12 +43,17 @@ import numpy as np
 from .biot_savart import velocity_free_space
 from .errors import DegenerateError, DomainError, StabilityError, point, real
 from .field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
-                    _irfft2, _ksq, _rfft2, lp_norm, max_speed, require_grid,
-                    weighted_norm)
-from .oseen import (EXP_UNDERFLOW, OseenVortex, gaussian_profile, oseen_max_speed,
-                    oseen_velocity, oseen_vorticity, velocity_profile)
+                    _irfft2, _ksq, _rfft2, lp_norm, max_speed,
+                    require_boundary_decay, require_grid, weighted_norm)
+from .oseen import gaussian_profile, velocity_profile
 
 CFL = 0.5
+
+# Stepper states near t0 carry aliasing-level ringing at the boundary
+# (the backgrounds are only marginally resolved there); it is orders of
+# magnitude below anything physical, so the advancing solver and the
+# rescaled perturbation flow tolerate it.
+SOLVER_BOUNDARY_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -208,15 +213,16 @@ def march(w: ScalarField, t: float, stops: Sequence[float], advance,
     ``advance(w, t, t_stop)`` takes one step ending no later than t_stop
     and returns the new (w, t); ``on_stop(t, w)`` sees the start and every
     stop, with t set to the stop once it is within round-off of it.  A
-    start or stop that is not a finite number, and a stop behind the start
-    or the previous stop, raise DomainError before any step.  A step that
+    start or stop that is not a finite number (an int beyond the float range
+    included), and a stop behind the start or the previous stop, raise
+    DomainError before any step.  A step that
     does not move time forward (dt = 0 from an infinite speed, or NaN) and
     a state that is not finite at a stop raise StabilityError naming the
     time and the step.
     """
     clock = (t, *stops)
-    if not (all(isinstance(time, numbers.Real) for time in clock)
-            and np.all(np.isfinite(clock)) and np.all(np.diff(clock) >= 0)):
+    if not (all(isinstance(time, numbers.Real) and abs(time) <= sys.float_info.max
+                for time in clock) and np.all(np.diff(clock) >= 0)):
         raise DomainError(
             f"stop times must be finite and in order from a finite start, "
             f"got t={t}, stops={list(stops)}")
@@ -235,87 +241,6 @@ def march(w: ScalarField, t: float, stops: Sequence[float], advance,
         if on_stop is not None:
             on_stop(t, w)
     return w, t
-
-
-# ---------------------------------------------------------------------
-# the frozen multi-vortex background propagator SN (physical time)
-# ---------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _no_backgrounds(grid: Grid) -> np.ndarray:
-    return np.broadcast_to(0.0, (5, grid.n, grid.n))     # read-only, no memory
-
-
-@lru_cache(maxsize=3)
-def background_fields(vortices: tuple[OseenVortex, ...], t: float,
-                      grid: Grid) -> np.ndarray:
-    """The one sampler and the one sum of the analytic vortex backgrounds.
-
-    Returns the read-only (5, n, n) array (U1, U2, W, S1, S2) at time t,
-    with U = sum_i u_i, W = sum_i w_i and S = sum_i u_i w_i over the
-    vortices, each sampled once on broadcast 1-D coordinates, w_i only on the
-    rows x columns where -((c - z_i)/sqrt(t))^2/4 > EXP_UNDERFLOW (outside, it
-    and u_i w_i are zeros that change no bit of W or S); one cached zero array
-    per grid for no vortex.  A Lawson step samples three stage times, its
-    last the next step's first: three entries leave two new per step.
-    """
-    require_grid(grid)
-    if not vortices:
-        return _no_backgrounds(grid)
-    x = grid.coords()
-    fields = np.zeros((5, grid.n, grid.n))
-    for v in vortices:
-        u1, u2 = oseen_velocity(v, t, x[:, None], x[None, :])
-        near = [((x - z) / np.sqrt(t)) ** 2 < -4.0 * EXP_UNDERFLOW for z in v.z]
-        r, c = (slice(m.argmax(), m.argmax() + m.sum()) for m in near)  # one run each
-        w = oseen_vorticity(v, t, x[r, None], x[None, c])
-        for total, sample in zip((fields[0], fields[1], *fields[2:, r, c]),
-                                 (u1, u2, w, u1[r, c] * w, u2[r, c] * w)):
-            total += sample
-    fields.flags.writeable = False
-    return fields
-
-
-def background_cfl_bound(vortices: Sequence[OseenVortex], t: float,
-                         grid: Grid) -> float:
-    """Hard stability bound against the analytic background speed."""
-    return cfl_bound(grid.h, sum(oseen_max_speed(v, t) for v in vortices))
-
-
-# The narrowest vortex core sqrt(s), in cells h, that SN resolves.
-CORE_CELLS = 0.75
-
-
-def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
-                 t: float, cfg: StepperConfig) -> ScalarField:
-    """Evolve f from time s to time t under the frozen vortex backgrounds.
-
-    Pure heat flow when the vortex list is empty.  Total mass is conserved
-    to round-off by the divergence-form advection.  The automatic step
-    also keeps dt <= t/50, which resolves the 1/sqrt(t) sharpening of the
-    backgrounds near t = 0 (an accuracy rule, not a stability one).  With
-    a vortex, its core sqrt(s) must span at least CORE_CELLS cells
-    (DomainError otherwise); a ratio, so the rule has no scale of its own.
-    """
-    real("t", t, real("s", s, 0, np.inf), np.inf)
-    grid, vortices = f.grid, tuple(vortices)
-    if vortices and np.sqrt(s) < CORE_CELLS * grid.h:
-        raise DomainError(
-            f"h={grid.h:.3g} under-resolves the vortex core sqrt(s)={np.sqrt(s):.3g}: "
-            f"SN needs sqrt(s) >= {CORE_CELLS} h")
-
-    # |sum_i u_i| <= sum_i oseen_max_speed(v_i) pointwise, so the sampled
-    # speed never binds: the stage returns no velocity and the step reads
-    # only the analytic bound
-    def stage(w, now):
-        return background_fields(vortices, now, grid)[:2] * w, None
-
-    def advance(w, now, stop):
-        bound = background_cfl_bound(vortices, now, grid)
-        return lawson_step(w, now, stop, stage,
-                           lambda speed, room: cfg.step(bound, room, now / 50.0))
-
-    return march(f, s, [t], advance)[0]
 
 
 # ---------------------------------------------------------------------
@@ -340,14 +265,14 @@ def evolve_rescaled(w0: ScalarField, tau_end: float, cfg: StepperConfig,
     """
     real("tau_end", tau_end, 0, np.inf)
     h, drift_bound = w0.grid.h, 4.0 * w0.grid.h / w0.grid.box_size
-    largest = cfg.step(min(drift_bound, cfl_bound(h, advection_max)), np.inf)
-    real("sample_every", sample_every, largest, np.inf, ends="[]")
-    # a frame of 8 n^2 bytes per sample: at most 2 GiB, before any stop is built
-    real("tau_end/sample_every", tau_end / sample_every, 0, 2**28 / w0.grid.n**2,
-         ends="[]")
 
     def pick_dt(speed, room):
         return cfg.step(min(drift_bound, cfl_bound(h, advection_max + speed)), room)
+
+    real("sample_every", sample_every, pick_dt(0.0, np.inf), np.inf, ends="[]")
+    # a frame of 8 n^2 bytes per sample: at most 2 GiB, before any stop is built
+    real("tau_end/sample_every", tau_end / sample_every, 0, 2**28 / w0.grid.n**2,
+         ends="[]")
 
     def advance(w, tau, stop):
         return lawson_step(w, tau, stop, stage, pick_dt, drift=True)
@@ -389,6 +314,35 @@ def evolve_T_alpha(alpha: float, w0: ScalarField, tau_end: float,
         flux = a * w
         flux += alpha * vw * g
         return flux, None
+
+    return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
+
+
+def evolve_rescaled_perturbation(alpha: float, w0: ScalarField, tau_end: float,
+                                 cfg: StepperConfig,
+                                 sample_every: float = 0.1) -> Trajectory:
+    """Full nonlinear rescaled flow of the perturbation about alpha G.
+
+    With w = alpha G + w~ and v = alpha v_G + v~, the vorticity equation in
+    self-similar variables reduces to
+
+        d w~/d tau = L w~ - alpha div(v_G w~) - alpha div(v~ G) - div(v~ w~),
+
+    the linearized flow plus its quadratic self-interaction.  The returned
+    trajectory samples w~(tau) starting from w~(0) = w0.
+    """
+    grid = w0.grid
+    require_boundary_decay(w0, "evolve_rescaled_perturbation")
+    a, advection_max = vortex_advection(grid, alpha)
+    g = gaussian_profile(*grid.meshes())
+
+    def stage(w, tau):
+        vt = velocity_free_space(ScalarField._owned(grid, w),
+                                 boundary_tol=SOLVER_BOUNDARY_TOL)
+        flux = np.add(a, vt)
+        flux *= w
+        flux += alpha * vt * g
+        return flux, vt
 
     return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 

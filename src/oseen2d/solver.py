@@ -16,19 +16,21 @@ The initial measure alone fixes the tuple of backgrounds, so the state is
 the plain pair (w~, t) under it, and ``march`` steps that pair like every
 other flow's with ``partial(step_decomposed, backgrounds, cfg)``.
 
-Both this flow and the rescaled perturbation flow about alpha G (for
-long-horizon single-vortex asymptotics, where the box does not have to
-chase the sqrt(t) spreading) supply only a stage function and a stability
-bound; the one Lawson RK4 core, the one step-size rule and the one
-sampler and sum of the analytic backgrounds (``background_fields``) live
-in ``propagators``.
+This module owns every vortex background: ``background_fields``, the one
+sampler and sum of the analytic backgrounds, and the two flows that carry
+them, the remainder equation above and the frozen-background propagator SN
+of the uniqueness proof.  Both supply only a stage function and step by
+the one rule ``decomposed_dt``; the Lawson RK4 core, the step-size rule it
+applies and the self-similar flows without backgrounds live in
+``propagators``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import lru_cache, partial
+from typing import Sequence
 
 import numpy as np
 
@@ -39,17 +41,54 @@ from .field import (Grid, ScalarField, lp_norm, require_boundary_decay,
                     require_grid)
 from .measure import (AtomicDecomposition, FiniteMeasure, decompose,
                       heat_smooth, require_margin, total_variation)
-from .oseen import OseenVortex, gaussian_profile
-from .propagators import (StepperConfig, Trajectory, background_cfl_bound,
-                          background_fields, cfl_bound, evolve_rescaled,
-                          lawson_step, march, vortex_advection)
+from .oseen import (EXP_UNDERFLOW, OseenVortex, oseen_max_speed, oseen_velocity,
+                    oseen_vorticity)
+from .propagators import (SOLVER_BOUNDARY_TOL, StepperConfig, Trajectory,
+                          cfl_bound, lawson_step, march)
 
 SNAPSHOTS_PER_DECADE = 16
 
-# Stepper states near t0 carry aliasing-level ringing at the boundary
-# (the backgrounds are only marginally resolved there); it is orders of
-# magnitude below anything physical, so the advancing solver tolerates it.
-SOLVER_BOUNDARY_TOL = 0.05
+# The narrowest vortex core sqrt(s), in cells h, that SN resolves.
+CORE_CELLS = 0.75
+
+
+# ---------------------------------------------------------------------
+# the analytic vortex backgrounds
+# ---------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _no_backgrounds(grid: Grid) -> np.ndarray:
+    return np.broadcast_to(0.0, (5, grid.n, grid.n))     # read-only, no memory
+
+
+@lru_cache(maxsize=3)
+def background_fields(vortices: tuple[OseenVortex, ...], t: float,
+                      grid: Grid) -> np.ndarray:
+    """The one sampler and the one sum of the analytic vortex backgrounds.
+
+    Returns the read-only (5, n, n) array (U1, U2, W, S1, S2) at time t,
+    with U = sum_i u_i, W = sum_i w_i and S = sum_i u_i w_i over the
+    vortices, each sampled once on broadcast 1-D coordinates, w_i only on the
+    rows x columns where -((c - z_i)/sqrt(t))^2/4 > EXP_UNDERFLOW (outside, it
+    and u_i w_i are zeros that change no bit of W or S); one cached zero array
+    per grid for no vortex.  A Lawson step samples three stage times, its
+    last the next step's first: three entries leave two new per step.
+    """
+    require_grid(grid)
+    if not vortices:
+        return _no_backgrounds(grid)
+    x = grid.coords()
+    fields = np.zeros((5, grid.n, grid.n))
+    for v in vortices:
+        u1, u2 = oseen_velocity(v, t, x[:, None], x[None, :])
+        near = [((x - z) / np.sqrt(t)) ** 2 < -4.0 * EXP_UNDERFLOW for z in v.z]
+        r, c = (slice(m.argmax(), m.argmax() + m.sum()) for m in near)  # one run each
+        w = oseen_vorticity(v, t, x[r, None], x[None, c])
+        for total, sample in zip((fields[0], fields[1], *fields[2:, r, c]),
+                                 (u1, u2, w, u1[r, c] * w, u2[r, c] * w)):
+            total += sample
+    fields.flags.writeable = False
+    return fields
 
 
 def total_vorticity(backgrounds: tuple[OseenVortex, ...], w: ScalarField,
@@ -75,13 +114,8 @@ def initialize_from_measure(mu: FiniteMeasure, epsilon: float, t0: float, grid: 
             f"t0={t0} is large relative to the vortex separation "
             f"(d^2/100 = {dec.d**2 / 100.0:.3g}); backgrounds interact strongly",
             stacklevel=2)
-    remainder_measure = dec.remainder
-    if remainder_measure.atoms or remainder_measure.density is not None:
-        remainder = heat_smooth(remainder_measure, t0, grid)
-    else:
-        remainder = grid.zeros()
     backgrounds = tuple(OseenVortex(alpha, z) for alpha, z in dec.retained)
-    return backgrounds, remainder, dec
+    return backgrounds, heat_smooth(dec.remainder, t0, grid), dec
 
 
 # ---------------------------------------------------------------------
@@ -103,10 +137,10 @@ def _decomposed_stage(backgrounds, grid: Grid):
 
     With U = sum_i u_i, W = sum_i w_i and S = sum_i u_i w_i, that flux is
     the identity (u~ + U)(w~ + W) - S, so the stage reads only the summed
-    samples (U, W, S) from ``propagators.background_fields``, shared
-    across steps.  The background self-advection terms u_i . grad(w_i)
-    are dropped analytically (they vanish pointwise by radial symmetry):
-    a single vortex with a zero remainder has the flux U W - S = 0 exactly.
+    samples (U, W, S) from ``background_fields``, shared across steps.
+    The background self-advection terms u_i . grad(w_i) are dropped
+    analytically (they vanish pointwise by radial symmetry): a single
+    vortex with a zero remainder has the flux U W - S = 0 exactly.
     """
     def stage(w, t):
         bg = background_fields(backgrounds, t, grid)
@@ -121,15 +155,19 @@ def _decomposed_stage(backgrounds, grid: Grid):
 
 def decomposed_dt(backgrounds, cfg: StepperConfig, t: float, grid: Grid,
                   remainder_speed: float, room: float = np.inf) -> float:
-    """The step step_decomposed takes from time t, at most ``room``.
+    """The one step rule of the flows with vortex backgrounds: the step that
+    step_decomposed and propagate_SN take from time t, at most ``room``.
 
-    The stability bound is the CFL step of the backgrounds and of the
-    speed of the remainder velocity that stage 1 solved; the automatic step
-    also keeps dt <= t/50, which resolves the 1/sqrt(t) sharpening of the
-    backgrounds near t = 0 (an accuracy rule, not a stability one).
+    The stability bound is the CFL step of the backgrounds' analytic speed
+    sum_i max|u_i| and that of ``remainder_speed``, the speed of the
+    remainder velocity that stage 1 solved (0 for SN, which solves none);
+    the automatic step also keeps dt <= t/50, which resolves the 1/sqrt(t)
+    sharpening of the backgrounds near t = 0 (an accuracy rule, not a
+    stability one).
     """
-    return cfg.step(min(background_cfl_bound(backgrounds, t, grid),
-                        cfl_bound(grid.h, remainder_speed)), room, t / 50.0)
+    speed = sum(oseen_max_speed(v, t) for v in backgrounds)
+    return cfg.step(min(cfl_bound(grid.h, speed), cfl_bound(grid.h, remainder_speed)),
+                    room, t / 50.0)
 
 
 def step_decomposed(backgrounds, cfg: StepperConfig, w: ScalarField, t: float,
@@ -145,8 +183,42 @@ def step_decomposed(backgrounds, cfg: StepperConfig, w: ScalarField, t: float,
     """
     grid = w.grid
     return lawson_step(w, t, t_stop, _decomposed_stage(backgrounds, grid),
-                       lambda speed, room: decomposed_dt(backgrounds, cfg, t, grid,
-                                                         speed, room))
+                       partial(decomposed_dt, backgrounds, cfg, t, grid))
+
+
+# ---------------------------------------------------------------------
+# the frozen multi-vortex background propagator SN (physical time)
+# ---------------------------------------------------------------------
+
+def propagate_SN(vortices: Sequence[OseenVortex], f: ScalarField, s: float,
+                 t: float, cfg: StepperConfig) -> ScalarField:
+    """Evolve f from time s to time t under the frozen vortex backgrounds.
+
+    Pure heat flow when the vortex list is empty.  Total mass is conserved
+    to round-off by the divergence-form advection.  Each step is the one
+    step_decomposed takes on a zero remainder (``decomposed_dt`` with no
+    remainder speed).  With a vortex, its core sqrt(s) must span at least
+    CORE_CELLS cells (DomainError otherwise); a ratio, so the rule has no
+    scale of its own.
+    """
+    real("t", t, real("s", s, 0, np.inf), np.inf)
+    grid, vortices = f.grid, tuple(vortices)
+    if vortices and np.sqrt(s) < CORE_CELLS * grid.h:
+        raise DomainError(
+            f"h={grid.h:.3g} under-resolves the vortex core sqrt(s)={np.sqrt(s):.3g}: "
+            f"SN needs sqrt(s) >= {CORE_CELLS} h")
+
+    # |sum_i u_i| <= sum_i oseen_max_speed(v_i) pointwise, so the sampled
+    # speed never binds: the stage returns no velocity and the step reads
+    # only the analytic bound
+    def stage(w, now):
+        return background_fields(vortices, now, grid)[:2] * w, None
+
+    def advance(w, now, stop):
+        return lawson_step(w, now, stop, stage,
+                           partial(decomposed_dt, vortices, cfg, now, grid))
+
+    return march(f, s, [t], advance)[0]
 
 
 # ---------------------------------------------------------------------
@@ -235,39 +307,6 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
 
     march(remainder, t0, schedule, partial(step_decomposed, backgrounds, cfg), record)
     return run
-
-
-# ---------------------------------------------------------------------
-# rescaled single-frame nonlinear evolution (long-horizon asymptotics)
-# ---------------------------------------------------------------------
-
-def evolve_rescaled_perturbation(alpha: float, w0: ScalarField, tau_end: float,
-                                 cfg: StepperConfig,
-                                 sample_every: float = 0.1) -> Trajectory:
-    """Full nonlinear rescaled flow of the perturbation about alpha G.
-
-    With w = alpha G + w~ and v = alpha v_G + v~, the vorticity equation in
-    self-similar variables reduces to
-
-        d w~/d tau = L w~ - alpha div(v_G w~) - alpha div(v~ G) - div(v~ w~),
-
-    the linearized flow plus its quadratic self-interaction.  The returned
-    trajectory samples w~(tau) starting from w~(0) = w0.
-    """
-    grid = w0.grid
-    require_boundary_decay(w0, "evolve_rescaled_perturbation")
-    a, advection_max = vortex_advection(grid, alpha)
-    g = gaussian_profile(*grid.meshes())
-
-    def stage(w, tau):
-        vt = velocity_free_space(ScalarField._owned(grid, w),
-                                 boundary_tol=SOLVER_BOUNDARY_TOL)
-        flux = np.add(a, vt)
-        flux *= w
-        flux += alpha * vt * g
-        return flux, vt
-
-    return evolve_rescaled(w0, tau_end, cfg, stage, advection_max, sample_every)
 
 
 def restrict(f: ScalarField, coarse: Grid) -> ScalarField:

@@ -363,7 +363,7 @@ def ring_factor_full(s):
 
 
 def background_fields_full(vortices, t: float, grid: Grid) -> np.ndarray:
-    """propagators.background_fields sampled on the (n, n) coordinate
+    """solver.background_fields sampled on the (n, n) coordinate
     meshes with the full-grid profiles above."""
     xx, yy = grid.meshes()
     rt = np.sqrt(t)

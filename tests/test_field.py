@@ -259,6 +259,18 @@ def test_boundary_decay_check(grid128):
     require_boundary_decay(ScalarField(grid128, gaussian_profile(xx, yy)), "test")
 
 
+@pytest.mark.parametrize("spot", [(0, 5), (-1, 7), (9, 0), (3, -1), (0, 0), (-1, -1),
+                                  (8, 8)])
+def test_boundary_max_reads_the_outer_ring(spot):
+    # bit for bit the largest |value| of the ring, wherever on it the peak
+    # sits; a peak inside the ring is not read
+    values = np.random.default_rng(7).standard_normal((16, 16))
+    values[spot] = -50.0
+    ring = np.abs(values)
+    ring[1:-1, 1:-1] = 0.0
+    assert ScalarField(Grid(16, 10.0), values).boundary_max() == ring.max()
+
+
 def test_field_grid_mismatch(gauss128, gauss256):
     with pytest.raises(MismatchError):
         gauss128 + gauss256  # noqa: B018

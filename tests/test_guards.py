@@ -19,18 +19,18 @@ from oseen2d import (FiniteMeasure, Grid, OseenVortex, StepperConfig,
 from oseen2d.biot_savart import hls_ratio, velocity_free_space
 from oseen2d.diagnostics import (linearized_spectrum, localized_diffuse_series,
                                  remainder_norms, solution_distance)
-from oseen2d.errors import DomainError, Oseen2dError
+from oseen2d.errors import DomainError, Oseen2dError, real
 from oseen2d.experiments import ExperimentConfig
 from oseen2d.field import ScalarField, require_boundary_decay, resample_affine
 from oseen2d.measure import require_margin
 from oseen2d.oseen import (gaussian_profile, oseen_max_speed, oseen_velocity,
                            oseen_vorticity)
-from oseen2d.propagators import (background_fields, evolve_S1, evolve_T_alpha,
-                                 propagate_SN, vortex_advection)
+from oseen2d.propagators import (evolve_rescaled_perturbation, evolve_S1,
+                                 evolve_T_alpha, march, vortex_advection)
 from oseen2d.rng import band_limited_field, generator
 from oseen2d.selfsim import commutation_residual, to_self_similar
-from oseen2d.solver import (evolve_rescaled_perturbation, initialize_from_measure,
-                            restrict)
+from oseen2d.solver import (background_fields, initialize_from_measure,
+                            propagate_SN, restrict)
 
 GRID = Grid(64, 24.0)
 FIELD = ScalarField(GRID, gaussian_profile(*GRID.meshes()))
@@ -123,19 +123,38 @@ OPTIONAL = {("StepperConfig", "dt"), ("ExperimentConfig", "dt"),
             ("ExperimentConfig", "epsilon")}
 
 
+# an int beyond the float range: no float holds it, so no entry computes with it
+HUGE = 10**400
+
+
 def cases(values):
     """(entry, parameter, value) for every numeric parameter of the table."""
-    return [pytest.param(name, param, value, id=f"{name}-{param}-{value!r}")
+    return [pytest.param(name, param, value, id=f"{name}-{param}-"
+                         + ("10**400" if value is HUGE else repr(value)))
             for name, (_, _, params) in ENTRIES.items() for param in params
             for value in values if not (value is None and (name, param) in OPTIONAL)]
 
 
 @pytest.mark.parametrize("entry, param, bad", cases(
-    ["1", None, [1.0], np.nan, 1 + 1j, np.array([1.0, 1.0]), True]))
+    ["1", None, [1.0], np.nan, 1 + 1j, np.array([1.0, 1.0]), True, HUGE]))
 def test_a_value_that_is_not_a_number_raises_an_oseen2d_error(entry, param, bad):
     fn, good, _ = ENTRIES[entry]
     with pytest.raises(Oseen2dError):
         fn(**{**good, param: bad})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: oseen_max_speed(VORTEX, HUGE),          # TypeError from np.sqrt
+    lambda: march(FIELD, HUGE, [], None),           # TypeError from np.isfinite
+    lambda: march(FIELD, 1.0, [HUGE], None),
+    lambda: Grid(16, HUGE).h,                       # OverflowError
+    lambda: GRID.zeros() * HUGE,                    # OverflowError
+    lambda: real("seed", HUGE, 0, np.inf, ends="[)", integer=True),
+], ids=["oseen_max_speed", "march-start", "march-stop", "Grid", "ScalarField.__mul__",
+        "real-integer"])
+def test_an_int_beyond_the_float_range_raises_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 @pytest.mark.parametrize("entry, param, bad", cases([np.inf, -1.0, 0]))

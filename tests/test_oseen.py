@@ -79,7 +79,7 @@ def test_velocity_jacobian_matches_finite_differences():
             assert abs(fd[1] - got[1]) < 1e-8
 
 
-# a vortex is a cache key of propagators.background_fields: its center is
+# a vortex is a cache key of solver.background_fields: its center is
 # a hashable tuple of two finite numbers
 @pytest.mark.parametrize("z", [(0.0,), (0.0, 0.0, 0.0), 0.0, (np.nan, 0.0),
                                (0.0, -np.inf), ("0", 0.0), [0.0, 0.0], None])

@@ -10,12 +10,13 @@ from oseen2d.field import (Grid, ScalarField, _dealias_mask, _deriv_wavenumbers,
 from oseen2d.measure import FiniteMeasure, heat_smooth
 from oseen2d.oseen import (OseenVortex, gaussian_profile, oseen_fields,
                            oseen_max_speed)
-from oseen2d.propagators import (DecayFit, StepperConfig, Trajectory,
-                                 background_fields, cfl_bound, evolve_S1,
+from oseen2d.propagators import (DecayFit, StepperConfig, Trajectory, cfl_bound,
+                                 evolve_rescaled_perturbation, evolve_S1,
                                  evolve_T_alpha, fit_decay, lawson_step, march,
-                                 propagate_SN, vortex_advection)
+                                 vortex_advection)
 from oseen2d.rng import band_limited_field
 from oseen2d.selfsim import semigroup_apply
+from oseen2d.solver import background_fields, propagate_SN
 
 from oracles import background_fields_full
 
@@ -160,10 +161,10 @@ def test_propagate_samples_each_stage_time_once(grid128, monkeypatch):
     # the first step samples s; each step then samples only t + dt/2 and
     # t + dt, since its first stage time is the previous step's last
     times = []
-    real = propagators.oseen_velocity
-    monkeypatch.setattr(propagators, "oseen_velocity",
+    real = solver.oseen_velocity
+    monkeypatch.setattr(solver, "oseen_velocity",
                         lambda v, t, *xy: times.append(t) or real(v, t, *xy))
-    propagators.background_fields.cache_clear()
+    background_fields.cache_clear()
     propagate_SN([OseenVortex(1.0)], heat_kernel_field(grid128, 0.5), 1.0, 1.02,
                  StepperConfig.fixed(5e-3))
     assert len(times) == 1 + 2 * 4
@@ -174,7 +175,7 @@ def test_propagate_sums_backgrounds_once_per_time(grid128):
     # SN's stages read the summed background velocity from the cache, so
     # the stages that share a time share one sum: 4 steps read it 16 times
     # and build it at 9 times, whatever the vortex count
-    cache = propagators.background_fields
+    cache = background_fields
     cache.cache_clear()
     propagate_SN([OseenVortex(1.0), OseenVortex(-0.5, (3.0, 1.0))],
                  heat_kernel_field(grid128, 0.5), 1.0, 1.02,
@@ -242,7 +243,7 @@ def test_propagate_rejects_unresolved_core(cells, monkeypatch):
     # naming h and sqrt(s); 0.74 h passed the former stencil check
     grid = Grid(64, 20.0)
     s = (cells * grid.h) ** 2
-    monkeypatch.setattr(propagators, "lawson_step", _no_step)
+    monkeypatch.setattr(solver, "lawson_step", _no_step)
     with pytest.raises(DomainError, match=(
             rf"h=0.312 under-resolves the vortex core sqrt\(s\)={np.sqrt(s):.3g}")):
         propagate_SN([OseenVortex(1.0)], heat_kernel_field(grid, 0.5), s, 2 * s,
@@ -337,7 +338,7 @@ def test_selfsim_stability_bound(grid128, gauss128):
 
 @pytest.mark.parametrize("tau_end", [np.nan, np.inf, 0.0, -1.0, "0.1", None, [0.1]])
 @pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
-                                  solver.evolve_rescaled_perturbation])
+                                  evolve_rescaled_perturbation])
 def test_rescaled_flows_reject_bad_tau_end(flow, tau_end):
     # checked before any step: no bare ValueError/OverflowError from the
     # stop list, and no trajectory of zero length
@@ -362,7 +363,7 @@ def test_rescaled_flows_reject_samples_closer_than_a_step(monkeypatch):
 
 @pytest.mark.parametrize("tau_end", [1e308, 1e6])
 @pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
-                                  solver.evolve_rescaled_perturbation])
+                                  evolve_rescaled_perturbation])
 def test_rescaled_flows_reject_more_samples_than_memory_holds(flow, tau_end, monkeypatch):
     # 1e308 overflowed the stop count (OverflowError); 1e6 built 2e7 stops
     # (1.27 GB in 15 s) before the first step.  A frame of 32^2 takes 8 KB,
@@ -387,7 +388,7 @@ def _no_step(*args, **kwargs):
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, "1.0", None, [1.0]])
 @pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
-                                  solver.evolve_rescaled_perturbation])
+                                  evolve_rescaled_perturbation])
 def test_rescaled_flows_reject_nonfinite_alpha(flow, alpha, monkeypatch):
     grid = Grid(32, 40.0)
     w0 = 0.1 * heat_kernel_field(grid, 1.0)
@@ -398,7 +399,7 @@ def test_rescaled_flows_reject_nonfinite_alpha(flow, alpha, monkeypatch):
 
 @pytest.mark.parametrize("sample_every", [0.0, -1.0, np.nan, "0.05", None, [0.05]])
 @pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
-                                  solver.evolve_rescaled_perturbation])
+                                  evolve_rescaled_perturbation])
 def test_rescaled_flows_reject_bad_sample_spacing(flow, sample_every, monkeypatch):
     grid = Grid(32, 40.0)
     w0 = 0.1 * heat_kernel_field(grid, 1.0)
@@ -408,7 +409,7 @@ def test_rescaled_flows_reject_bad_sample_spacing(flow, sample_every, monkeypatc
 
 
 @pytest.mark.parametrize("flow", [evolve_S1, evolve_T_alpha,
-                                  solver.evolve_rescaled_perturbation])
+                                  evolve_rescaled_perturbation])
 def test_rescaled_flows_take_ints_and_numpy_numbers(flow):
     # bit for bit the run of the same floats
     grid = Grid(64, 40.0)
@@ -538,7 +539,7 @@ def _stage_flows(grid):
         "SN": lambda: propagate_SN(pair, pert, 1.0, 1.005, cfg),
         "S1": lambda: evolve_S1(10.0, pert, 5e-3, cfg, sample_every=5e-3),
         "T_alpha": lambda: evolve_T_alpha(10.0, pert, 5e-3, cfg, sample_every=5e-3),
-        "rescaled-perturbation": lambda: solver.evolve_rescaled_perturbation(
+        "rescaled-perturbation": lambda: evolve_rescaled_perturbation(
             1.0, pert, 5e-3, cfg, sample_every=5e-3),
     }
 

@@ -13,11 +13,12 @@ from oseen2d.errors import DomainError, MarginError, Oseen2dError, StabilityErro
 from oseen2d.field import Grid, ScalarField, lp_norm, project_mean_zero
 from oseen2d.measure import FiniteMeasure, total_variation
 from oseen2d.oseen import OseenVortex, gaussian_profile, oseen_fields
-from oseen2d.propagators import StepperConfig, march
+from oseen2d.propagators import (StepperConfig, evolve_rescaled_perturbation,
+                                 lawson_step, march)
 from oseen2d.rng import band_limited_field
-from oseen2d.solver import (evolve_rescaled_perturbation, initialize_from_measure,
-                            restrict, snapshot_schedule, solve_cauchy,
-                            step_decomposed, total_vorticity)
+from oseen2d.solver import (background_fields, initialize_from_measure,
+                            propagate_SN, restrict, snapshot_schedule,
+                            solve_cauchy, step_decomposed, total_vorticity)
 
 from oracles import decomposed_flux
 
@@ -105,7 +106,7 @@ def test_decomposed_stage_matches_per_vortex_flux(grid128, count, with_blob):
     for g, c in zip(got, want):
         assert np.max(np.abs(g - c)) <= 1e-13 * scale
     # and it is, byte for byte, the identity formed out of place
-    U1, U2, W, S1, S2 = propagators.background_fields(backgrounds, t, grid128)
+    U1, U2, W, S1, S2 = background_fields(backgrounds, t, grid128)
     total = w.values + W
     u1, u2 = (ut1 + U1, ut2 + U2) if with_blob else (U1, U2)
     assert got.tobytes() == np.stack((u1 * total - S1, u2 * total - S2)).tobytes()
@@ -177,9 +178,8 @@ def test_step_decomposed_reuses_background_fields(grid128, monkeypatch):
     # is 8 evaluations per step after the first (12 without reuse)
     calls = []
     for name in ("oseen_velocity", "oseen_vorticity"):
-        monkeypatch.setattr(propagators, name,
-                            counted(calls, getattr(propagators, name)))
-    propagators.background_fields.cache_clear()
+        monkeypatch.setattr(solver, name, counted(calls, getattr(solver, name)))
+    background_fields.cache_clear()
     backgrounds = (OseenVortex(1.0, (0.0, 0.0)), OseenVortex(1.0, (4.0, 0.0)))
     w, t = blob(grid128, 0.2, (1.5, 0.5), 1.0), 0.1
     counts = []
@@ -190,19 +190,45 @@ def test_step_decomposed_reuses_background_fields(grid128, monkeypatch):
     assert counts == [12, 8, 8, 8]
 
 
+class _Stepped(Exception):
+    """Carries the time a first step ended at out of the flow that took it."""
+
+
+@pytest.mark.parametrize("cfg", [StepperConfig.courant(), StepperConfig.fixed(1e-3)],
+                         ids=["courant", "fixed"])
+def test_sn_steps_like_a_zero_remainder(grid128, cfg, monkeypatch):
+    # SN and step_decomposed share one step rule: from the same backgrounds,
+    # config and time, SN's step and a zero remainder's end at the same
+    # time, bit for bit, whether t/50, the CFL bound (alpha = 100 at t = 8),
+    # the fixed dt or the stop sizes the step
+    def first_step(*args, **kwargs):
+        raise _Stepped(lawson_step(*args, **kwargs)[1])
+
+    monkeypatch.setattr(solver, "lawson_step", first_step)
+    f = blob(grid128, 0.2, (1.5, 0.5), 1.0)
+    for alpha, t, t_stop in ((1.0, 0.1, 1.0), (1.0, 2.0, 3.0), (100.0, 8.0, 9.0),
+                             (1.0, 0.1, 0.1 + 1e-5)):
+        pair = (OseenVortex(alpha), OseenVortex(-0.5, (3.0, 1.0)))
+        with pytest.raises(_Stepped) as sn:
+            propagate_SN(pair, f, t, t_stop, cfg)
+        with pytest.raises(_Stepped) as zero:
+            step_decomposed(pair, cfg, grid128.zeros(), t, t_stop)
+        assert sn.value.args[0] == zero.value.args[0] > t
+
+
 def test_solve_cauchy_records_reuse_step_samples(grid128, monkeypatch):
     # the snapshot records read the samples the steps took: every background
     # field is sampled once per time, and only at the steps' stage times
     # (t0, then t + dt/2 and t + dt of each step)
     sampled, steps = [], []
     for name in ("oseen_velocity", "oseen_vorticity"):
-        real = getattr(propagators, name)
-        monkeypatch.setattr(propagators, name, lambda v, t, *xy, name=name, real=real:
+        real = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda v, t, *xy, name=name, real=real:
                             sampled.append((name, v, t)) or real(v, t, *xy))
     real_step = solver.step_decomposed
     monkeypatch.setattr(solver, "step_decomposed",
                         lambda *args: steps.append(args) or real_step(*args))
-    propagators.background_fields.cache_clear()
+    background_fields.cache_clear()
     mu = FiniteMeasure.from_atoms(((-2.0, 0.0), 1.0), ((2.0, 0.0), 1.0))
     solve_cauchy(mu, 0.1, 0.05, 0.08, grid128)
     assert len(sampled) == len(set(sampled))

@@ -37,8 +37,8 @@ from oseen2d.biot_savart import circulation_is_negligible
 from oseen2d.field import Grid, ScalarField, lp_norm
 from oseen2d.measure import FiniteMeasure
 from oseen2d.oseen import OseenVortex
-from oseen2d.propagators import StepperConfig, propagate_SN
-from oseen2d.solver import solve_cauchy
+from oseen2d.propagators import StepperConfig
+from oseen2d.solver import propagate_SN, solve_cauchy
 
 GRID = Grid(64, 24.0)
 T0, T_END = 0.2, 0.6
