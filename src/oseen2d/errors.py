@@ -28,7 +28,7 @@ class CirculationError(Oseen2dError):
 
 
 class StabilityError(Oseen2dError):
-    """A time step exceeds the stability bound of the scheme."""
+    """A run breaks a bound of its scheme: its step, finiteness or L1 bound."""
 
 
 class DegenerateError(Oseen2dError):

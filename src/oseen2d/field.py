@@ -154,12 +154,20 @@ def max_speed(u: np.ndarray) -> float:
 # norms
 # ---------------------------------------------------------------------
 
+def _finite_norm(values: np.ndarray, grid: Grid, p: float, params: str) -> float:
+    """The L^p norm of the samples; DomainError naming ``params`` unless finite."""
+    a = np.abs(values)
+    norm = float(np.max(a) if p == np.inf else (np.sum(a**p) * grid.cell_area) ** (1 / p))
+    if not np.isfinite(norm):
+        raise DomainError(f"the L^{p} norm with {params} is {norm}, not a finite float")
+    return norm
+
+
+@np.errstate(over="ignore")            # an overflow is inf, so a DomainError
 def lp_norm(f: ScalarField, p: float) -> float:
-    """L^p norm by rectangle-rule quadrature; grid max for p = inf."""
-    if real("p", p, 1, np.inf, ends="[]") == np.inf:
-        return float(np.max(np.abs(f.values)))
-    a = np.abs(f.values)
-    return float((np.sum(a**p) * f.grid.cell_area) ** (1.0 / p))
+    """L^p norm by rectangle-rule quadrature; grid max for p = inf.
+    DomainError naming p unless it is a finite float."""
+    return _finite_norm(f.values, f.grid, real("p", p, 1, np.inf, ends="[]"), f"p={p}")
 
 
 @lru_cache(maxsize=32)
@@ -168,13 +176,13 @@ def _weight_grid(grid: Grid, m: float) -> np.ndarray:
     return (1.0 + xx**2 + yy**2) ** (m / 2.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as is an inf weight (inf * 0 = nan)
 def weighted_norm(f: ScalarField, q: float, m: float) -> float:
-    """Norm of (1+|x|^2)^(m/2) f in L^q, weight on unwrapped coordinates."""
+    """Norm of (1+|x|^2)^(m/2) f in L^q, weight on unwrapped coordinates.
+    DomainError naming q and m unless it is a finite float."""
     real("q", q, 1, np.inf, ends="[]")
-    if real("m", m, 0, np.inf, ends="[)") == 0:
-        return lp_norm(f, q)
-    w = _weight_grid(f.grid, m)
-    return lp_norm(ScalarField(f.grid, w * f.values), q)
+    w = _weight_grid(f.grid, real("m", m, 0, np.inf, ends="[)"))
+    return _finite_norm(w * f.values, f.grid, q, f"q={q}, m={m}")
 
 
 # ---------------------------------------------------------------------
@@ -254,8 +262,6 @@ def project_mean_zero(f: ScalarField) -> ScalarField:
     weighted spaces.
     """
     total = f.integral()
-    if total == 0.0:
-        return f
     xx, yy = f.grid.meshes()
     gauss = np.exp(-(xx**2 + yy**2) / 4.0) / (4.0 * np.pi)
     return ScalarField(f.grid, f.values - total * gauss)
@@ -306,8 +312,6 @@ def require_boundary_decay(f: ScalarField, what: str, tol: float = BOUNDARY_DECA
     """MarginError unless |f| at the box boundary is below tol * max|f|."""
     real("tol", tol, 0, np.inf, ends="[]")
     peak = float(np.max(np.abs(f.values)))
-    if peak == 0.0:
-        return
     if f.boundary_max() > tol * peak:
         raise MarginError(
             f"{what}: field is not negligible at the box boundary "

@@ -108,11 +108,8 @@ def decompose(mu: FiniteMeasure, epsilon: float) -> AtomicDecomposition:
     retained = tuple((m, pos) for pos, m in mu.atoms[:k])
     remainder = FiniteMeasure(atoms=mu.atoms[k:], density=mu.density)
     centers = [z for _, z in retained]
-    if len(centers) >= 2:
-        d = min(np.hypot(a[0] - b[0], a[1] - b[1])
-                for i, a in enumerate(centers) for b in centers[:i])
-    else:
-        d = np.inf
+    d = min((np.hypot(a[0] - b[0], a[1] - b[1])
+             for i, a in enumerate(centers) for b in centers[:i]), default=np.inf)
     return AtomicDecomposition(retained=retained, remainder=remainder,
                                epsilon=float(epsilon),
                                M_pp=float(sum(abs(a) for a, _ in retained)),

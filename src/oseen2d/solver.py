@@ -36,7 +36,7 @@ import numpy as np
 
 from .biot_savart import (circulation_is_negligible, velocity_free_space,
                           velocity_periodic)
-from .errors import DomainError, Oseen2dError, real
+from .errors import DomainError, StabilityError, real
 from .field import (Grid, ScalarField, lp_norm, require_boundary_decay,
                     require_grid)
 from .measure import (AtomicDecomposition, FiniteMeasure, decompose,
@@ -158,16 +158,16 @@ def decomposed_dt(backgrounds, cfg: StepperConfig, t: float, grid: Grid,
     """The one step rule of the flows with vortex backgrounds: the step that
     step_decomposed and propagate_SN take from time t, at most ``room``.
 
-    The stability bound is the CFL step of the backgrounds' analytic speed
-    sum_i max|u_i| and that of ``remainder_speed``, the speed of the
-    remainder velocity that stage 1 solved (0 for SN, which solves none);
-    the automatic step also keeps dt <= t/50, which resolves the 1/sqrt(t)
-    sharpening of the backgrounds near t = 0 (an accuracy rule, not a
-    stability one).
+    The remainder is advected by the total velocity U + u~, so the stability
+    bound is the CFL step of the backgrounds' analytic speed sum_i max|u_i|
+    plus ``remainder_speed``, the speed of the remainder velocity that
+    stage 1 solved (0 for SN, which solves none), as in the self-similar
+    flows; the automatic step also keeps dt <= t/50, which resolves the
+    1/sqrt(t) sharpening of the backgrounds near t = 0 (an accuracy rule,
+    not a stability one).
     """
     speed = sum(oseen_max_speed(v, t) for v in backgrounds)
-    return cfg.step(min(cfl_bound(grid.h, speed), cfl_bound(grid.h, remainder_speed)),
-                    room, t / 50.0)
+    return cfg.step(cfl_bound(grid.h, speed + remainder_speed), room, t / 50.0)
 
 
 def step_decomposed(backgrounds, cfg: StepperConfig, w: ScalarField, t: float,
@@ -244,10 +244,10 @@ class SolverRun:
                                self.trajectory.times[index])
 
 
-def snapshot_schedule(t0: float, t_end: float, per_decade: int) -> list[float]:
-    """Geometric snapshot times (uniform in log t), endpoint included."""
+def snapshot_schedule(t0: float, t_end: float) -> list[float]:
+    """SNAPSHOTS_PER_DECADE geometric times per decade of t, endpoint included."""
     ratio = real("t_end/t0", t_end / t0, 1, np.inf)     # the count is log(ratio)
-    count = max(1, int(np.ceil(per_decade * np.log10(ratio))))
+    count = max(1, int(np.ceil(SNAPSHOTS_PER_DECADE * np.log10(ratio))))
     times = [t0 * ratio ** (k / count) for k in range(1, count + 1)]
     times[-1] = t_end
     return times
@@ -260,8 +260,9 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
 
     Records remainder snapshots on a geometric schedule and checks the
     measure-data a priori bound |omega(t)|_L1 <= |mu| at every snapshot:
-    a ratio above 1 + ``l1_check_tol`` raises (DomainError at t0, before
-    any step, where only a grid that under-resolves the data breaks it).
+    a ratio above 1 + ``l1_check_tol`` raises DomainError at t0, before any
+    step, where only a grid that under-resolves the data breaks it, and
+    StabilityError, naming t, at a later snapshot.
     The tolerance is loose because snapshots near t0 carry discretization
     noise when the initial profiles are only marginally resolved (it decays
     within a few multiples of t0); A1 tightens it to 1e-6.  Each snapshot's
@@ -281,7 +282,7 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
     backgrounds, remainder, dec = initialize_from_measure(mu, epsilon, t0, grid)
     tv = total_variation(mu)
     background_circulation = sum(v.alpha for v in backgrounds)
-    schedule = snapshot_schedule(t0, t_end, SNAPSHOTS_PER_DECADE)
+    schedule = snapshot_schedule(t0, t_end)
     traj = Trajectory(time_label="t")
     run = SolverRun(grid=grid, measure=mu, decomposition=dec,
                     epsilon=epsilon, t0=t0, t_end=t_end,
@@ -295,7 +296,7 @@ def solve_cauchy(mu: FiniteMeasure, epsilon: float, t0: float, t_end: float,
                 raise DomainError(
                     f"the samples at t0 break the L1 bound ({l1} > {tv}): "
                     f"h={grid.h:.3g} under-resolves sqrt(t0)={t0**0.5:.3g}")
-            raise Oseen2dError(
+            raise StabilityError(
                 f"L1 bound violated at t={t}: |omega|_1 = {l1} > {tv}")
         require_boundary_decay(w, "solve_cauchy", tol=SOLVER_BOUNDARY_TOL)
         run.series.append({

@@ -98,6 +98,16 @@ def test_cli_out_of_range_is_config_error(argv, capsys):
     assert "numerical failure" not in capsys.readouterr().err
 
 
+def test_cli_norm_that_overflows_is_a_numerical_failure():
+    # A8's weighted norm at m = 200 overflows on the default box: one stderr
+    # line and exit 2, where the norm came back inf with an overflow warning
+    # and the run printed FAIL lines with the rate nan and exited 3
+    out = run_cli(["s1-decay", "--grid-n", "64", "--m", "200"])
+    assert (out.returncode, out.stdout) == (2, "")
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("numerical failure: the L^2 norm with q=2, m=200.0 ")
+
+
 @pytest.mark.parametrize("alpha, extra", [("5", 3), ("1", 0)])
 def test_cli_spectrum_adds_an_alpha_outside_the_pinned_ones(alpha, extra, capsys):
     # A9 solves alpha = 0, 1, 10 and 100, and --alpha adds one more in the

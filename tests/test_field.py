@@ -124,6 +124,28 @@ def test_weighted_norm_rejects_nan_parameters(q, m, gauss128):
         weighted_norm(gauss128, q, m)
 
 
+def test_a_norm_that_is_not_a_finite_float_raises_a_domain_error():
+    # unchecked, each returned inf or nan, the first three with an overflow
+    # warning (the square; the square; the weight at m = 400)
+    grid = Grid(64, 40.0)
+    g = ScalarField(grid, gaussian_profile(*grid.meshes()))
+    with pytest.raises(DomainError, match=r"L\^2 norm with q=2, m=200\.0 is inf, not a"):
+        weighted_norm(g, 2, 200.0)
+    with pytest.raises(DomainError, match=r"L\^2 norm with p=2 is inf, not a finite"):
+        lp_norm(1e200 * g, 2)
+    for f in (g, grid.zeros()):
+        with pytest.raises(DomainError, match=r"norm with q=1, m=400 is (inf|nan), "):
+            weighted_norm(f, 1, 400)
+    values = g.values.copy()
+    values[3, 5] = np.nan
+    for p in (1, np.inf):
+        with pytest.raises(DomainError, match=f"p={p} is nan, not a finite float"):
+            lp_norm(ScalarField(grid, values), p)
+    # a finite norm keeps its bits: the square of m = 100's weight is finite
+    assert weighted_norm(g, 2, 100.0) == lp_norm(
+        ScalarField(grid, (1.0 + sum(x**2 for x in grid.meshes())) ** 50.0 * g.values), 2)
+
+
 def test_parseval(gauss128):
     f = gauss128
     n = f.grid.n

@@ -79,6 +79,8 @@ ENTRIES = {
     "propagate_SN": (lambda s, t: propagate_SN([VORTEX], FIELD, s, t, FIXED),
                      dict(s=1, t=1.05), ("s", "t")),
     "vortex_advection": (vortex_advection, dict(grid=GRID, alpha=1), ("alpha",)),
+    "march": (lambda t, stop: march(FIELD, t, [stop], lambda w, now, end: (w, end)),
+              dict(t=1, stop=1), ("t", "stop")),
     "evolve_S1": (rescaled(evolve_S1), dict(alpha=1, tau_end=0.05, sample_every=0.05),
                   ("alpha", "tau_end", "sample_every")),
     "evolve_T_alpha": (rescaled(evolve_T_alpha),
